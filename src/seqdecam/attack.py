@@ -3,10 +3,11 @@
 The main loop grows a set of input sequences: a bounded search finds two
 completions that agree with everything observed so far yet disagree within
 the current bound, the oracle arbitrates, and the loser is eliminated.
-When no bounded distinguisher remains, three termination checks run in
-order of increasing cost: unique completion (UC), combinational equivalence
-(CE), and an unbounded check (UMC) via explicit product-machine
-reachability.  Small-instance ground truth comes from an exhaustive
+After every new record the two sufficient conditions are asked: unique
+completion (UC), then combinational equivalence (CE); either one ends the
+attack.  When no bounded distinguisher remains and neither holds, an
+unbounded check (UMC) via explicit product-machine reachability runs before
+the bound grows.  Small-instance ground truth comes from an exhaustive
 pairwise-equivalence procedure over the whole completion space.
 """
 
@@ -79,7 +80,7 @@ class AttackConfig:
 @dataclass(frozen=True)
 class IterationRecord:
     bound: int
-    event: str  # sequence | uc | ce | umc
+    event: str  # sequence | bound | uc | ce | umc
     seq_len: int | None
     conflicts: int
     decisions: int
@@ -567,6 +568,20 @@ def run_attack(camo: CamoCircuit, oracle, cfg: AttackConfig | None = None) -> At
             )
         )
 
+    def sufficient() -> str | None:
+        # UC before CE: UC is the stronger verdict and keeps its label
+        res = inst.solve_uc(cfg.solver_budget)
+        log("uc", res)
+        if res.status == satmod.UNSAT:
+            return UC
+        res = inst.solve_ce(cfg.solver_budget)
+        log("ce", res)
+        return CE if res.status == satmod.UNSAT else None
+
+    # record counts at which UC/CE and UMC last ran; their verdicts depend
+    # only on the query set, so an unchanged set is never asked again
+    sufficient_at: int | None = None
+    umc_at: int | None = None
     while termination is None:
         if bound + cfg.bmc_inc > cfg.max_bound:
             termination = EXHAUSTED
@@ -578,6 +593,7 @@ def run_attack(camo: CamoCircuit, oracle, cfg: AttackConfig | None = None) -> At
                 termination = TIMEOUT_TAG
                 break
             if res.status == satmod.UNSAT:
+                log("bound", res)
                 break
             x1, x2, raw = inst.decode_bmc(res, bound)
             x1, x2, seq = _check_triple(camo, qs, x1, x2, raw)
@@ -592,19 +608,21 @@ def run_attack(camo: CamoCircuit, oracle, cfg: AttackConfig | None = None) -> At
                 raise EncodingBugError("neither counterexample completion was eliminated")
             inst.add_record(seq, out)
             log("sequence", res, len(seq))
+            # UC or CE puts every pair of survivors in lock-step from reset,
+            # so the proof that would close this bound cannot change the outcome
+            termination = sufficient()
+            sufficient_at = len(qs)
+            if termination is not None:
+                break
         if termination is not None:
             break
-        res = inst.solve_uc(cfg.solver_budget)
-        log("uc", res)
-        if res.status == satmod.UNSAT:
-            termination = UC
-            break
-        res = inst.solve_ce(cfg.solver_budget)
-        log("ce", res)
-        if res.status == satmod.UNSAT:
-            termination = CE
-            break
-        if cfg.umc_mode != "skip":
+        if sufficient_at != len(qs):
+            termination = sufficient()
+            sufficient_at = len(qs)
+            if termination is not None:
+                break
+        if cfg.umc_mode != "skip" and umc_at != len(qs):
+            umc_at = len(qs)
             t0 = time.monotonic()
             try:
                 umc_true = check_umc(camo, qs, cfg, instance=inst)

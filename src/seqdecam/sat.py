@@ -271,17 +271,6 @@ class Cdcl:
         self.stats.propagations += nprops
         return None
 
-    def _bump_var(self, v: int) -> None:
-        # conflict-side variables are on the trail; they re-enter the heap
-        # with their fresh activity when the backjump unassigns them
-        act = self.activity[v] + self.var_inc
-        self.activity[v] = act
-        if act > 1e100:
-            scale = 1e-100
-            for i in range(1, self.nvars + 1):
-                self.activity[i] *= scale
-            self.var_inc *= scale
-
     def _bump_clause(self, c: list) -> None:
         i = id(c)
         act = self.cla_act.get(i)
@@ -348,6 +337,9 @@ class Cdcl:
             for i in range(1, self.nvars + 1):
                 activity[i] *= scale
             self.var_inc *= scale
+            # heap keys still hold pre-rescale activities, which would rank
+            # every waiting variable above any bumped from now on
+            self._rebuild_heap()
 
         # cheap local minimization: a literal is redundant if its reason
         # consists entirely of seen or level-0 literals
@@ -438,18 +430,28 @@ class Cdcl:
                 kept.append(c)
         self.learnts = kept
 
-    def _pick_branch(self) -> int:
-        heap = self.heap
+    def _rebuild_heap(self) -> None:
+        """Key every unassigned branchable variable by its current activity.
+
+        Assigned variables re-enter the heap when a backjump unassigns them.
+        """
         val = self.val
-        if len(heap) > 4 * self.nvars + 1024:
+        activity = self.activity
+        branchable = self.branchable
+        fresh = [
+            (-activity[v], v)
+            for v in range(1, self.nvars + 1)
+            if val[v << 1] == 0 and branchable[v]
+        ]
+        fresh.sort()
+        self.heap = fresh
+
+    def _pick_branch(self) -> int:
+        val = self.val
+        if len(self.heap) > 4 * self.nvars + 1024:
             # lazy heap accumulates stale duplicates; rebuild occasionally
-            fresh = [
-                (-self.activity[v], v)
-                for v in range(1, self.nvars + 1)
-                if val[v << 1] == 0 and self.branchable[v]
-            ]
-            fresh.sort()
-            self.heap = heap = fresh
+            self._rebuild_heap()
+        heap = self.heap
         while heap:
             _, v = heappop(heap)
             if val[v << 1] == 0:

@@ -333,11 +333,40 @@ def test_run_attack_at_table_scale_synthetic():
     camo, secret = random_camo(rng, c, k=32)
     box = BlackBox(camo, secret)
     rep = atk.run_attack(camo, box, atk.AttackConfig())
-    assert rep.success
+    assert rep.termination == atk.CE
     assert rep.max_seq_len <= 10
     x = rep.completions[0]
     for seq, out in rep.disc_set:
         assert run_sequence(camo, x, seq) == out
+    # CE held right after the last query, so no proof closed the final bound
+    assert not any(
+        i.event == "bound" and i.bound == rep.bound_reached for i in rep.iterations
+    )
+
+
+def test_run_attack_asks_each_check_once_per_query_set():
+    # one cell sits behind a four-flop delay line, so bounds 1-4 all close on
+    # the same single record before bound 5 finds the second query
+    from seqdecam.netlist import camouflage, parse_bench
+    from test_acceptance import DELAY_LINE
+
+    camo = camouflage(parse_bench(DELAY_LINE, "delayline"), ["c1", "c2", "c3", "c4", "e"],
+                      ["NAND", "NOR"])
+    secret = Completion((0, 1, 0, 1, 0))
+    box = BlackBox(camo, secret)
+    rep = atk.run_attack(camo, box, atk.AttackConfig(bmc_inc=1, max_bound=8))
+    assert rep.termination == atk.UC and rep.completions == (secret,)
+    assert [i.bound for i in rep.iterations if i.event == "bound"] == [1, 2, 3, 4]
+    # uc/ce once per query-set size, umc once per query set
+    asked = []
+    records = 0
+    for it in rep.iterations:
+        if it.event == "sequence":
+            records += 1
+        elif it.event in ("uc", "ce", "umc"):
+            asked.append((it.event, records))
+    assert len(asked) == len(set(asked))
+    assert ("umc", 1) in asked
 
 
 def test_product_reachable_pairs(unreachable_divergence_camo):

@@ -85,6 +85,27 @@ def test_conflict_budget_reports_timeout():
     assert ctx.solve().status == sm.UNSAT
 
 
+def test_branching_follows_activity_after_rescale():
+    # a large starting increment pushes activities past the 1e100 rescale
+    # threshold within a few conflicts; afterwards the next decision must
+    # still be the open variable with the highest current activity
+    rescaled = 0
+    for seed in range(8):
+        rng = random.Random(seed)
+        s = sm.Cdcl()
+        for _ in range(255):
+            s.add_clause([v if rng.random() < 0.5 else -v for v in rng.sample(range(1, 61), 3)])
+        s.var_inc = 1e98
+        s.solve(conflict_budget=60)
+        if s.var_inc > 1e90:
+            continue
+        rescaled += 1
+        open_vars = [v for v in range(1, s.nvars + 1) if s.val[v << 1] == 0 and s.branchable[v]]
+        picked = s._pick_branch() >> 1
+        assert s.activity[picked] == max(s.activity[v] for v in open_vars), seed
+    assert rescaled >= 3
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 10**9))
 def test_agrees_with_brute_force(seed):

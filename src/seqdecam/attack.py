@@ -6,8 +6,11 @@ the current bound, the oracle arbitrates, and the loser is eliminated.
 After every new record the two sufficient conditions are asked: unique
 completion (UC), then combinational equivalence (CE); either one ends the
 attack.  When no bounded distinguisher remains and neither holds, an
-unbounded check (UMC) via explicit product-machine reachability runs before
-the bound grows.  Small-instance ground truth comes from an exhaustive
+unbounded check (UMC) runs before the bound grows: it enumerates the
+surviving completions and checks each one for sequential equivalence with
+the first, in lock-step over the states the first reaches from reset and by
+explicit product-machine reachability for any survivor that leaves
+lock-step.  Small-instance ground truth comes from an exhaustive
 pairwise-equivalence procedure over the whole completion space.
 """
 
@@ -29,6 +32,7 @@ from .encode import (
 )
 from .netlist import BitSeq, CamoCircuit, Completion, Evaluator, run_sequence
 from .oracle import QuerySet, record
+from .sat import SolverTimeoutError
 
 UC, CE, UMC = "UC", "CE", "UMC"
 EXHAUSTED, TIMEOUT_TAG = "EXHAUSTED", "TIMEOUT"
@@ -39,10 +43,6 @@ class InconclusiveError(RuntimeError):
 
 
 class ProductCapError(InconclusiveError):
-    pass
-
-
-class SolverTimeoutError(RuntimeError):
     pass
 
 
@@ -85,6 +85,9 @@ class IterationRecord:
     conflicts: int
     decisions: int
     wall: float
+    # solver status for sequence/bound/uc/ce; for umc: UMC, refuted or
+    # "inconclusive: <reason>"
+    status: str | None = None
 
 
 @dataclass(frozen=True)
@@ -296,20 +299,8 @@ def _product_bfs(
             expansions += w
             if expansions > expand_cap:
                 raise ProductCapError(f"product expansion cap {expand_cap} exceeded")
-            block = (1 << p) - 1
-            reps = ((1 << (len(chunk) * p)) - 1) // block  # 1 at each block start
-            ins = [pat * reps for pat in input_patterns]
-            st1, st2 = [], []
-            for i in range(l):
-                acc1 = acc2 = 0
-                for ci, idx in enumerate(chunk):
-                    pair = states[idx]
-                    if (pair >> (l + i)) & 1:
-                        acc1 |= block << (ci * p)
-                    if (pair >> i) & 1:
-                        acc2 |= block << (ci * p)
-                st1.append(acc1)
-                st2.append(acc2)
+            ins, wires = _pack_chunk([states[idx] for idx in chunk], 2 * l, input_patterns)
+            st2, st1 = wires[:l], wires[l:]
             o1, n1 = ev1.eval(st1, ins, w)
             o2, n2 = ev2.eval(st2, ins, w)
             mism = 0
@@ -343,20 +334,109 @@ def _input_pattern(bit: int, m: int) -> int:
     return pat
 
 
+def _pack_chunk(
+    keys: Sequence[int], nbits: int, input_patterns: Sequence[int]
+) -> tuple[list[int], list[int]]:
+    """Input and state wires for every (key, input) scenario of a chunk.
+
+    Scenario c * 2^m + v holds state key keys[c] and input value v, where m
+    is the number of input patterns; returns (input wires, nbits key wires),
+    key wire i carrying bit i of each scenario's key.
+    """
+    p = 1 << len(input_patterns)
+    block = (1 << p) - 1
+    reps = ((1 << (len(keys) * p)) - 1) // block  # 1 at each block start
+    ins = [pat * reps for pat in input_patterns]
+    wires = []
+    for i in range(nbits):
+        acc = 0
+        for ci, key in enumerate(keys):
+            if (key >> i) & 1:
+                acc |= block << (ci * p)
+        wires.append(acc)
+    return ins, wires
+
+
 def _bits_array(x: int, width: int) -> np.ndarray:
     raw = np.frombuffer(x.to_bytes((width + 7) // 8, "little"), dtype=np.uint8)
     return np.unpackbits(raw, bitorder="little")[:width]
+
+
+def _scenario_keys(wires: Sequence[int], width: int) -> np.ndarray:
+    """Per-scenario integer whose bit i is the value of wires[i] (at most 64 wires)."""
+    keys = np.zeros(width, dtype=np.uint64)
+    for i, wire in enumerate(wires):
+        keys |= _bits_array(wire, width).astype(np.uint64) << np.uint64(i)
+    return keys
 
 
 def _pair_keys(n1: Sequence[int], n2: Sequence[int], width: int, l: int) -> np.ndarray:
     """Per-scenario (s1 << l) | s2 keys for the joint next state."""
     if 2 * l > 63:
         raise ProductCapError("more than 31 flip-flops per copy; explicit product disabled")
-    keys = np.zeros(width, dtype=np.uint64)
-    for i in range(l):
-        keys |= _bits_array(n2[i], width).astype(np.uint64) << np.uint64(i)
-        keys |= _bits_array(n1[i], width).astype(np.uint64) << np.uint64(l + i)
-    return keys
+    return _scenario_keys([*n2, *n1], width)
+
+
+def _first_inequivalent(
+    camo: CamoCircuit, comps: Sequence[Completion], state_cap: int, expand_cap: int
+) -> BitSeq | None:
+    """A sequence on which some completion disagrees with comps[0] from reset,
+    or None when every completion is sequentially equivalent to it.
+
+    Equivalence is transitive, so each completion is checked against the
+    reference comps[0] alone.  One breadth-first search walks the states the
+    reference reaches from reset and evaluates every completion still in
+    lock-step on the same (state, input) scenarios.  A completion that
+    matches the reference's outputs and next states on all of them visits
+    exactly the reference's states, so it is equivalent; one that leaves
+    lock-step gets the exact product search of `product_equiv` at once.
+    Raises ProductCapError at the caps.
+    """
+    if len(comps) < 2:
+        return None
+    m, l = camo.num_inputs, camo.num_flops
+    p = 1 << m
+    if p > expand_cap:
+        raise ProductCapError(f"2^{m} inputs per state exceeds the expansion cap")
+    if l > 64:
+        raise ProductCapError("more than 64 flip-flops; explicit reachability disabled")
+    ref = comps[0]
+    ev_ref = Evaluator(camo, ref)
+    lockstep = [(x, Evaluator(camo, x)) for x in comps[1:]]
+    visited = {camo.reset_state}
+    frontier = [camo.reset_state]
+    expansions = 0
+    chunk_states = max(1, (1 << 17) // p)
+    input_patterns = [_input_pattern(i, m) for i in range(m)]
+    while frontier:
+        nxt_frontier: list[int] = []
+        for c0 in range(0, len(frontier), chunk_states):
+            chunk = frontier[c0 : c0 + chunk_states]
+            w = len(chunk) * p
+            expansions += w
+            if expansions > expand_cap:
+                raise ProductCapError(f"product expansion cap {expand_cap} exceeded")
+            ins, st = _pack_chunk(chunk, l, input_patterns)
+            want = ev_ref.eval(st, ins, w)
+            still = []
+            for x, ev in lockstep:
+                if ev.eval(st, ins, w) == want:
+                    still.append((x, ev))
+                    continue
+                witness = product_equiv(camo, ref, x, state_cap, expand_cap)
+                if witness is not None:
+                    return witness
+            lockstep = still
+            if not lockstep:
+                return None
+            for key in np.unique(_scenario_keys(want[1], w)).tolist():
+                if key not in visited:
+                    visited.add(key)
+                    nxt_frontier.append(key)
+                    if len(visited) > state_cap:
+                        raise ProductCapError(f"product state cap {state_cap} exceeded")
+        frontier = nxt_frontier
+    return None
 
 
 # -------------------------------------------------------- unbounded check
@@ -370,9 +450,12 @@ def check_umc(
     """True iff qs is discriminating; raises InconclusiveError at the caps.
 
     Explicit mode enumerates the consistent completions with iterated
-    SAT-plus-blocking and checks pairwise product equivalence; when an
-    enumeration or product cap is hit it degrades to bounded search at the
-    product-diameter bound 2^(2l), itself capped by max_bound.
+    SAT-plus-blocking and checks each for sequential equivalence with the
+    first (see `_first_inequivalent`).  When an enumeration or product cap
+    is hit, or a solver call times out, it degrades to bounded search at the
+    product-diameter bound 2^(2l); that search runs only when max_bound
+    reaches the diameter, since a shallower one cannot certify.  Inconclusive
+    outcomes name every reason.
     """
     cfg = cfg or AttackConfig()
     if cfg.umc_mode == "skip":
@@ -380,8 +463,11 @@ def check_umc(
     if cfg.umc_mode == "explicit":
         try:
             return _umc_explicit(camo, qs, cfg, instance)
-        except InconclusiveError:
-            pass  # degrade to bounded search at the diameter
+        except InconclusiveError as exc:
+            try:  # degrade to bounded search at the diameter
+                return _umc_bmc(camo, qs, cfg)
+            except InconclusiveError as fallback:
+                raise InconclusiveError(f"{exc}; {fallback}") from fallback
     return _umc_bmc(camo, qs, cfg)
 
 
@@ -391,21 +477,19 @@ def _umc_explicit(
     comps = _enumerate_consistent(camo, qs, cfg, instance)
     if not comps:
         raise OracleInconsistentError("no completion is consistent with the observations")
-    for i in range(len(comps)):
-        for j in range(i + 1, len(comps)):
-            w = product_equiv(
-                camo, comps[i], comps[j], cfg.product_state_cap, cfg.product_expand_cap
-            )
-            if w is not None:
-                return False
-    return True
+    return _first_inequivalent(
+        camo, comps, cfg.product_state_cap, cfg.product_expand_cap
+    ) is None
 
 
 def _enumerate_consistent(
     camo: CamoCircuit, qs: QuerySet, cfg: AttackConfig, instance: AttackInstance | None
 ) -> list[Completion]:
     if instance is not None:
-        comps = instance.enumerate_consistent(cfg.umc_enum_cap, cfg.solver_budget)
+        try:
+            comps = instance.enumerate_consistent(cfg.umc_enum_cap, cfg.solver_budget)
+        except SolverTimeoutError as exc:
+            raise InconclusiveError(str(exc)) from exc
         if comps is None:
             raise InconclusiveError(f"more than {cfg.umc_enum_cap} consistent completions")
         return comps
@@ -426,20 +510,19 @@ def _enumerate_consistent(
 
 
 def _umc_bmc(camo: CamoCircuit, qs: QuerySet, cfg: AttackConfig) -> bool:
-    l = camo.num_flops
-    diameter = 1 << (2 * l)
-    bound = min(diameter, cfg.max_bound)
+    # no shortest distinguisher of two l-flop copies is longer than the
+    # product diameter 2^(2l), so only a search that deep can certify
+    diameter = 1 << (2 * camo.num_flops)
+    if diameter > cfg.max_bound:
+        raise InconclusiveError(
+            f"bounded search cannot certify: max_bound {cfg.max_bound} is below "
+            f"the product diameter {diameter}"
+        )
     try:
-        found = find_distinguishing(camo, qs, bound, cfg.solver_budget, cfg.backend)
+        found = find_distinguishing(camo, qs, diameter, cfg.solver_budget, cfg.backend)
     except SolverTimeoutError as exc:
         raise InconclusiveError(str(exc)) from exc
-    if found is not None:
-        return False
-    if bound == diameter:
-        return True
-    raise InconclusiveError(
-        f"no distinguisher within b={bound} but the product diameter is {diameter}"
-    )
+    return found is None
 
 
 def brute_force_disc(
@@ -461,6 +544,7 @@ def brute_force_disc(
     comps = [x for x in camo.all_completions() if consistent(camo, x, qs)]
     if not comps:
         raise OracleInconsistentError("no completion is consistent with the observations")
+    # plain pairwise on purpose: the independent reference for _first_inequivalent
     for i in range(len(comps)):
         for j in range(i + 1, len(comps)):
             if product_equiv(camo, comps[i], comps[j], state_cap, expand_cap) is not None:
@@ -564,7 +648,7 @@ def run_attack(camo: CamoCircuit, oracle, cfg: AttackConfig | None = None) -> At
         iterations.append(
             IterationRecord(
                 bound, event, seq_len, res.stats.conflicts, res.stats.decisions,
-                round(res.stats.wall_time, 6),
+                round(res.stats.wall_time, 6), res.status,
             )
         )
 
@@ -624,14 +708,20 @@ def run_attack(camo: CamoCircuit, oracle, cfg: AttackConfig | None = None) -> At
         if cfg.umc_mode != "skip" and umc_at != len(qs):
             umc_at = len(qs)
             t0 = time.monotonic()
+            before = inst.solver_stats
             try:
-                umc_true = check_umc(camo, qs, cfg, instance=inst)
-            except (InconclusiveError, SolverTimeoutError):
-                umc_true = False
+                status = UMC if check_umc(camo, qs, cfg, instance=inst) else "refuted"
+            except InconclusiveError as exc:
+                status = f"inconclusive: {exc}"
+            after = inst.solver_stats
             iterations.append(
-                IterationRecord(bound, "umc", None, 0, 0, round(time.monotonic() - t0, 6))
+                IterationRecord(
+                    bound, "umc", None, after.conflicts - before.conflicts,
+                    after.decisions - before.decisions, round(time.monotonic() - t0, 6),
+                    status,
+                )
             )
-            if umc_true:
+            if status == UMC:
                 termination = UMC
                 break
 
@@ -652,19 +742,21 @@ def run_attack(camo: CamoCircuit, oracle, cfg: AttackConfig | None = None) -> At
                 raise EncodingBugError("recovered completion fails re-simulation")
             completions = (x,)
             if cfg.enumerate_all:
-                allc = inst.enumerate_consistent(cfg.umc_enum_cap, cfg.solver_budget)
+                try:
+                    allc = inst.enumerate_consistent(cfg.umc_enum_cap, cfg.solver_budget)
+                except SolverTimeoutError:
+                    allc = None  # keep the one verified completion
                 if allc is not None:
                     # with a discriminating set every survivor is correct, so
                     # they must all be mutually equivalent
-                    for other in allc:
-                        w = product_equiv(
-                            camo, allc[0], other, cfg.product_state_cap, cfg.product_expand_cap
+                    w = _first_inequivalent(
+                        camo, allc, cfg.product_state_cap, cfg.product_expand_cap
+                    )
+                    if w is not None:
+                        raise EncodingBugError(
+                            "termination check accepted a non-discriminating set: "
+                            f"completions differ on {w.to_strings()}"
                         )
-                        if w is not None:
-                            raise EncodingBugError(
-                                "termination check accepted a non-discriminating set: "
-                                f"completions differ on {w.to_strings()}"
-                            )
                     completions = tuple(allc)
     if termination in (EXHAUSTED, TIMEOUT_TAG):
         partial = partial_completion(camo, qs, cfg.solver_budget, instance=inst)

@@ -140,6 +140,7 @@ def _report_json(camo: nl.CamoCircuit, report: atk.AttackReport) -> dict:
                 "conflicts": it.conflicts,
                 "decisions": it.decisions,
                 "wall_s": it.wall,
+                "status": it.status,
             }
             for it in report.iterations
         ],

@@ -15,7 +15,7 @@ queries encoded here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .cnf import FALSE, TRUE, CnfBuilder, CnfInstance
@@ -329,6 +329,7 @@ class AttackInstance:
         self._emitted_implied = 0
         self._ctx = satmod.SatContext(CnfInstance(1, ()), backend=backend)
         self._epoch = 0
+        self._stats = satmod.SolveStats()
 
     # ------------------------------------------------------------- plumbing
 
@@ -346,12 +347,22 @@ class AttackInstance:
 
     def _solve(self, assumptions, budget) -> "satmod.SolveResult":
         self._sync()
-        return self._ctx.solve(assumptions, time_budget=budget)
+        res = self._ctx.solve(assumptions, time_budget=budget)
+        self._stats.conflicts += res.stats.conflicts
+        self._stats.decisions += res.stats.decisions
+        self._stats.propagations += res.stats.propagations
+        self._stats.wall_time += res.stats.wall_time
+        return res
 
     @property
     def instance(self) -> CnfInstance:
         self._sync()
         return self._ctx.instance
+
+    @property
+    def solver_stats(self) -> "satmod.SolveStats":
+        """Counters summed over every solver call on this instance so far."""
+        return replace(self._stats)
 
     # ------------------------------------------------------------- building
 
@@ -436,6 +447,7 @@ class AttackInstance:
     ) -> list[Completion] | None:
         """Up to `cap` distinct consistent completions; None if there are more.
 
+        Raises SolverTimeoutError when a solver call exceeds `budget`.
         Blocking clauses are guarded by a one-shot epoch literal so they do
         not constrain later queries on this instance.
         """
@@ -445,7 +457,7 @@ class AttackInstance:
         while True:
             res = self._solve([epoch], budget)
             if res.status == satmod.TIMEOUT:
-                return None
+                raise satmod.SolverTimeoutError("solver budget exhausted during enumeration")
             if res.status == satmod.UNSAT:
                 return found
             x = self.k1.decode(res)

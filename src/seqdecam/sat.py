@@ -68,6 +68,10 @@ class ModelVerificationError(RuntimeError):
     pass
 
 
+class SolverTimeoutError(RuntimeError):
+    """A solver call ran out of its time budget."""
+
+
 def _luby(i: int) -> int:
     # Luby restart sequence 1 1 2 1 1 2 4 ...
     k = 1

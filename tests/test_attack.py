@@ -145,6 +145,124 @@ def test_umc_skip_raises(s27_camo):
         atk.check_umc(s27_camo, QuerySet(), atk.AttackConfig(umc_mode="skip"))
 
 
+# the flop of AND(a, s) never leaves reset while that of OR(a, s) latches the
+# first a=1, but no output reads it: equivalent completions, not in lock-step
+DEAD_FLOP = """
+INPUT(a)
+OUTPUT(y)
+y = BUF(a)
+s = DFF(g)
+g = AND(a, s)
+"""
+
+
+def test_umc_product_search_only_for_survivors_out_of_lockstep(monkeypatch):
+    from seqdecam.netlist import camouflage, parse_bench
+
+    camo = camouflage(parse_bench(DEAD_FLOP, "dead_flop"), ["g"], ["AND", "OR"])
+    calls = []
+    orig = atk.product_equiv
+
+    def spy(*args, **kwargs):
+        calls.append(args[1:3])
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(atk, "product_equiv", spy)
+    assert atk.check_umc(camo, QuerySet(), atk.AttackConfig()) is True
+    assert len(calls) == 1
+
+
+def test_umc_lockstep_survivors_need_no_product_search(monkeypatch, identical_candidates_camo):
+    camo, _ = identical_candidates_camo
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("product search ran for survivors in lock-step")
+
+    monkeypatch.setattr(atk, "product_equiv", refuse)
+    assert atk.check_umc(camo, QuerySet(), atk.AttackConfig()) is True
+
+
+def test_umc_finds_an_inequivalent_survivor_past_the_second(monkeypatch):
+    # cell 0 is the dead-flop AND/OR (equivalent either way), cell 1 drives
+    # the output; only the last survivor differs from the reference
+    from seqdecam.netlist import camouflage, parse_bench
+
+    src = DEAD_FLOP.replace("y = BUF(a)", "INPUT(b)\ny = AND(a, b)")
+    camo = camouflage(parse_bench(src, "dead_flop2"), ["g", "y"], ["AND", "OR"])
+    comps = [Completion((0, 0)), Completion((1, 0)), Completion((0, 1))]
+    w = atk._first_inequivalent(camo, comps, 1 << 10, 1 << 10)
+    assert w is not None
+    assert run_sequence(camo, comps[0], w) != run_sequence(camo, comps[2], w)
+    monkeypatch.setattr(atk, "_enumerate_consistent", lambda *args: comps)
+    assert atk.check_umc(camo, QuerySet(), atk.AttackConfig()) is False
+
+
+def test_first_inequivalent_agrees_with_pairwise_search():
+    rng = random.Random(5150)
+    verdicts = set()
+    circuits = 0
+    while circuits < 100:
+        c = random_circuit(rng, num_flops=rng.randint(0, 3))
+        try:
+            camo, secret = random_camo(rng, c, k=rng.randint(1, 3))
+        except ValueError:
+            continue
+        m = camo.num_inputs
+        seq = BitSeq(m, tuple(rng.randrange(1 << m) for _ in range(rng.randint(1, 3))))
+        qs = record(QuerySet(), seq, run_sequence(camo, secret, seq))
+        for pool in (list(camo.all_completions()), [x for x in camo.all_completions()
+                                                    if atk.consistent(camo, x, qs)]):
+            rng.shuffle(pool)
+            pairwise = all(
+                atk.product_equiv(camo, a, b) is None for a, b in itertools.combinations(pool, 2)
+            )
+            w = atk._first_inequivalent(camo, pool, 1 << 26, 1 << 26)
+            assert (w is None) == pairwise
+            if w is not None:
+                ref = run_sequence(camo, pool[0], w)
+                assert any(run_sequence(camo, x, w) != ref for x in pool[1:])
+            verdicts.add(pairwise)
+        circuits += 1
+    assert verdicts == {True, False}
+
+
+def test_umc_product_cap_falls_back_to_bmc(monkeypatch, s27_camo):
+    bounds = []
+    orig = atk.find_distinguishing
+
+    def spy(camo, qs, bound, *args):
+        bounds.append(bound)
+        return orig(camo, qs, bound, *args)
+
+    monkeypatch.setattr(atk, "find_distinguishing", spy)
+    cfg = atk.AttackConfig(product_state_cap=1)
+    assert atk.check_umc(s27_camo, QuerySet(), cfg) is False
+    assert bounds == [64]  # the product diameter of three flops per copy
+
+
+def test_umc_bmc_below_diameter_is_inconclusive_at_once(monkeypatch):
+    from seqdecam.netlist import camouflage, parse_bench
+    from test_acceptance import DELAY_LINE
+
+    camo = camouflage(parse_bench(DELAY_LINE, "delayline"), ["e"], ["NAND", "NOR"])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("bounded search ran although it cannot certify")
+
+    monkeypatch.setattr(atk, "find_distinguishing", refuse)
+    with pytest.raises(atk.InconclusiveError, match="max_bound 120 .* diameter 256"):
+        atk.check_umc(camo, QuerySet(), atk.AttackConfig(umc_mode="bmc"))
+
+
+def test_umc_names_an_enumeration_timeout(s27_camo):
+    from seqdecam.encode import AttackInstance
+
+    cfg = atk.AttackConfig(bmc_inc=1, max_bound=4, solver_budget=0.0)
+    with pytest.raises(atk.InconclusiveError, match="^solver budget exhausted during enumeration; "
+                       "bounded search cannot certify"):
+        atk.check_umc(s27_camo, QuerySet(), cfg, instance=AttackInstance(s27_camo))
+
+
 def test_brute_force_examples(s27_camo, identical_candidates_camo):
     assert atk.brute_force_disc(s27_camo, QuerySet()) is False
     qs = _observe(s27_camo, S27_SECRET, S27_DISC)
@@ -342,6 +460,31 @@ def test_run_attack_at_table_scale_synthetic():
     assert not any(
         i.event == "bound" and i.bound == rep.bound_reached for i in rep.iterations
     )
+
+
+def test_run_attack_events_carry_status(s27_camo, unreachable_divergence_camo):
+    solver = {"SAT", "UNSAT"}
+    cases = [
+        (s27_camo, S27_SECRET, atk.AttackConfig(bmc_inc=1, max_bound=4, umc_enum_cap=1)),
+        (s27_camo, S27_SECRET, atk.AttackConfig(bmc_inc=1, max_bound=4)),
+        (*unreachable_divergence_camo, atk.AttackConfig(bmc_inc=1, max_bound=4)),
+    ]
+    umc = []
+    for camo, secret, cfg in cases:
+        rep = atk.run_attack(camo, BlackBox(camo, secret), cfg)
+        for it in rep.iterations:
+            if it.event == "umc":
+                umc.append(it)
+            else:
+                assert it.status in solver
+    statuses = [it.status for it in umc]
+    assert statuses[0] == (
+        "inconclusive: more than 1 consistent completions; bounded search cannot "
+        "certify: max_bound 4 is below the product diameter 64"
+    )
+    assert "refuted" in statuses and statuses[-1] == atk.UMC
+    # enumeration runs on the attack's solver, and its work is counted
+    assert all(it.decisions > 0 for it in umc)
 
 
 def test_run_attack_asks_each_check_once_per_query_set():

@@ -66,6 +66,8 @@ def test_attack_verify_report_roundtrip(workdir):
     rec = json.loads(next(workdir.glob("*.runrecord.json")).read_text())
     assert rec["success"] and rec["termination"] in ("UC", "CE", "UMC")
     assert rec["max_steps"] <= 2
+    report = json.loads(next(workdir.glob("*.report.json")).read_text())
+    assert all(it["status"] for it in report["iterations"])
     completion = next(workdir.glob("*.completion"))
     rc = run_cli(
         "verify", "--bench", S27, "--sidecar", _sidecar(workdir),

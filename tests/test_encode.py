@@ -267,6 +267,9 @@ def test_attack_instance_enumeration(s27_camo):
     assert inst.solve_consistent().status == sm.SAT
     comps2 = inst.enumerate_consistent(cap=10)
     assert {x.choices for x in comps2} == {(0, 0), (0, 1), (1, 0), (1, 1)}
+    # a timeout is told apart from the cap
+    with pytest.raises(sm.SolverTimeoutError):
+        inst.enumerate_consistent(cap=10, budget=0.0)
 
 
 def test_dimacs_header_of_bmc_instance(s27_camo):

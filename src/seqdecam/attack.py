@@ -6,11 +6,11 @@ the current bound, the oracle arbitrates, and the loser is eliminated.
 After every new record the two sufficient conditions are asked: unique
 completion (UC), then combinational equivalence (CE); either one ends the
 attack.  When no bounded distinguisher remains and neither holds, an
-unbounded check (UMC) runs before the bound grows: it enumerates the
-surviving completions and checks each one for sequential equivalence with
-the first, in lock-step over the states the first reaches from reset and by
-explicit product-machine reachability for any survivor that leaves
-lock-step.  Small-instance ground truth comes from an exhaustive
+unbounded check (UMC) runs before the bound grows: it lists the surviving
+completions in one resumed SAT search and checks each one for sequential
+equivalence with the first, in lock-step over the states the first reaches
+from reset and by explicit product-machine reachability for any survivor
+that leaves lock-step.  Small-instance ground truth comes from an exhaustive
 pairwise-equivalence procedure over the whole completion space.
 """
 
@@ -23,12 +23,16 @@ from typing import Sequence
 import numpy as np
 
 from . import sat as satmod
+from .cnf import CnfBuilder
 from .encode import (
     AttackInstance,
+    emit_consistency,
     encode_bmc_disagreement,
     encode_ce,
     encode_consistency,
     encode_uc,
+    enumerate_completions,
+    new_key_vector,
 )
 from .netlist import BitSeq, CamoCircuit, Completion, Evaluator, run_sequence
 from .oracle import QuerySet, record
@@ -132,17 +136,21 @@ def find_distinguishing(
     bound: int,
     budget: float | None = None,
     backend: str = "internal",
+    stats: satmod.SolveStats | None = None,
 ) -> tuple[Completion, Completion, BitSeq] | None:
     """Two qs-consistent completions plus an input sequence they disagree on.
 
     Returns None when no two consistent completions can be told apart by any
     sequence of length <= bound.  The returned sequence is truncated at its
-    first disagreeing step and re-simulated as a self-check.
+    first disagreeing step and re-simulated as a self-check.  `stats`, when
+    given, accumulates the counters of the solver call.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
     inst = encode_bmc_disagreement(camo, qs, bound)
     res = satmod.solve(inst, time_budget=budget, backend=backend)
+    if stats is not None:
+        stats.add(res.stats)
     if res.status == satmod.TIMEOUT:
         raise SolverTimeoutError(f"bounded search at b={bound} exceeded its budget")
     if res.status == satmod.UNSAT:
@@ -446,35 +454,43 @@ def check_umc(
     qs: QuerySet,
     cfg: AttackConfig | None = None,
     instance: AttackInstance | None = None,
+    stats: satmod.SolveStats | None = None,
 ) -> bool:
     """True iff qs is discriminating; raises InconclusiveError at the caps.
 
-    Explicit mode enumerates the consistent completions with iterated
-    SAT-plus-blocking and checks each for sequential equivalence with the
-    first (see `_first_inequivalent`).  When an enumeration or product cap
-    is hit, or a solver call times out, it degrades to bounded search at the
+    Explicit mode lists the consistent completions in one resumed SAT
+    search, which excludes each model by a blocking clause and searches on
+    from where that clause asserts (see `enumerate_completions`), and checks
+    each completion for sequential equivalence with the first (see
+    `_first_inequivalent`).  When an enumeration or product cap is hit, or a
+    solver call times out, it degrades to bounded search at the
     product-diameter bound 2^(2l); that search runs only when max_bound
     reaches the diameter, since a shallower one cannot certify.  Inconclusive
-    outcomes name every reason.
+    outcomes name every reason.  `stats`, when given, accumulates the
+    counters of every solver call the check makes, on `instance` or not.
     """
     cfg = cfg or AttackConfig()
     if cfg.umc_mode == "skip":
         raise InconclusiveError("unbounded check disabled (umc_mode=skip)")
     if cfg.umc_mode == "explicit":
         try:
-            return _umc_explicit(camo, qs, cfg, instance)
+            return _umc_explicit(camo, qs, cfg, instance, stats)
         except InconclusiveError as exc:
             try:  # degrade to bounded search at the diameter
-                return _umc_bmc(camo, qs, cfg)
+                return _umc_bmc(camo, qs, cfg, stats)
             except InconclusiveError as fallback:
                 raise InconclusiveError(f"{exc}; {fallback}") from fallback
-    return _umc_bmc(camo, qs, cfg)
+    return _umc_bmc(camo, qs, cfg, stats)
 
 
 def _umc_explicit(
-    camo: CamoCircuit, qs: QuerySet, cfg: AttackConfig, instance: AttackInstance | None
+    camo: CamoCircuit,
+    qs: QuerySet,
+    cfg: AttackConfig,
+    instance: AttackInstance | None,
+    stats: satmod.SolveStats | None,
 ) -> bool:
-    comps = _enumerate_consistent(camo, qs, cfg, instance)
+    comps = _enumerate_consistent(camo, qs, cfg, instance, stats)
     if not comps:
         raise OracleInconsistentError("no completion is consistent with the observations")
     return _first_inequivalent(
@@ -483,33 +499,32 @@ def _umc_explicit(
 
 
 def _enumerate_consistent(
-    camo: CamoCircuit, qs: QuerySet, cfg: AttackConfig, instance: AttackInstance | None
+    camo: CamoCircuit,
+    qs: QuerySet,
+    cfg: AttackConfig,
+    instance: AttackInstance | None,
+    stats: satmod.SolveStats | None,
 ) -> list[Completion]:
-    if instance is not None:
-        try:
-            comps = instance.enumerate_consistent(cfg.umc_enum_cap, cfg.solver_budget)
-        except SolverTimeoutError as exc:
-            raise InconclusiveError(str(exc)) from exc
-        if comps is None:
-            raise InconclusiveError(f"more than {cfg.umc_enum_cap} consistent completions")
-        return comps
-    ctx = satmod.SatContext(encode_consistency(camo, qs), backend=cfg.backend)
-    key_lits = ctx.instance.groups["key"]
-    comps: list[Completion] = []
-    while True:
-        res = ctx.solve(time_budget=cfg.solver_budget)
-        if res.status == satmod.TIMEOUT:
-            raise InconclusiveError("solver budget exhausted during enumeration")
-        if res.status == satmod.UNSAT:
-            return comps
-        x = completion_from_bits(camo, res.model["key"])
-        comps.append(x)
-        if len(comps) > cfg.umc_enum_cap:
-            raise InconclusiveError(f"more than {cfg.umc_enum_cap} consistent completions")
-        ctx.add_clauses([tuple(-l if b else l for l, b in zip(key_lits, res.model["key"]))])
+    try:
+        if instance is not None:
+            comps = instance.enumerate_consistent(cfg.umc_enum_cap, cfg.solver_budget, stats)
+        else:
+            bld = CnfBuilder()
+            key = new_key_vector(bld, camo, "key")
+            emit_consistency(bld, camo, key, qs)
+            ctx = satmod.SatContext(bld.build(), backend=cfg.backend)
+            comps = enumerate_completions(ctx, key, cfg.umc_enum_cap, cfg.solver_budget,
+                                          stats=stats)
+    except SolverTimeoutError as exc:
+        raise InconclusiveError(str(exc)) from exc
+    if comps is None:
+        raise InconclusiveError(f"more than {cfg.umc_enum_cap} consistent completions")
+    return comps
 
 
-def _umc_bmc(camo: CamoCircuit, qs: QuerySet, cfg: AttackConfig) -> bool:
+def _umc_bmc(
+    camo: CamoCircuit, qs: QuerySet, cfg: AttackConfig, stats: satmod.SolveStats | None
+) -> bool:
     # no shortest distinguisher of two l-flop copies is longer than the
     # product diameter 2^(2l), so only a search that deep can certify
     diameter = 1 << (2 * camo.num_flops)
@@ -519,7 +534,7 @@ def _umc_bmc(camo: CamoCircuit, qs: QuerySet, cfg: AttackConfig) -> bool:
             f"the product diameter {diameter}"
         )
     try:
-        found = find_distinguishing(camo, qs, diameter, cfg.solver_budget, cfg.backend)
+        found = find_distinguishing(camo, qs, diameter, cfg.solver_budget, cfg.backend, stats)
     except SolverTimeoutError as exc:
         raise InconclusiveError(str(exc)) from exc
     return found is None
@@ -583,8 +598,9 @@ def partial_completion(
     agrees on that cell, None when the cell is still ambiguous (or a
     sub-query timed out)."""
     if instance is None:
-        ctx = satmod.SatContext(encode_consistency(camo, qs), backend=backend)
-        key_lits = list(ctx.instance.groups["key"])
+        cnf = encode_consistency(camo, qs)
+        ctx = satmod.SatContext(cnf, backend=backend)
+        key_lits = list(cnf.groups["key"])
 
         def pinned_sat(ci: int, v: int) -> str:
             lits = _pin_lits(camo, key_lits, ci, v)
@@ -708,17 +724,15 @@ def run_attack(camo: CamoCircuit, oracle, cfg: AttackConfig | None = None) -> At
         if cfg.umc_mode != "skip" and umc_at != len(qs):
             umc_at = len(qs)
             t0 = time.monotonic()
-            before = inst.solver_stats
+            used = satmod.SolveStats()
             try:
-                status = UMC if check_umc(camo, qs, cfg, instance=inst) else "refuted"
+                status = UMC if check_umc(camo, qs, cfg, inst, used) else "refuted"
             except InconclusiveError as exc:
                 status = f"inconclusive: {exc}"
-            after = inst.solver_stats
             iterations.append(
                 IterationRecord(
-                    bound, "umc", None, after.conflicts - before.conflicts,
-                    after.decisions - before.decisions, round(time.monotonic() - t0, 6),
-                    status,
+                    bound, "umc", None, used.conflicts, used.decisions,
+                    round(time.monotonic() - t0, 6), status,
                 )
             )
             if status == UMC:
@@ -744,14 +758,14 @@ def run_attack(camo: CamoCircuit, oracle, cfg: AttackConfig | None = None) -> At
             if cfg.enumerate_all:
                 try:
                     allc = inst.enumerate_consistent(cfg.umc_enum_cap, cfg.solver_budget)
-                except SolverTimeoutError:
-                    allc = None  # keep the one verified completion
-                if allc is not None:
                     # with a discriminating set every survivor is correct, so
                     # they must all be mutually equivalent
-                    w = _first_inequivalent(
+                    w = None if allc is None else _first_inequivalent(
                         camo, allc, cfg.product_state_cap, cfg.product_expand_cap
                     )
+                except (SolverTimeoutError, ProductCapError):
+                    allc = None  # a budget or a product cap: keep the one verified completion
+                if allc is not None:
                     if w is not None:
                         raise EncodingBugError(
                             "termination check accepted a non-discriminating set: "

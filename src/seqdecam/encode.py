@@ -15,7 +15,7 @@ queries encoded here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 from .cnf import FALSE, TRUE, CnfBuilder, CnfInstance
@@ -329,7 +329,6 @@ class AttackInstance:
         self._emitted_implied = 0
         self._ctx = satmod.SatContext(CnfInstance(1, ()), backend=backend)
         self._epoch = 0
-        self._stats = satmod.SolveStats()
 
     # ------------------------------------------------------------- plumbing
 
@@ -347,22 +346,12 @@ class AttackInstance:
 
     def _solve(self, assumptions, budget) -> "satmod.SolveResult":
         self._sync()
-        res = self._ctx.solve(assumptions, time_budget=budget)
-        self._stats.conflicts += res.stats.conflicts
-        self._stats.decisions += res.stats.decisions
-        self._stats.propagations += res.stats.propagations
-        self._stats.wall_time += res.stats.wall_time
-        return res
+        return self._ctx.solve(assumptions, time_budget=budget)
 
     @property
     def instance(self) -> CnfInstance:
         self._sync()
         return self._ctx.instance
-
-    @property
-    def solver_stats(self) -> "satmod.SolveStats":
-        """Counters summed over every solver call on this instance so far."""
-        return replace(self._stats)
 
     # ------------------------------------------------------------- building
 
@@ -443,28 +432,61 @@ class AttackInstance:
         return self._solve(list(pin), budget)
 
     def enumerate_consistent(
-        self, cap: int, budget: float | None = None
+        self,
+        cap: int,
+        budget: float | None = None,
+        stats: "satmod.SolveStats | None" = None,
     ) -> list[Completion] | None:
         """Up to `cap` distinct consistent completions; None if there are more.
 
-        Raises SolverTimeoutError when a solver call exceeds `budget`.
-        Blocking clauses are guarded by a one-shot epoch literal so they do
-        not constrain later queries on this instance.
+        See `enumerate_completions`.  Blocking clauses are guarded by a
+        one-shot epoch literal, assumed by every model search of this call,
+        so they do not constrain later queries on this instance.
         """
         self._epoch += 1
         epoch = self.bld.selector(f"enum_epoch{self._epoch}")
-        found: list[Completion] = []
+        self._sync()
+        return enumerate_completions(self._ctx, self.k1, cap, budget, epoch, stats)
+
+
+def enumerate_completions(
+    ctx: "satmod.SatContext",
+    key: KeyVector,
+    cap: int,
+    budget: float | None = None,
+    guard: int | None = None,
+    stats: "satmod.SolveStats | None" = None,
+) -> list[Completion] | None:
+    """The distinct values of `key` over the models of `ctx`, in the order
+    found; None once there are more than `cap`.
+
+    One resumed search: each model is excluded by a blocking clause (the
+    negated key bits, plus -guard when a guard literal is given and assumed)
+    from which the solver backjumps and searches on, instead of starting
+    again from level 0.  Every model is still verified against every clause,
+    blocking clauses included.  Raises SolverTimeoutError when one model
+    search exceeds `budget` seconds; `stats`, when given, accumulates the
+    counters of every solver call.  The solver's trail is back at level 0
+    on every exit.
+    """
+    assumptions = [] if guard is None else [guard]
+    found: list[Completion] = []
+    try:
         while True:
-            res = self._solve([epoch], budget)
+            res = ctx.solve(assumptions, time_budget=budget, resume=True)
+            if stats is not None:
+                stats.add(res.stats)
             if res.status == satmod.TIMEOUT:
                 raise satmod.SolverTimeoutError("solver budget exhausted during enumeration")
             if res.status == satmod.UNSAT:
                 return found
-            x = self.k1.decode(res)
+            x = key.decode(res)
             found.append(x)
             if len(found) > cap:
                 return None
-            block = [-epoch]
+            block = [] if guard is None else [-guard]
             for ci, v in enumerate(x.choices):
-                block.extend(-lit for lit in self.k1.value_lits(ci, v))
-            self.bld.add(*block)
+                block.extend(-lit for lit in key.value_lits(ci, v))
+            ctx.block(block)
+    finally:
+        ctx.rewind()

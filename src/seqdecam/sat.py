@@ -4,7 +4,13 @@ Two backends share one interface: an embedded CDCL solver (watched
 literals, first-UIP learning, VSIDS, phase saving, Luby restarts,
 solve-under-assumptions) and an external process that accepts DIMACS on a
 file argument and prints a model on stdout.  Every SAT answer is verified
-against the clause database before it is returned.
+against the clause database and the assumptions before it is returned.
+
+Models are enumerated by one resumed search: a SAT answer can keep its
+trail, a blocking clause that the model falsifies backjumps the embedded
+solver to the clause's asserting level, and the next model is searched
+from there rather than from level 0 (the blocking scheme of Toda & Soh,
+"Implementing Efficient All Solutions SAT Solvers", ACM JEA 2016).
 
 Run ``python -m seqdecam.sat file.cnf`` to use the embedded solver as a
 DIMACS command-line solver (this doubles as the external backend in tests).
@@ -14,9 +20,13 @@ from __future__ import annotations
 
 import sys
 import time
+from array import array
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
+from itertools import accumulate
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .cnf import CnfInstance
 
@@ -35,6 +45,12 @@ class SolveStats:
     decisions: int = 0
     propagations: int = 0
     wall_time: float = 0.0
+
+    def add(self, other: "SolveStats") -> None:
+        self.conflicts += other.conflicts
+        self.decisions += other.decisions
+        self.propagations += other.propagations
+        self.wall_time += other.wall_time
 
 
 @dataclass
@@ -109,7 +125,7 @@ class Cdcl:
         self.qhead = 0
         self.heap: list[tuple[float, int]] = []
         self.var_inc = 1.0
-        self.clauses: list[list[int]] = []
+        self.num_clauses = 0  # problem clauses; long ones live in the watch lists
         self.learnts: list[list[int]] = []
         self.cla_act: dict[int, float] = {}
         self.cla_lbd: dict[int, int] = {}
@@ -120,20 +136,23 @@ class Cdcl:
     # --------------------------------------------------------- construction
 
     def ensure_vars(self, n: int) -> None:
-        while self.nvars < n:
-            self.nvars += 1
-            self.val.extend(b"\x00\x00")
-            self.watches.append([])
-            self.watches.append([])
-            self.bwatch.append([])
-            self.bwatch.append([])
-            self.level.append(0)
-            self.reason.append(None)
-            self.activity.append(0.0)
-            self.polarity.append(0)
-            self.branchable.append(1)
-            self.seen.append(0)
-            heappush(self.heap, (0.0, self.nvars))
+        k = n - self.nvars
+        if k <= 0:
+            return
+        first = self.nvars + 1
+        self.nvars = n
+        self.val.extend(bytes(2 * k))
+        self.watches += [[] for _ in range(2 * k)]
+        self.bwatch += [[] for _ in range(2 * k)]
+        self.level.extend([0] * k)
+        self.reason.extend([None] * k)
+        self.activity.extend([0.0] * k)
+        self.polarity.extend(bytes(k))
+        self.branchable.extend(b"\x01" * k)
+        self.seen.extend(bytes(k))
+        # every key in the heap is (-activity, v) <= (0.0, v) with v < first,
+        # so the new keys, in increasing order, extend it as a valid heap
+        self.heap.extend((0.0, v) for v in range(first, n + 1))
 
     def mark_implied(self, vars_: Iterable[int]) -> None:
         """These variables are definitions; decisions never pick them.
@@ -147,45 +166,101 @@ class Cdcl:
 
     def add_clause(self, lits: Sequence[int]) -> None:
         """Add a problem clause; must be called with the trail at level 0."""
+        self.add_clauses((lits,))
+
+    def add_clauses(self, clauses: Iterable[Sequence[int]]) -> None:
+        """Add problem clauses; must be called with the trail at level 0."""
         assert not self.trail_lim, "clauses can only be added at decision level 0"
-        if not self.ok:
-            return
-        top = 0
-        for l in lits:
-            if l == 0:
-                raise MalformedInstanceError("literal 0 in clause")
-            top = max(top, abs(l))
-        self.ensure_vars(top)
         val = self.val
+        watches = self.watches
+        bwatch = self.bwatch
+        for lits in clauses:
+            if not self.ok:
+                return
+            if 0 in lits:
+                raise MalformedInstanceError("literal 0 in clause")
+            if lits:
+                top = max(max(lits), -min(lits))
+                if top > self.nvars:
+                    self.ensure_vars(top)  # grows val, watches and bwatch in place
+            out: list[int] = []
+            for l in lits:
+                e = (l << 1) if l > 0 else ((-l << 1) | 1)
+                v = val[e]
+                if v == 1:
+                    break  # satisfied at level 0
+                if v == 2:
+                    continue  # falsified at level 0, drop
+                if e ^ 1 in out:
+                    break  # tautology
+                if e not in out:
+                    out.append(e)
+            else:
+                if len(out) == 2:
+                    a, b = out
+                    bwatch[a].append(b)
+                    bwatch[b].append(a)
+                elif len(out) > 2:
+                    watches[out[0]].append(out)
+                    watches[out[1]].append(out)
+                elif out:
+                    self._assign(out[0], None)
+                    if self._propagate() is not None:
+                        self.ok = False
+                    continue
+                else:
+                    self.ok = False
+                    return
+                self.num_clauses += 1
+
+    def block(self, lits: Sequence[int]) -> None:
+        """Add a problem clause that the current full assignment falsifies,
+        and backjump so that search resumes where the clause asserts.
+
+        Used after a SAT answer of ``solve(resume=True)`` to exclude that
+        model.  The top literal (highest decision level) is implied at the
+        second-highest level, with the clause as its reason; when the top two
+        literals share a level, the trail goes back one level below it and
+        both are watched.  Literals false at level 0 are dropped, as
+        add_clause does.
+        """
+        val = self.val
+        level = self.level
         out: list[int] = []
         for l in lits:
             e = (l << 1) if l > 0 else ((-l << 1) | 1)
-            v = val[e]
-            if v == 1:
-                return  # satisfied at level 0
-            if v == 2:
-                continue  # falsified at level 0, drop
-            if e ^ 1 in out:
-                return  # tautology
-            if e not in out:
+            if abs(l) > self.nvars or val[e] != 2:
+                raise ValueError(f"literal {l} of a blocking clause is not false on the trail")
+            if level[e >> 1] > 0 and e not in out:
                 out.append(e)
-        if not out:
-            self.ok = False
+        self.num_clauses += 1
+        if not self.ok:
             return
-        if len(out) == 1:
+        out.sort(key=lambda e: level[e >> 1], reverse=True)
+        if len(out) < 2:
+            self._cancel_until(0)
+            if not out:
+                self.ok = False
+                return
             self._assign(out[0], None)
             if self._propagate() is not None:
                 self.ok = False
             return
+        top, second = level[out[0] >> 1], level[out[1] >> 1]
+        self._cancel_until(top - 1 if top == second else second)
         if len(out) == 2:
             a, b = out
             self.bwatch[a].append(b)
             self.bwatch[b].append(a)
-            self.clauses.append(out)
-            return
-        self.watches[out[0]].append(out)
-        self.watches[out[1]].append(out)
-        self.clauses.append(out)
+        else:
+            self.watches[out[0]].append(out)
+            self.watches[out[1]].append(out)
+        if top > second:
+            self._assign(out[0], out)
+
+    def rewind(self) -> None:
+        """Undo every decision: the trail goes back to level 0."""
+        self._cancel_until(0)
 
     # ------------------------------------------------------------ internals
 
@@ -474,15 +549,25 @@ class Cdcl:
         assumptions: Sequence[int] = (),
         conflict_budget: int | None = None,
         time_budget: float | None = None,
+        resume: bool = False,
     ) -> str:
-        """Returns SAT/UNSAT/TIMEOUT; on SAT, self.model holds the assignment."""
+        """Returns SAT/UNSAT/TIMEOUT; on SAT, self.model holds the assignment.
+
+        A call starts and ends with the trail at level 0, except that with
+        ``resume=True`` the search goes on from the current trail (as
+        `block` left it) and a SAT answer keeps its trail for the next
+        `block`.  UNSAT and TIMEOUT always end at level 0.
+        """
         t0 = time.monotonic()
         deadline = t0 + time_budget if time_budget is not None else None
-        self._cancel_until(0)
-        if not self.ok or self._propagate() is not None:
+        if not resume:
+            self._cancel_until(0)
+        if not self.ok or (not self.trail_lim and self._propagate() is not None):
             self.ok = False
+            self._cancel_until(0)
             return UNSAT
         if deadline is not None and time.monotonic() > deadline:
+            self._cancel_until(0)
             return TIMEOUT
         assume = []
         for l in assumptions:
@@ -490,7 +575,7 @@ class Cdcl:
             assume.append((abs(l) << 1) | (0 if l > 0 else 1))
 
         conflicts_at_start = self.stats.conflicts
-        max_learnts = max(4000, len(self.clauses) // 3)
+        max_learnts = max(4000, self.num_clauses // 3)
         restart_n = 0
         budget = _RESTART_BASE * _luby(restart_n)
         conf_this_restart = 0
@@ -541,10 +626,10 @@ class Cdcl:
                 continue
             e = self._pick_branch()
             if e == -1:
-                self.model = [False] * (self.nvars + 1)
-                for v in range(1, self.nvars + 1):
-                    self.model[v] = self.val[v << 1] == 1
-                self._cancel_until(0)
+                # val[2v] is 1 exactly when variable v is true
+                self.model = (np.frombuffer(self.val[::2], np.uint8) == 1).tolist()
+                if not resume:
+                    self._cancel_until(0)
                 return SAT
             self.stats.decisions += 1
             if self.stats.decisions % 4096 == 0 and deadline is not None:
@@ -555,44 +640,57 @@ class Cdcl:
             self._assign(e, None)
 
 
-def _verify_model(clauses: Iterable[Sequence[int]], model: list[bool]) -> None:
-    for c in clauses:
-        for l in c:
-            v = model[l] if l > 0 else not model[-l]
-            if v:
-                break
-        else:
-            raise ModelVerificationError(f"model does not satisfy clause {tuple(c)}")
-
-
 class SatContext:
     """A solver attached to one growing clause database.
 
     Supports repeated solve calls under assumptions, with clause additions
     in between; previously derived UNSAT-under-assumption answers stay valid
-    because clauses are only ever added.  Internals are mutable lists so
-    growth is O(added); ``instance`` materializes a frozen snapshot.
+    because clauses are only ever added.  The clauses every model is checked
+    against are held flat, with no object per clause: encoded literals (2v,
+    or 2v+1 when negated) back to back in one int32 array and each clause's
+    first offset in another, both grown geometrically by ``array``.
+    ``instance`` materializes a frozen snapshot.
     """
 
     def __init__(self, inst: CnfInstance, backend: "str | ExternalSolver" = "internal"):
-        self._clauses: list[tuple[int, ...]] = list(inst.clauses)
+        self._lits = array("i")
+        self._starts = array("i")
+        self._nempty = 0  # empty clauses, which no model satisfies
         self._groups = dict(inst.groups)
         self._selectors = dict(inst.selectors)
         self._implied: list[int] = list(inst.implied_vars)
-        self._num_vars = inst.num_vars
+        self._num_vars = max(inst.num_vars, self._append(inst.clauses))
         self.backend = backend
         self._cdcl: Cdcl | None = None
         if backend == "internal":
             self._cdcl = Cdcl()
             self._cdcl.ensure_vars(inst.num_vars)
             self._cdcl.mark_implied(inst.implied_vars)
-            for c in inst.clauses:
-                self._cdcl.add_clause(c)
+            self._cdcl.add_clauses(inst.clauses)
+
+    def _append(self, clauses: Sequence[Sequence[int]]) -> int:
+        """Store clauses for verification; returns their highest variable."""
+        if not clauses:
+            return 0
+        lens = list(map(len, clauses))
+        enc = [l + l if l > 0 else 1 - l - l for c in clauses for l in c]  # 2|l| + (l < 0)
+        self._starts.fromlist(list(accumulate(lens[:-1], initial=len(self._lits))))
+        self._lits.fromlist(enc)
+        self._nempty += lens.count(0)
+        top = max(enc, default=0) >> 1
+        if top >= 1 << 30:
+            raise MalformedInstanceError(f"variable {top} does not fit an int32 literal code")
+        return top
+
+    def _clause(self, i: int) -> tuple[int, ...]:
+        end = self._starts[i + 1] if i + 1 < len(self._starts) else len(self._lits)
+        return tuple(-(e >> 1) if e & 1 else e >> 1 for e in self._lits[self._starts[i] : end])
 
     @property
     def instance(self) -> CnfInstance:
+        clauses = tuple(self._clause(i) for i in range(len(self._starts)))
         return CnfInstance(
-            self._num_vars, tuple(self._clauses), dict(self._groups),
+            self._num_vars, clauses, dict(self._groups),
             dict(self._selectors), tuple(self._implied),
         )
 
@@ -606,27 +704,43 @@ class SatContext:
         num_vars: int | None = None,
         implied_vars: Sequence[int] = (),
     ) -> None:
-        clauses = [tuple(c) for c in clauses]
-        top = self._num_vars if num_vars is None else max(self._num_vars, num_vars)
-        for c in clauses:
-            for lit in c:
-                if abs(lit) > top:
-                    top = abs(lit)
+        clauses = list(clauses)
+        top = max(self._num_vars, num_vars or 0, self._append(clauses))
         self._num_vars = top
-        self._clauses.extend(clauses)
         self._implied.extend(implied_vars)
         if self._cdcl is not None:
             self._cdcl.ensure_vars(top)
             self._cdcl.mark_implied(implied_vars)
-            for c in clauses:
-                self._cdcl.add_clause(c)
+            self._cdcl.add_clauses(clauses)
+
+    def block(self, clause: Sequence[int]) -> None:
+        """Add a clause that the model of the last SAT answer falsifies,
+        typically one excluding that model.
+
+        After a ``resume=True`` answer the embedded solver still holds the
+        model's trail; it backjumps to the clause's asserting level, so the
+        next ``resume=True`` call searches on from there.  Later models are
+        verified against this clause too.
+        """
+        clause = tuple(clause)
+        self._append([clause])
+        if self._cdcl is not None:
+            self._cdcl.block(clause)
+
+    def rewind(self) -> None:
+        """Put the solver's trail back at level 0 (ends a resumed search)."""
+        if self._cdcl is not None:
+            self._cdcl.rewind()
 
     def solve(
         self,
         assumptions: Sequence[int] = (),
         time_budget: float | None = None,
         conflict_budget: int | None = None,
+        resume: bool = False,
     ) -> SolveResult:
+        """One solver call; ``resume`` is passed to `Cdcl.solve` (the
+        external backend always solves from scratch)."""
         for l in assumptions:
             if l == 0 or abs(l) > self._num_vars:
                 raise MalformedInstanceError(f"assumption {l} references an undeclared variable")
@@ -634,7 +748,7 @@ class SatContext:
         if self._cdcl is not None:
             solver = self._cdcl
             before = SolveStats(solver.stats.conflicts, solver.stats.decisions, solver.stats.propagations)
-            status = solver.solve(assumptions, conflict_budget, time_budget)
+            status = solver.solve(assumptions, conflict_budget, time_budget, resume)
             stats = SolveStats(
                 solver.stats.conflicts - before.conflicts,
                 solver.stats.decisions - before.decisions,
@@ -648,12 +762,43 @@ class SatContext:
         if status != SAT:
             return SolveResult(status, stats=stats)
         assert raw is not None
-        _verify_model(self._clauses, raw)
+        self._verify(raw, assumptions)
+        groups = {name: tuple(_lit_val(raw, l) for l in lits) for name, lits in self._groups.items()}
+        return SolveResult(SAT, model=groups, raw_model=raw, stats=stats)
+
+    def _verify(self, raw: list[bool], assumptions: Sequence[int]) -> None:
+        """Raise ModelVerificationError unless raw satisfies every clause
+        and every assumption."""
+        if len(raw) <= self._num_vars:
+            raise ModelVerificationError(
+                f"model assigns {len(raw) - 1} of {self._num_vars} variables"
+            )
+        if self._nempty:
+            raise ModelVerificationError("model does not satisfy clause ()")
+        bad = self._first_false_clause(raw)
+        if bad is not None:
+            raise ModelVerificationError(f"model does not satisfy clause {self._clause(bad)}")
         for l in assumptions:
             if not (raw[l] if l > 0 else not raw[-l]):
                 raise ModelVerificationError(f"model violates assumption {l}")
-        groups = {name: tuple(_lit_val(raw, l) for l in lits) for name, lits in self._groups.items()}
-        return SolveResult(SAT, model=groups, raw_model=raw, stats=stats)
+
+    def _first_false_clause(self, raw: list[bool]) -> int | None:
+        """Index of the first clause that raw falsifies, in one NumPy pass.
+
+        Needs every clause non-empty: reduceat would read an empty clause
+        as the first literal of the next one.
+        """
+        if not self._starts:
+            return None
+        # truth of encoded literal e = 2v + sign, for every variable
+        lit_true = np.frombuffer(bytes(raw), np.uint8).repeat(2)
+        lit_true[1::2] ^= 1
+        # the views are gone when this returns, so the arrays can grow again
+        sat = np.bitwise_or.reduceat(
+            lit_true.take(np.frombuffer(self._lits, np.int32)),
+            np.frombuffer(self._starts, np.int32),
+        )
+        return None if sat.all() else int(np.argmin(sat))
 
 
 def _lit_val(model: list[bool], lit: int) -> int:
@@ -751,8 +896,7 @@ def _dimacs_main(argv: list[str]) -> int:
     solver = Cdcl()
     solver.ensure_vars(nvars)
     solver.mark_implied(implied)
-    for c in clauses:
-        solver.add_clause(c)
+    solver.add_clauses(clauses)
     status = solver.solve()
     if status == SAT:
         print("s SATISFIABLE")

@@ -416,6 +416,52 @@ def test_run_attack_enumerate_all(identical_candidates_camo):
     assert {x.choices for x in rep.completions} == {(0,), (1,)}
 
 
+def test_run_attack_enumerate_all_keeps_one_completion_at_product_cap():
+    # the dead-flop pair is certified by the bounded fallback at the product
+    # diameter 4, but the all-survivors check then hits the state cap
+    from seqdecam.netlist import camouflage, parse_bench
+
+    camo = camouflage(parse_bench(DEAD_FLOP, "dead_flop"), ["g"], ["AND", "OR"])
+    secret = Completion((0,))
+    cfg = atk.AttackConfig(bmc_inc=1, max_bound=4, product_state_cap=1, enumerate_all=True)
+    rep = atk.run_attack(camo, BlackBox(camo, secret), cfg)
+    assert rep.termination == atk.UMC
+    assert len(rep.completions) == 1
+    assert atk.product_equiv(camo, rep.completions[0], secret) is None
+
+
+def test_umc_record_counts_every_solver_call_of_the_check(monkeypatch, s27_camo):
+    # an enumeration cap of 1 sends every UMC check on to the stateless
+    # bounded search at the diameter 64, outside the attack's instance
+    from seqdecam import sat as sm
+
+    inside = []
+    per_check: list[list[int]] = []
+    real_solve, real_umc = sm.SatContext.solve, atk.check_umc
+
+    def solve(self, *args, **kwargs):
+        res = real_solve(self, *args, **kwargs)
+        if inside:
+            per_check[-1][0] += res.stats.conflicts
+            per_check[-1][1] += res.stats.decisions
+        return res
+
+    def check_umc(*args, **kwargs):
+        inside.append(True)
+        per_check.append([0, 0])
+        try:
+            return real_umc(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(sm.SatContext, "solve", solve)
+    monkeypatch.setattr(atk, "check_umc", check_umc)
+    cfg = atk.AttackConfig(bmc_inc=1, max_bound=64, umc_enum_cap=1)
+    rep = atk.run_attack(s27_camo, BlackBox(s27_camo, S27_SECRET), cfg)
+    umc = [[it.conflicts, it.decisions] for it in rep.iterations if it.event == "umc"]
+    assert umc and umc == per_check
+
+
 def test_three_candidate_cells():
     # t=3 exercises the two-bit key encoding and the >=t blocking clause
     from seqdecam.netlist import camouflage, parse_bench

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from seqdecam import attack as atk
 from seqdecam import sat as sm
 from seqdecam.encode import (
     AttackInstance,
@@ -270,6 +271,106 @@ def test_attack_instance_enumeration(s27_camo):
     # a timeout is told apart from the cap
     with pytest.raises(sm.SolverTimeoutError):
         inst.enumerate_consistent(cap=10, budget=0.0)
+
+
+def _instance_of(camo, qs):
+    inst = AttackInstance(camo)
+    for seq, out in qs:
+        inst.add_record(seq, out)
+    return inst
+
+
+def _enumeration_cases(s27_camo):
+    """s27 before and after each frozen record, then 100 small random
+    circuits with 0-3 random records of their secret."""
+    cases = [(s27_camo, QuerySet())]
+    for steps in ((8, 9), (4, 8)):
+        seq = BitSeq(4, steps)
+        cases.append((s27_camo, record(cases[-1][1], seq, run_sequence(s27_camo, S27_SECRET, seq))))
+    rng = random.Random(31337)
+    while len(cases) < 103:
+        try:
+            camo, secret = random_camo(rng, random_circuit(rng), k=rng.randint(1, 3))
+        except ValueError:
+            continue
+        m = camo.num_inputs
+        qs = QuerySet()
+        for _ in range(rng.randint(0, 3)):
+            seq = BitSeq(m, tuple(rng.randrange(1 << m) for _ in range(rng.randint(1, 3))))
+            qs = record(qs, seq, run_sequence(camo, secret, seq))
+        cases.append((camo, qs))
+    return cases
+
+
+def test_enumeration_matches_brute_force_sweep(s27_camo):
+    for camo, qs in _enumeration_cases(s27_camo):
+        want = {x.choices for x in camo.all_completions() if consistent(camo, x, qs)}
+        n = len(want)
+        inst = _instance_of(camo, qs)
+        for cap in (n - 1, n, n + 1):
+            got = inst.enumerate_consistent(cap)
+            assert inst._ctx._cdcl.trail_lim == []
+            cfg = atk.AttackConfig(umc_enum_cap=cap)
+            if cap < n:
+                assert got is None
+                with pytest.raises(atk.InconclusiveError, match=f"more than {cap} "):
+                    atk._enumerate_consistent(camo, qs, cfg, None, None)
+                continue
+            assert len(got) == n and {x.choices for x in got} == want
+            stateless = atk._enumerate_consistent(camo, qs, cfg, None, None)
+            assert len(stateless) == n and {x.choices for x in stateless} == want
+        # two fresh instances list the same completions in the same order
+        first = _instance_of(camo, qs).enumerate_consistent(n)
+        assert _instance_of(camo, qs).enumerate_consistent(n) == first
+        # blocking clauses bind only their own enumeration
+        fresh = _instance_of(camo, qs)
+        for bound in (1, 2):
+            assert inst.solve_bmc(bound).status == fresh.solve_bmc(bound).status
+        assert inst.solve_uc().status == fresh.solve_uc().status
+
+
+def test_enumeration_leaves_level_0_on_every_exit(monkeypatch, s27_camo):
+    inst = AttackInstance(s27_camo)
+    trail = lambda: inst._ctx._cdcl.trail_lim
+    assert len(inst.enumerate_consistent(cap=10)) == 4  # ends UNSAT
+    assert trail() == []
+    assert inst.enumerate_consistent(cap=2) is None  # ends at the cap
+    assert trail() == []
+    # the third model search resumes from a kept trail and times out
+    real = sm.Cdcl.solve
+    resumed_at = []
+
+    def third_times_out(self, assumptions=(), conflict_budget=None, time_budget=None,
+                        resume=False):
+        resumed_at.append(len(self.trail_lim))
+        if len(resumed_at) == 3:
+            time_budget = 0.0
+        return real(self, assumptions, conflict_budget, time_budget, resume)
+
+    monkeypatch.setattr(sm.Cdcl, "solve", third_times_out)
+    with pytest.raises(sm.SolverTimeoutError):
+        inst.enumerate_consistent(cap=10)
+    assert resumed_at[2] > 0 and trail() == []
+    monkeypatch.undo()
+
+    def fail(self, clause):
+        raise RuntimeError("blocking failed")
+
+    monkeypatch.setattr(sm.SatContext, "block", fail)
+    with pytest.raises(RuntimeError, match="blocking failed"):
+        inst.enumerate_consistent(cap=10)
+    assert trail() == []
+    monkeypatch.undo()
+    # later queries answer as on a fresh instance
+    fresh = AttackInstance(s27_camo)
+    for bound in (1, 2, 3):
+        assert inst.solve_bmc(bound).status == fresh.solve_bmc(bound).status
+        assert trail() == []
+    for ci, cell in enumerate(s27_camo.cells):
+        for v in range(cell.t):
+            pin = inst.k1.value_lits(ci, v)
+            assert inst.solve_consistent(pin).status == fresh.solve_consistent(pin).status
+    assert len(inst.enumerate_consistent(cap=4)) == 4
 
 
 def test_dimacs_header_of_bmc_instance(s27_camo):

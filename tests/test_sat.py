@@ -157,3 +157,115 @@ def test_external_backend_matches_internal():
         internal = sm.solve(inst)
         external = sm.solve(inst, backend=ext)
         assert internal.status == external.status
+
+
+def _brute_projections(num_vars, clauses, assumptions, proj):
+    found = set()
+    for bits in itertools.product([False, True], repeat=num_vars):
+        model = [False] + list(bits)
+        holds = lambda l: model[l] if l > 0 else not model[-l]
+        if all(holds(l) for l in assumptions) and all(any(holds(l) for l in c) for c in clauses):
+            found.add(tuple(model[v] for v in proj))
+    return found
+
+
+def _enumerate_resumed(ctx, assumptions, proj, guard=None):
+    """All projections of the models of ctx, by resumed search and blocking."""
+    seen = []
+    assume = list(assumptions) + ([guard] if guard else [])
+    try:
+        while True:
+            res = ctx.solve(assume, resume=True)
+            if res.status == sm.UNSAT:
+                return seen
+            key = tuple(res.raw_model[v] for v in proj)
+            seen.append(key)
+            block = [-v if b else v for v, b in zip(proj, key)]
+            ctx.block(block + ([-guard] if guard else []))
+    finally:
+        ctx.rewind()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**9))
+def test_resumed_enumeration_agrees_with_brute_force(seed):
+    # projected all-solutions by blocking clauses that backjump instead of
+    # restarting; a guard literal makes them inert for later plain solves
+    rng = random.Random(seed)
+    nv = rng.randint(1, 8)
+    clauses = [
+        tuple(rng.choice([1, -1]) * rng.randint(1, nv) for _ in range(rng.randint(1, 3)))
+        for _ in range(rng.randint(0, 14))
+    ]
+    proj = sorted(rng.sample(range(1, nv + 1), rng.randint(1, nv)))
+    assumed = rng.sample(range(1, nv + 1), min(nv, rng.randint(0, 2)))
+    assumptions = [rng.choice([1, -1]) * v for v in assumed]
+    guarded = rng.random() < 0.5
+    ctx = sm.SatContext(_inst(nv + 1 if guarded else nv, clauses))
+    want = _brute_projections(nv, clauses, assumptions, proj)
+    got = _enumerate_resumed(ctx, assumptions, proj, guard=nv + 1 if guarded else None)
+    assert len(got) == len(set(got)) and set(got) == want
+    assert ctx._cdcl.trail_lim == []
+    if guarded:  # the blocking clauses only bind under the guard
+        assert (ctx.solve(assumptions).status == sm.SAT) == bool(want)
+        assert set(_enumerate_resumed(ctx, assumptions, proj, guard=nv + 1)) == set()
+
+
+def test_plain_solve_after_a_kept_trail_starts_from_level_0():
+    ctx = sm.SatContext(_inst(3, [(1, 2, 3)]))
+    assert ctx.solve(resume=True).status == sm.SAT
+    assert ctx._cdcl.trail_lim  # the model's trail is kept for a block
+    res = ctx.solve([-1, -2])
+    assert res.status == sm.SAT and ctx._cdcl.trail_lim == []
+    assert res.raw_model[3]
+
+
+_REAL_SOLVE = sm.Cdcl.solve
+
+
+def _corrupting_solve(flip):
+    """A Cdcl.solve that hands back a model with the given variables flipped."""
+
+    def solve(self, *args, **kwargs):
+        status = _REAL_SOLVE(self, *args, **kwargs)
+        if status == sm.UNSAT:  # claim a model anyway
+            self.model = [False] * (self.nvars + 1)
+            return sm.SAT
+        for v in flip:
+            self.model[v] = not self.model[v]
+        return status
+
+    return solve
+
+
+def test_verifier_refuses_bad_models(monkeypatch):
+    # a violated clause: the true model of (1)(1 v 2)(-2) with 1 flipped
+    monkeypatch.setattr(sm.Cdcl, "solve", _corrupting_solve([1]))
+    with pytest.raises(sm.ModelVerificationError, match=r"clause \(1,\)"):
+        sm.solve(_inst(2, [(1,), (1, 2), (-2,)]))
+    # a violated blocking clause added after a kept trail
+    monkeypatch.setattr(sm.Cdcl, "solve", _corrupting_solve([]))
+    ctx = sm.SatContext(_inst(2, [(1, 2)]))
+    res = ctx.solve(resume=True)
+    ctx.block([-v if res.raw_model[v] else v for v in (1, 2)])
+    monkeypatch.setattr(sm.Cdcl, "solve", lambda self, *a, **k: sm.SAT)  # same model again
+    with pytest.raises(sm.ModelVerificationError, match="does not satisfy clause"):
+        ctx.solve(resume=True)
+    ctx.rewind()
+    # an empty clause, which no model satisfies (reduceat alone would read
+    # the next clause's first literal in its place)
+    monkeypatch.setattr(sm.Cdcl, "solve", _corrupting_solve([]))
+    with pytest.raises(sm.ModelVerificationError, match=r"clause \(\)"):
+        sm.solve(_inst(2, [(1, 2), (), (-1,)]))
+    with pytest.raises(sm.ModelVerificationError, match=r"clause \(\)"):
+        sm.solve(_inst(2, [(1, 2), ()]))
+    # a violated assumption: the clauses hold, the assumed literal does not
+    monkeypatch.setattr(sm.Cdcl, "solve", _corrupting_solve([2]))
+    with pytest.raises(sm.ModelVerificationError, match="assumption 2"):
+        sm.solve(_inst(2, [(1,)]), assumptions=[2])
+    # a model that leaves declared variables out
+    monkeypatch.setattr(sm.Cdcl, "solve", lambda self, *a, **k: sm.SAT)
+    ctx = sm.SatContext(_inst(3, [(1, 2)]))
+    ctx._cdcl.model = [False, True]
+    with pytest.raises(sm.ModelVerificationError, match="assigns 1 of 3"):
+        ctx.solve()

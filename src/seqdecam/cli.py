@@ -4,8 +4,9 @@ Subcommands: camouflage (random gate selection, writes sidecar + sealed
 secret), attack (runs the full loop against an in-process or piped oracle),
 verify (product-machine equivalence of a claimed completion against the
 secret), report (aggregates run records into a table), serve-oracle (answers
-the pipe protocol on stdio).  Exit codes: 0 success, 1 attack failure or
-inequivalence, 2 usage error, 3 inconclusive verification.
+the pipe protocol on stdio).  Exit codes: 0 success, 1 attack failure,
+inequivalence, or an oracle conflict or timeout, 2 usage error, 3
+inconclusive verification.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from pathlib import Path
 
 from . import attack as atk
 from . import netlist as nl
-from .oracle import BlackBox, OracleConflictError, PipeOracle, serve_pipe_oracle
+from .oracle import BlackBox, OracleConflictError, OracleTimeoutError, PipeOracle, serve_pipe_oracle
 
 
 class UsageError(ValueError):
@@ -331,6 +332,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (OracleConflictError, atk.OracleInconsistentError) as exc:
         print(f"oracle conflict: {exc}", file=sys.stderr)
+        return 1
+    except OracleTimeoutError as exc:
+        print(f"oracle timeout: {exc}", file=sys.stderr)
         return 1
     except atk.InconclusiveError as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)

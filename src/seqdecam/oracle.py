@@ -7,6 +7,7 @@ provided so the oracle can also live in a separate process.
 
 from __future__ import annotations
 
+import queue
 import shlex
 import subprocess
 import threading
@@ -22,6 +23,13 @@ class OracleConflictError(RuntimeError):
 
 class QueryBudgetError(RuntimeError):
     """The configured query cap was exhausted."""
+
+
+class OracleTimeoutError(TimeoutError):
+    """An oracle process did not answer a query within its deadline."""
+
+
+QUERY_TIMEOUT_S = 60.0
 
 
 def _seal(circuit: CamoCircuit, secret: Completion) -> Callable[[BitSeq], BitSeq]:
@@ -125,19 +133,34 @@ def serve_pipe_oracle(box: BlackBox, infile: IO[str], outfile: IO[str]) -> None:
 
 
 class PipeOracle:
-    """Client for an oracle process speaking the pipe protocol on stdio."""
+    """Client for an oracle process speaking the pipe protocol on stdio.
 
-    def __init__(self, argv: list[str] | str, num_inputs: int, num_outputs: int):
+    Each query waits at most ``timeout`` seconds for its answer line; past
+    that the process is killed and the query raises OracleTimeoutError.  A
+    daemon thread reads the process's stdout into a queue, so a hung or
+    half-written answer cannot block the caller.
+    """
+
+    def __init__(self, argv: list[str] | str, num_inputs: int, num_outputs: int,
+                 timeout: float = QUERY_TIMEOUT_S):
         if isinstance(argv, str):
             argv = shlex.split(argv)
         self.num_inputs = num_inputs
         self.num_outputs = num_outputs
+        self.timeout = timeout
         self.query_count = 0
         self.step_count = 0
         self._lock = threading.Lock()
         self._proc = subprocess.Popen(
             argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, bufsize=1
         )
+        self._lines: queue.Queue[str] = queue.Queue()
+        threading.Thread(target=self._read_lines, daemon=True).start()
+
+    def _read_lines(self) -> None:
+        for line in self._proc.stdout:
+            self._lines.put(line)
+        self._lines.put("")  # EOF
 
     def query(self, seq: BitSeq) -> BitSeq:
         if seq.width != self.num_inputs:
@@ -148,7 +171,13 @@ class PipeOracle:
             self.step_count += len(seq)
             self._proc.stdin.write(req)
             self._proc.stdin.flush()
-            resp = self._proc.stdout.readline()
+            try:
+                resp = self._lines.get(timeout=self.timeout)
+            except queue.Empty:
+                self._proc.kill()
+                raise OracleTimeoutError(
+                    f"oracle process gave no answer within {self.timeout:g} s"
+                ) from None
         if not resp:
             raise RuntimeError("oracle process closed the pipe")
         parts = resp.split()

@@ -22,7 +22,7 @@ import sys
 import time
 from array import array
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from itertools import accumulate
 from typing import Iterable, Sequence
 
@@ -106,6 +106,18 @@ class Cdcl:
 
     Variables are 1-based; clause literals are signed ints.  Internally a
     literal is encoded as 2v (positive) or 2v+1 (negative).
+
+    Decisions come from a binary heap of (-activity, v) keys, so the pick is
+    the open variable of highest activity, the lowest index on a tie.  The
+    heap holds at most one current entry per variable, flagged in
+    ``in_heap``: a backjump pushes an unassigned branchable variable only if
+    it has none, and bumping a variable's activity leaves its old entry
+    stale, to be skipped when it surfaces (heapq has no decrease-key).
+
+    ``reason[v]`` is None for a decision or a level-0 unit, the other
+    literal (an int) for an implication by a binary clause, and the clause
+    list, with the implied literal first, for a longer clause.  Binary
+    clauses live in ``bwatch`` as literal pairs; conflicts are always lists.
     """
 
     def __init__(self):
@@ -124,6 +136,7 @@ class Cdcl:
         self.trail_lim: list[int] = []
         self.qhead = 0
         self.heap: list[tuple[float, int]] = []
+        self.in_heap = bytearray(1)  # 1 while v has an entry keyed by its current activity
         self.var_inc = 1.0
         self.num_clauses = 0  # problem clauses; long ones live in the watch lists
         self.learnts: list[list[int]] = []
@@ -150,6 +163,7 @@ class Cdcl:
         self.polarity.extend(bytes(k))
         self.branchable.extend(b"\x01" * k)
         self.seen.extend(bytes(k))
+        self.in_heap.extend(b"\x01" * k)
         # every key in the heap is (-activity, v) <= (0.0, v) with v < first,
         # so the new keys, in increasing order, extend it as a valid heap
         self.heap.extend((0.0, v) for v in range(first, n + 1))
@@ -256,7 +270,7 @@ class Cdcl:
             self.watches[out[0]].append(out)
             self.watches[out[1]].append(out)
         if top > second:
-            self._assign(out[0], out)
+            self._assign(out[0], out if len(out) > 2 else out[1])
 
     def rewind(self) -> None:
         """Undo every decision: the trail goes back to level 0."""
@@ -281,13 +295,11 @@ class Cdcl:
         level = self.level
         reason = self.reason
         dl = len(self.trail_lim)
-        nprops = 0
-        qhead = self.qhead
+        qhead = start = self.qhead
         while qhead < len(trail):
             p = trail[qhead]
             qhead += 1
             fe = p ^ 1
-            nprops += 1
             for o in bwatch[fe]:
                 w = val[o]
                 if w == 0:
@@ -295,11 +307,11 @@ class Cdcl:
                     val[o ^ 1] = 2
                     v = o >> 1
                     level[v] = dl
-                    reason[v] = [o, fe]
+                    reason[v] = fe
                     trail.append(o)
                 elif w == 2:
                     self.qhead = qhead
-                    self.stats.propagations += nprops
+                    self.stats.propagations += qhead - start
                     return [o, fe]
             ws = watches[fe]
             i = j = 0
@@ -317,27 +329,32 @@ class Cdcl:
                     ws[j] = c
                     j += 1
                     continue
-                found = False
-                for k in range(2, len(c)):
-                    lk = c[k]
+                if len(c) == 3:
+                    lk = c[2]
                     if val[lk] != 2:
                         c[1] = lk
-                        c[k] = fe
+                        c[2] = fe
                         watches[lk].append(c)
-                        found = True
-                        break
-                if found:
-                    continue
+                        continue
+                else:
+                    found = False
+                    for k in range(2, len(c)):
+                        lk = c[k]
+                        if val[lk] != 2:
+                            c[1] = lk
+                            c[k] = fe
+                            watches[lk].append(c)
+                            found = True
+                            break
+                    if found:
+                        continue
                 ws[j] = c
                 j += 1
                 if val[first] == 2:
-                    while i < n:
-                        ws[j] = ws[i]
-                        j += 1
-                        i += 1
-                    del ws[j:]
+                    # a new watch never lands on fe, so ws kept its length n
+                    del ws[j:i]
                     self.qhead = qhead
-                    self.stats.propagations += nprops
+                    self.stats.propagations += qhead - start
                     return c
                 val[first] = 1
                 val[first ^ 1] = 2
@@ -347,7 +364,7 @@ class Cdcl:
                 trail.append(first)
             del ws[j:]
         self.qhead = qhead
-        self.stats.propagations += nprops
+        self.stats.propagations += qhead - start
         return None
 
     def _bump_clause(self, c: list) -> None:
@@ -371,6 +388,7 @@ class Cdcl:
         reason = self.reason
         activity = self.activity
         branchable = self.branchable
+        in_heap = self.in_heap
         var_inc = self.var_inc
         cur = len(self.trail_lim)
         learnt = [0]
@@ -381,9 +399,12 @@ class Cdcl:
         c = confl
         rescale = False
         while True:
-            self._bump_clause(c)
-            for qi in range(0 if p == -1 else 1, len(c)):
-                q = c[qi]
+            if type(c) is int:
+                lits = (c,)  # binary reason: the other literal
+            else:
+                self._bump_clause(c)
+                lits = c if p == -1 else c[1:]  # a reason's first literal is p
+            for q in lits:
                 v = q >> 1
                 lv = level[v]
                 if not seen[v] and lv > 0:
@@ -394,6 +415,7 @@ class Cdcl:
                     branchable[v] = 1
                     a = activity[v] + var_inc
                     activity[v] = a
+                    in_heap[v] = 0  # any entry of v now holds an old key
                     if a > 1e100:
                         rescale = True
                     if lv >= cur:
@@ -425,15 +447,18 @@ class Cdcl:
         if len(learnt) > 1:
             kept = [learnt[0]]
             for q in learnt[1:]:
-                r = self.reason[q >> 1]
+                r = reason[q >> 1]
                 if r is None:
                     kept.append(q)
-                    continue
-                for l in r:
-                    lv = l >> 1
-                    if lv != (q >> 1) and not seen[lv] and level[lv] > 0:
+                elif type(r) is int:
+                    if not seen[r >> 1] and level[r >> 1] > 0:
                         kept.append(q)
-                        break
+                else:
+                    for l in r:
+                        lv = l >> 1
+                        if lv != (q >> 1) and not seen[lv] and level[lv] > 0:
+                            kept.append(q)
+                            break
             learnt = kept
 
         for v in to_clear:
@@ -452,26 +477,28 @@ class Cdcl:
         return learnt, bt, lbd
 
     def _cancel_until(self, lvl: int) -> None:
-        if len(self.trail_lim) <= lvl:
+        trail_lim = self.trail_lim
+        if len(trail_lim) <= lvl:
             return
         val = self.val
         heap = self.heap
         activity = self.activity
         polarity = self.polarity
         branchable = self.branchable
-        reason = self.reason
-        bound = self.trail_lim[lvl]
-        for i in range(len(self.trail) - 1, bound - 1, -1):
-            e = self.trail[i]
+        in_heap = self.in_heap
+        trail = self.trail
+        bound = trail_lim[lvl]
+        # the reason of an unassigned variable is never read, so it stays
+        for e in trail[bound:]:
             v = e >> 1
             polarity[v] = 1 - (e & 1)
             val[e] = 0
             val[e ^ 1] = 0
-            reason[v] = None
-            if branchable[v]:
+            if branchable[v] and not in_heap[v]:
+                in_heap[v] = 1
                 heappush(heap, (-activity[v], v))
-        del self.trail[bound:]
-        del self.trail_lim[lvl:]
+        del trail[bound:]
+        del trail_lim[lvl:]
         self.qhead = bound
 
     def _record_learnt(self, learnt: list[int], lbd: int) -> None:
@@ -488,7 +515,7 @@ class Cdcl:
             self.learnts.append(learnt)
             self.cla_act[id(learnt)] = self.cla_inc
             self.cla_lbd[id(learnt)] = lbd
-        self._assign(learnt[0], learnt)
+        self._assign(learnt[0], learnt if len(learnt) > 2 else learnt[1])
 
     def _reduce_db(self) -> None:
         # drop the least useful half of the long learnt clauses
@@ -497,7 +524,8 @@ class Cdcl:
             learnts,
             key=lambda c: (-self.cla_lbd[id(c)], self.cla_act[id(c)]),
         )
-        locked = {id(self.reason[e >> 1]) for e in self.trail if self.reason[e >> 1] is not None}
+        reason = self.reason
+        locked = {id(r) for e in self.trail if type(r := reason[e >> 1]) is list}
         drop = len(ranked) // 2
         kept = []
         for i, c in enumerate(ranked):
@@ -517,22 +545,30 @@ class Cdcl:
         val = self.val
         activity = self.activity
         branchable = self.branchable
-        fresh = [
-            (-activity[v], v)
-            for v in range(1, self.nvars + 1)
-            if val[v << 1] == 0 and branchable[v]
-        ]
+        in_heap = self.in_heap
+        in_heap[:] = bytes(len(in_heap))
+        fresh = []
+        for v in range(1, self.nvars + 1):
+            if val[v << 1] == 0 and branchable[v]:
+                fresh.append((-activity[v], v))
+                in_heap[v] = 1
         fresh.sort()
         self.heap = fresh
 
     def _pick_branch(self) -> int:
         val = self.val
-        if len(self.heap) > 4 * self.nvars + 1024:
-            # lazy heap accumulates stale duplicates; rebuild occasionally
-            self._rebuild_heap()
+        activity = self.activity
+        in_heap = self.in_heap
         heap = self.heap
+        if len(heap) > 4 * self.nvars + 1024:
+            # drop stale entries, which the loop below would skip anyway
+            heap[:] = [kv for kv in heap if kv[0] == -activity[kv[1]]]
+            heapify(heap)
         while heap:
-            _, v = heappop(heap)
+            key, v = heappop(heap)
+            if key != -activity[v]:
+                continue  # stale: v was bumped after this entry was pushed
+            in_heap[v] = 0
             if val[v << 1] == 0:
                 return (v << 1) | (0 if self.polarity[v] else 1)
         # safety net: decide anything still open (implied vars included, in

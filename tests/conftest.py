@@ -1,3 +1,4 @@
+import os
 import random
 from pathlib import Path
 
@@ -5,7 +6,14 @@ import pytest
 
 from seqdecam.netlist import CamoCircuit, Completion, camouflage, parse_bench
 
-BENCH_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH_DIR = ROOT / "benchmarks"
+
+# pytest puts src/ on its own sys.path (pyproject.toml); the Python child
+# processes some tests start (pipe oracle, DIMACS solver) need it as well
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p
+)
 
 S27_CELLS = ["G13", "G10"]  # a NAND and a NOR feeding only flip-flops
 S27_SECRET = Completion((0, 1))  # G13 stays NAND, G10 stays NOR

@@ -1,9 +1,12 @@
+import functools
 import json
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
+from seqdecam import cli, oracle
 from seqdecam.cli import main
 
 from conftest import bench_path
@@ -160,6 +163,20 @@ def test_attack_detects_corrupted_oracle(workdir, tmp_path, capsys):
     )
     assert rc == 1
     assert "oracle conflict" in capsys.readouterr().err
+
+
+def test_attack_against_hung_oracle_exits_1(workdir, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "PipeOracle", functools.partial(oracle.PipeOracle, timeout=0.5))
+    cmd = f"{sys.executable} -c 'import time; time.sleep(60)'"
+    t0 = time.monotonic()
+    rc = run_cli(
+        "attack", "--bench", S27, "--sidecar", _sidecar(workdir),
+        "--oracle-cmd", cmd, "--bmc-inc", "2", "--max-bound", "16",
+        "--out", tmp_path / "hung",
+    )
+    assert rc == 1
+    assert time.monotonic() - t0 < 5
+    assert "oracle timeout" in capsys.readouterr().err
 
 
 def test_attack_directory_mode_with_jobs(tmp_path):

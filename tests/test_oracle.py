@@ -1,12 +1,17 @@
 import io
 import random
+import sys
 import threading
+import time
 
 import pytest
 
 from seqdecam.netlist import BitSeq, Completion, run_sequence
 from seqdecam.gen import random_camo, random_circuit
-from seqdecam.oracle import BlackBox, OracleConflictError, QuerySet, record, serve_pipe_oracle
+from seqdecam.oracle import (
+    BlackBox, OracleConflictError, OracleTimeoutError, PipeOracle, QuerySet, record,
+    serve_pipe_oracle,
+)
 
 from conftest import S27_SECRET
 
@@ -113,3 +118,16 @@ def test_query_budget(s27_camo):
     with pytest.raises(QueryBudgetError):
         box.query(BitSeq(4, (3,)))
     assert box.query_count == 2  # the rejected call does not count
+
+
+SLEEPING_ORACLE = [sys.executable, "-c", "import time; time.sleep(60)"]
+
+
+def test_pipe_oracle_times_out_on_a_hung_process():
+    oracle = PipeOracle(SLEEPING_ORACLE, 4, 1, timeout=0.5)
+    t0 = time.monotonic()
+    with pytest.raises(OracleTimeoutError):
+        oracle.query(BitSeq(4, (1, 2)))
+    assert time.monotonic() - t0 < 5
+    oracle.close()
+    assert oracle._proc.returncode is not None  # the hung process was killed

@@ -1,3 +1,6 @@
+import collections
+import copy
+import heapq
 import itertools
 import random
 import sys
@@ -106,6 +109,112 @@ def test_branching_follows_activity_after_rescale():
     assert rescaled >= 3
 
 
+def _check_heap(s):
+    """Every unassigned branchable variable has exactly one flagged entry at
+    its current activity, and the next pick is the open variable of highest
+    (activity, -v)."""
+    entries = collections.Counter(s.heap)
+    for key, v in entries:
+        assert key >= -s.activity[v]  # an entry is current or older
+    for v in range(1, s.nvars + 1):
+        current = entries[(-s.activity[v], v)]
+        if s.in_heap[v]:
+            assert current == 1, v
+        if s.val[v << 1] == 0 and s.branchable[v]:
+            assert s.in_heap[v], v
+    open_vars = [v for v in range(1, s.nvars + 1) if s.val[v << 1] == 0]
+    probe = copy.deepcopy(s)  # a pick consumes the entry
+    picked = probe._pick_branch()
+    if open_vars:
+        assert picked >> 1 == max(open_vars, key=lambda v: (s.activity[v], -v))
+    else:
+        assert picked == -1
+
+
+def _random_clauses(rng, nv, count, widths):
+    return [
+        tuple(rng.choice([1, -1]) * v for v in rng.sample(range(1, nv + 1), rng.randint(*widths)))
+        for _ in range(count)
+    ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**9), st.lists(st.sampled_from("asrbw"), max_size=25))
+def test_heap_keeps_one_current_entry_per_variable(seed, ops):
+    # a = add clauses, s = solve, r = resumed solve, b = block the model of
+    # the last resumed SAT answer, w = rewind
+    rng = random.Random(seed)
+    s = sm.Cdcl()
+    if rng.random() < 0.3:
+        s.var_inc = 1e98  # activities pass the rescale threshold early
+    nv = rng.randint(3, 12)
+    s.ensure_vars(nv)
+    s.add_clauses(_random_clauses(rng, nv, rng.randint(nv, 4 * nv), (2, min(3, nv))))
+    _check_heap(s)
+    kept = False
+    for op in ops:
+        if op == "a":
+            s.rewind()
+            nv += rng.randint(0, 2)
+            s.ensure_vars(nv)
+            s.add_clauses(_random_clauses(rng, nv, rng.randint(1, 4), (1, 3)))
+            kept = False
+        elif op in "sr":
+            assumptions = [rng.choice([1, -1]) * v for v in rng.sample(range(1, nv + 1), rng.randint(0, 2))]
+            status = s.solve(assumptions, resume=op == "r")
+            kept = op == "r" and status == sm.SAT
+        elif op == "b" and kept:
+            proj = rng.sample(range(1, nv + 1), rng.randint(1, nv))
+            s.block([-v if s.model[v] else v for v in proj])
+            kept = False
+        elif op == "w":
+            s.rewind()
+            kept = False
+        _check_heap(s)
+
+
+def test_heap_compaction_keeps_the_pick():
+    rng = random.Random(3)
+    s = sm.Cdcl()
+    s.add_clauses(_random_clauses(rng, 40, 170, (3, 3)))
+    s.solve(conflict_budget=20)
+    want = copy.deepcopy(s)._pick_branch()
+    # stale entries past the compaction threshold: old keys of every variable
+    s.heap.extend((1.0 - s.activity[v], v) for v in range(1, 41) for _ in range(30))
+    heapq.heapify(s.heap)
+    assert s._pick_branch() == want
+    assert len(s.heap) < 41
+
+
+def _entailed(models, clause):
+    return all(any(m[l] if l > 0 else not m[-l] for l in clause) for m in models)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**9))
+def test_learnt_clauses_are_entailed(seed):
+    # learnt clauses come out of _analyze and its minimization, which read
+    # binary reasons as bare literals and longer ones as clause lists;
+    # ternary clauses below the satisfiability threshold leave models that
+    # an unsound clause can exclude, and solving them under several
+    # assumptions still learns binary clauses, which imply by bare literals
+    rng = random.Random(seed)
+    nv = rng.randint(6, 8)
+    clauses = _random_clauses(rng, nv, rng.randint(2 * nv, 4 * nv), (3, 3))
+    assignments = ((False, *bits) for bits in itertools.product([False, True], repeat=nv))
+    models = [m for m in assignments if all(_entailed([m], c) for c in clauses)]
+    s = sm.Cdcl()
+    s.add_clauses(clauses)
+    for _ in range(16):
+        s.solve([rng.choice([1, -1]) * v for v in rng.sample(range(1, nv + 1), rng.randint(2, 5))])
+        learnt = [c for c in s.learnts if c]
+        learnt += [[a, b] for a in range(2, len(s.bwatch)) for b in s.bwatch[a]]
+        learnt += [[e] for e in s.trail]  # level-0 units
+        for c in learnt:
+            lits = tuple(-(e >> 1) if e & 1 else e >> 1 for e in c)
+            assert _entailed(models, lits), lits
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 10**9))
 def test_agrees_with_brute_force(seed):
@@ -129,9 +238,10 @@ def test_solver_is_deterministic():
     first = sm.solve(inst)
     second = sm.solve(inst)
     assert first.status == second.status
-    if first.status == sm.SAT:
-        assert first.raw_model == second.raw_model
-        assert first.stats.conflicts == second.stats.conflicts
+    assert first.raw_model == second.raw_model
+    for counter in ("conflicts", "decisions", "propagations"):
+        assert getattr(first.stats, counter) == getattr(second.stats, counter), counter
+    assert first.stats.decisions > 0
 
 
 def test_dimacs_export_carries_groups():

@@ -23,17 +23,9 @@ from typing import Sequence
 import numpy as np
 
 from . import sat as satmod
-from .cnf import CnfBuilder
-from .encode import (
-    AttackInstance,
-    emit_consistency,
-    encode_bmc_disagreement,
-    encode_ce,
-    encode_consistency,
-    encode_uc,
-    enumerate_completions,
-    new_key_vector,
-)
+from .encode import AttackInstance
+# perfbench/tracing.py patches these four names here, so they stay importable
+from .encode import encode_bmc_disagreement, encode_ce, encode_consistency, encode_uc  # noqa: F401
 from .netlist import BitSeq, CamoCircuit, Completion, Evaluator, run_sequence
 from .oracle import QuerySet, record
 from .sat import SolverTimeoutError
@@ -64,12 +56,9 @@ class AttackConfig:
     max_bound: int = 120
     solver_budget: float | None = None  # seconds per solver call
     umc_mode: str = "explicit"  # explicit | bmc | skip
-    seed: int = 0
-    backend: str = "internal"
     umc_enum_cap: int = 4096
     product_state_cap: int = 1 << 26
     product_expand_cap: int = 1 << 26
-    bf_completion_cap: int = 4096
     enumerate_all: bool = False
 
     def __post_init__(self):
@@ -135,48 +124,26 @@ def find_distinguishing(
     qs: QuerySet,
     bound: int,
     budget: float | None = None,
-    backend: str = "internal",
     stats: satmod.SolveStats | None = None,
+    instance: AttackInstance | None = None,
 ) -> tuple[Completion, Completion, BitSeq] | None:
     """Two qs-consistent completions plus an input sequence they disagree on.
 
     Returns None when no two consistent completions can be told apart by any
     sequence of length <= bound.  The returned sequence is truncated at its
-    first disagreeing step and re-simulated as a self-check.  `stats`, when
-    given, accumulates the counters of the solver call.
+    first disagreeing step and re-simulated as a self-check.  `instance`,
+    when given, must hold the records of qs; `stats`, when given,
+    accumulates the counters of the solver call.
     """
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
-    inst = encode_bmc_disagreement(camo, qs, bound)
-    res = satmod.solve(inst, time_budget=budget, backend=backend)
+    inst = instance or AttackInstance.from_queries(camo, qs)
+    res = inst.solve_bmc(bound, budget)
     if stats is not None:
         stats.add(res.stats)
     if res.status == satmod.TIMEOUT:
         raise SolverTimeoutError(f"bounded search at b={bound} exceeded its budget")
     if res.status == satmod.UNSAT:
         return None
-    x1 = completion_from_bits(camo, res.model["key1"])
-    x2 = completion_from_bits(camo, res.model["key2"])
-    steps = []
-    for f in range(bound):
-        bits = res.model[f"in{f}"]
-        steps.append(sum(b << i for i, b in enumerate(bits)))
-    seq = BitSeq(camo.num_inputs, tuple(steps))
-    return _check_triple(camo, qs, x1, x2, seq)
-
-
-def completion_from_bits(camo: CamoCircuit, bits: Sequence[int]) -> Completion:
-    """Decode a flat key-bit tuple (cell-major, LSB first) to a Completion."""
-    choices = []
-    pos = 0
-    for cell in camo.cells:
-        nbits = max(1, (cell.t - 1).bit_length())
-        v = 0
-        for i in range(nbits):
-            v |= bits[pos + i] << i
-        pos += nbits
-        choices.append(v)
-    return Completion(tuple(choices))
+    return _check_triple(camo, qs, *inst.decode_bmc(res, bound))
 
 
 def _check_triple(
@@ -196,21 +163,21 @@ def _check_triple(
 # ---------------------------------------------------- termination checks
 
 def check_uc(camo: CamoCircuit, qs: QuerySet, budget: float | None = None,
-             backend: str = "internal") -> bool:
+             instance: AttackInstance | None = None) -> bool:
     """True iff exactly one completion is consistent with qs (timeout: False)."""
-    res = satmod.solve(encode_uc(camo, qs), time_budget=budget, backend=backend)
-    return res.status == satmod.UNSAT
+    inst = instance or AttackInstance.from_queries(camo, qs)
+    return inst.solve_uc(budget).status == satmod.UNSAT
 
 
 def check_ce(camo: CamoCircuit, qs: QuerySet, budget: float | None = None,
-             backend: str = "internal") -> bool:
+             instance: AttackInstance | None = None) -> bool:
     """True iff all qs-consistent completions are combinationally identical.
 
     Sound for termination (implies qs is discriminating) but conservative:
     disagreement confined to unreachable states still returns False.
     """
-    res = satmod.solve(encode_ce(camo, qs), time_budget=budget, backend=backend)
-    return res.status == satmod.UNSAT
+    inst = instance or AttackInstance.from_queries(camo, qs)
+    return inst.solve_ce(budget).status == satmod.UNSAT
 
 
 # --------------------------------------------- explicit product machine
@@ -459,35 +426,37 @@ def check_umc(
     """True iff qs is discriminating; raises InconclusiveError at the caps.
 
     Explicit mode lists the consistent completions in one resumed SAT
-    search, which excludes each model by a blocking clause and searches on
-    from where that clause asserts (see `enumerate_completions`), and checks
-    each completion for sequential equivalence with the first (see
-    `_first_inequivalent`).  When an enumeration or product cap is hit, or a
-    solver call times out, it degrades to bounded search at the
-    product-diameter bound 2^(2l); that search runs only when max_bound
-    reaches the diameter, since a shallower one cannot certify.  Inconclusive
-    outcomes name every reason.  `stats`, when given, accumulates the
-    counters of every solver call the check makes, on `instance` or not.
+    search (see `AttackInstance.enumerate_consistent`) and checks each one
+    for sequential equivalence with the first (see `_first_inequivalent`).
+    When an enumeration or product cap is hit, or a solver call times out,
+    it degrades to bounded search at the product-diameter bound 2^(2l); that
+    search runs only when max_bound reaches the diameter, since a shallower
+    one cannot certify.  Inconclusive outcomes name every reason.  Every
+    solver call is a query of `instance`, which must hold the records of qs
+    (the attack passes its own; one is built from qs when none is given), so
+    the fallback search adds its frames there rather than building a second
+    CNF.  `stats`, when given, accumulates the counters of those calls.
     """
     cfg = cfg or AttackConfig()
     if cfg.umc_mode == "skip":
         raise InconclusiveError("unbounded check disabled (umc_mode=skip)")
+    inst = instance or AttackInstance.from_queries(camo, qs)
     if cfg.umc_mode == "explicit":
         try:
-            return _umc_explicit(camo, qs, cfg, instance, stats)
+            return _umc_explicit(camo, qs, cfg, inst, stats)
         except InconclusiveError as exc:
             try:  # degrade to bounded search at the diameter
-                return _umc_bmc(camo, qs, cfg, stats)
+                return _umc_bmc(camo, qs, cfg, inst, stats)
             except InconclusiveError as fallback:
                 raise InconclusiveError(f"{exc}; {fallback}") from fallback
-    return _umc_bmc(camo, qs, cfg, stats)
+    return _umc_bmc(camo, qs, cfg, inst, stats)
 
 
 def _umc_explicit(
     camo: CamoCircuit,
     qs: QuerySet,
     cfg: AttackConfig,
-    instance: AttackInstance | None,
+    instance: AttackInstance,
     stats: satmod.SolveStats | None,
 ) -> bool:
     comps = _enumerate_consistent(camo, qs, cfg, instance, stats)
@@ -505,16 +474,9 @@ def _enumerate_consistent(
     instance: AttackInstance | None,
     stats: satmod.SolveStats | None,
 ) -> list[Completion]:
+    inst = instance or AttackInstance.from_queries(camo, qs)
     try:
-        if instance is not None:
-            comps = instance.enumerate_consistent(cfg.umc_enum_cap, cfg.solver_budget, stats)
-        else:
-            bld = CnfBuilder()
-            key = new_key_vector(bld, camo, "key")
-            emit_consistency(bld, camo, key, qs)
-            ctx = satmod.SatContext(bld.build(), backend=cfg.backend)
-            comps = enumerate_completions(ctx, key, cfg.umc_enum_cap, cfg.solver_budget,
-                                          stats=stats)
+        comps = inst.enumerate_consistent(cfg.umc_enum_cap, cfg.solver_budget, stats)
     except SolverTimeoutError as exc:
         raise InconclusiveError(str(exc)) from exc
     if comps is None:
@@ -523,7 +485,11 @@ def _enumerate_consistent(
 
 
 def _umc_bmc(
-    camo: CamoCircuit, qs: QuerySet, cfg: AttackConfig, stats: satmod.SolveStats | None
+    camo: CamoCircuit,
+    qs: QuerySet,
+    cfg: AttackConfig,
+    instance: AttackInstance,
+    stats: satmod.SolveStats | None,
 ) -> bool:
     # no shortest distinguisher of two l-flop copies is longer than the
     # product diameter 2^(2l), so only a search that deep can certify
@@ -534,7 +500,7 @@ def _umc_bmc(
             f"the product diameter {diameter}"
         )
     try:
-        found = find_distinguishing(camo, qs, diameter, cfg.solver_budget, cfg.backend, stats)
+        found = find_distinguishing(camo, qs, diameter, cfg.solver_budget, stats, instance)
     except SolverTimeoutError as exc:
         raise InconclusiveError(str(exc)) from exc
     return found is None
@@ -570,10 +536,14 @@ def brute_force_disc(
 # ------------------------------------------------------------- completion
 
 def recover_completion(
-    camo: CamoCircuit, qs: QuerySet, budget: float | None = None, backend: str = "internal"
+    camo: CamoCircuit,
+    qs: QuerySet,
+    budget: float | None = None,
+    instance: AttackInstance | None = None,
 ) -> Completion:
     """Any completion consistent with qs (correct whenever qs is discriminating)."""
-    res = satmod.solve(encode_consistency(camo, qs), time_budget=budget, backend=backend)
+    inst = instance or AttackInstance.from_queries(camo, qs)
+    res = inst.solve_consistent(budget=budget)
     if res.status == satmod.UNSAT:
         raise OracleInconsistentError(
             "no completion reproduces the observed behavior; the black box does not "
@@ -581,7 +551,7 @@ def recover_completion(
         )
     if res.status == satmod.TIMEOUT:
         raise SolverTimeoutError("completion recovery exceeded its budget")
-    x = completion_from_bits(camo, res.model["key"])
+    x = inst.k1.decode(res)
     if not consistent(camo, x, qs):
         raise EncodingBugError("recovered completion fails re-simulation")
     return x
@@ -591,31 +561,18 @@ def partial_completion(
     camo: CamoCircuit,
     qs: QuerySet,
     budget: float | None = None,
-    backend: str = "internal",
     instance: AttackInstance | None = None,
 ) -> dict[str, int | None]:
     """Per-gate verdicts: candidate index if every consistent completion
     agrees on that cell, None when the cell is still ambiguous (or a
     sub-query timed out)."""
-    if instance is None:
-        cnf = encode_consistency(camo, qs)
-        ctx = satmod.SatContext(cnf, backend=backend)
-        key_lits = list(cnf.groups["key"])
-
-        def pinned_sat(ci: int, v: int) -> str:
-            lits = _pin_lits(camo, key_lits, ci, v)
-            return ctx.solve(lits, time_budget=budget).status
-    else:
-
-        def pinned_sat(ci: int, v: int) -> str:
-            return instance.solve_consistent(instance.k1.value_lits(ci, v), budget).status
-
+    inst = instance or AttackInstance.from_queries(camo, qs)
     verdicts: dict[str, int | None] = {}
     for ci, cell in enumerate(camo.cells):
         feasible: list[int] = []
         timed_out = False
         for v in range(cell.t):
-            status = pinned_sat(ci, v)
+            status = inst.solve_consistent(inst.k1.value_lits(ci, v), budget).status
             if status == satmod.TIMEOUT:
                 timed_out = True
                 break
@@ -634,16 +591,6 @@ def partial_completion(
     return verdicts
 
 
-def _pin_lits(camo: CamoCircuit, key_lits: list[int], ci: int, v: int) -> list[int]:
-    pos = 0
-    for i, cell in enumerate(camo.cells):
-        nbits = max(1, (cell.t - 1).bit_length())
-        if i == ci:
-            return [key_lits[pos + j] if (v >> j) & 1 else -key_lits[pos + j] for j in range(nbits)]
-        pos += nbits
-    raise IndexError(ci)
-
-
 # --------------------------------------------------------------- the loop
 
 def run_attack(camo: CamoCircuit, oracle, cfg: AttackConfig | None = None) -> AttackReport:
@@ -654,7 +601,7 @@ def run_attack(camo: CamoCircuit, oracle, cfg: AttackConfig | None = None) -> At
     """
     cfg = cfg or AttackConfig()
     t_start = time.monotonic()
-    inst = AttackInstance(camo, backend=cfg.backend)
+    inst = AttackInstance(camo)
     qs = QuerySet()
     iterations: list[IterationRecord] = []
     bound = 0
@@ -742,18 +689,11 @@ def run_attack(camo: CamoCircuit, oracle, cfg: AttackConfig | None = None) -> At
     completions: tuple[Completion, ...] = ()
     partial: dict[str, int | None] | None = None
     if termination in (UC, CE, UMC):
-        res = inst.solve_consistent(budget=cfg.solver_budget)
-        if res.status == satmod.UNSAT:
-            raise OracleInconsistentError(
-                "no completion reproduces the observed behavior; the black box does "
-                "not match the netlist"
-            )
-        if res.status == satmod.TIMEOUT:
+        try:
+            x = recover_completion(camo, qs, cfg.solver_budget, inst)
+        except SolverTimeoutError:
             termination = TIMEOUT_TAG
         else:
-            x = inst.k1.decode(res)
-            if not consistent(camo, x, qs):
-                raise EncodingBugError("recovered completion fails re-simulation")
             completions = (x,)
             if cfg.enumerate_all:
                 try:

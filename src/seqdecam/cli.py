@@ -83,12 +83,11 @@ def _make_config(args) -> atk.AttackConfig:
         max_bound=args.max_bound,
         solver_budget=args.solver_timeout,
         umc_mode=args.umc_mode,
-        seed=args.seed,
     )
 
 
 def _attack_one(bench: str, sidecar: str, secret: str | None, oracle_cmd: str | None,
-                cfg: atk.AttackConfig, out_dir: str) -> RunRecord:
+                cfg: atk.AttackConfig, seed: int, out_dir: str) -> RunRecord:
     camo = _load_camo(bench, sidecar)
     if oracle_cmd:
         oracle = PipeOracle(oracle_cmd, camo.num_inputs, camo.num_outputs)
@@ -105,7 +104,7 @@ def _attack_one(bench: str, sidecar: str, secret: str | None, oracle_cmd: str | 
     rec = RunRecord(
         benchmark=Path(bench).stem,
         k=camo.k,
-        seed=cfg.seed,
+        seed=seed,
         disc_size=len(report.disc_set),
         max_steps=report.max_seq_len,
         time_s=round(report.wall, 3),
@@ -169,7 +168,7 @@ def cmd_attack(args) -> int:
             secret = sc.with_suffix(".secret")
             if not secret.exists():
                 raise UsageError(f"missing secret file {secret}")
-            jobs.append((args.bench, str(sc), str(secret), None, cfg, args.out))
+            jobs.append((args.bench, str(sc), str(secret), None, cfg, args.seed, args.out))
         if args.jobs > 1:
             with ProcessPoolExecutor(max_workers=args.jobs) as pool:
                 records = list(pool.map(_attack_job, jobs))
@@ -179,7 +178,8 @@ def cmd_attack(args) -> int:
         if bool(args.secret) == bool(args.oracle_cmd):
             raise UsageError("provide exactly one of --secret or --oracle-cmd")
         records = [
-            _attack_one(args.bench, args.sidecar, args.secret, args.oracle_cmd, cfg, args.out)
+            _attack_one(args.bench, args.sidecar, args.secret, args.oracle_cmd, cfg, args.seed,
+                        args.out)
         ]
     ok = True
     for rec in records:

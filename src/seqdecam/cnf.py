@@ -8,7 +8,7 @@ hash structurally, which keeps time-unrolled circuit encodings compact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 TRUE = 1
 FALSE = -1
@@ -23,50 +23,14 @@ class CnfInstance:
     """Immutable clause database plus named variable groups.
 
     ``groups`` maps a name to a tuple of literals (signed; +-1 are the
-    constants).  ``selectors`` are labeled assumption literals used to switch
-    optional constraint blocks on per solve call.  ``implied_vars`` are
-    Tseitin-style definitions fully determined by the other variables; a
-    solver may skip branching on them.
+    constants).  ``implied_vars`` are Tseitin-style definitions fully
+    determined by the other variables; a solver may skip branching on them.
     """
 
     num_vars: int
     clauses: tuple[tuple[int, ...], ...]
     groups: Mapping[str, tuple[int, ...]] = field(default_factory=dict)
-    selectors: Mapping[str, int] = field(default_factory=dict)
     implied_vars: tuple[int, ...] = ()
-
-    def extended(
-        self,
-        clauses: Iterable[Sequence[int]],
-        num_vars: int | None = None,
-        implied_vars: Sequence[int] = (),
-    ) -> "CnfInstance":
-        """A new instance with extra clauses (and optionally more variables)."""
-        extra = tuple(tuple(c) for c in clauses)
-        top = self.num_vars
-        for c in extra:
-            for lit in c:
-                top = max(top, abs(lit))
-        if num_vars is not None:
-            top = max(top, num_vars)
-        return CnfInstance(
-            top, self.clauses + extra, self.groups, self.selectors,
-            self.implied_vars + tuple(implied_vars),
-        )
-
-    def to_dimacs(self) -> str:
-        """DIMACS text; group, selector and implied-var maps go into `c` comments."""
-        lines = [f"p cnf {self.num_vars} {len(self.clauses)}"]
-        header = []
-        for name, lits in self.groups.items():
-            header.append(f"c group {name} " + " ".join(str(l) for l in lits))
-        for name, lit in self.selectors.items():
-            header.append(f"c selector {name} {lit}")
-        for i in range(0, len(self.implied_vars), 24):
-            chunk = self.implied_vars[i : i + 24]
-            header.append("c implied " + " ".join(str(v) for v in chunk))
-        body = [" ".join(str(l) for l in c) + " 0" for c in self.clauses]
-        return "\n".join(header + lines + body) + "\n"
 
 
 class CnfBuilder:
@@ -76,10 +40,8 @@ class CnfBuilder:
         self._num_vars = 1  # var 1 is constant true
         self.clauses: list[tuple[int, ...]] = [(TRUE,)]
         self.groups: dict[str, tuple[int, ...]] = {}
-        self.selectors: dict[str, int] = {}
         self.implied_vars: list[int] = []
         self._hash: dict[tuple, int] = {}
-        self.unsat = False  # an empty clause was added
 
     @property
     def num_vars(self) -> int:
@@ -101,24 +63,15 @@ class CnfBuilder:
         if TRUE in lits:
             return
         out = tuple(l for l in lits if l != FALSE)
-        if not out:
-            self.unsat = True
-            self.clauses.append(())
-            return
         self.clauses.append(out)
 
     def group(self, name: str, lits: Sequence[int]) -> None:
         self.groups[name] = tuple(lits)
 
-    def selector(self, name: str) -> int:
-        lit = self.new_var()
-        self.selectors[name] = lit
-        return lit
-
     def build(self) -> CnfInstance:
         return CnfInstance(
             self._num_vars, tuple(self.clauses), dict(self.groups),
-            dict(self.selectors), tuple(self.implied_vars),
+            tuple(self.implied_vars),
         )
 
     # ---------------------------------------------------------- gate logic

@@ -11,6 +11,12 @@ queries encoded here:
 * UC -- two *distinct* consistent key vectors exist;
 * CE -- two consistent key vectors differ on output or next-state for some
   free (input, state) pair, unreachable states included.
+
+Every query is built and solved on one incremental `AttackInstance`.
+`encode_bmc_disagreement`, `encode_uc` and `encode_ce` return its clause
+database with the query's selector asserted; `encode_consistency` and
+`encode_keyed_frame` are standalone single-key encodings, the reference the
+CNF is checked against simulation with.
 """
 
 from __future__ import annotations
@@ -51,16 +57,12 @@ class KeyVector:
 
 @dataclass(frozen=True)
 class UnrollSpec:
-    """How to unroll one keyed copy: frame count, input sharing, pinned I/O.
+    """How to unroll one keyed copy: frame count and pinned I/O.
 
-    ``share_inputs`` marks the copy as driven by caller-provided input
-    literals (the disagreement miter passes the same literals to both
-    copies); ``fix_inputs`` / ``fix_outputs`` pin the unrolling to a recorded
-    query.
+    ``fix_inputs`` / ``fix_outputs`` pin the unrolling to a recorded query.
     """
 
     frames: int
-    share_inputs: bool = False
     fix_inputs: BitSeq | None = None
     fix_outputs: BitSeq | None = None
 
@@ -70,8 +72,6 @@ class UnrollSpec:
         for name, seq in (("fix_inputs", self.fix_inputs), ("fix_outputs", self.fix_outputs)):
             if seq is not None and len(seq) != self.frames:
                 raise ValueError(f"{name} has {len(seq)} steps for {self.frames} frames")
-        if self.share_inputs and self.fix_inputs is not None:
-            raise ValueError("inputs cannot be both shared and fixed")
 
 
 def unroll(
@@ -79,14 +79,12 @@ def unroll(
     camo: CamoCircuit,
     key: KeyVector,
     spec: UnrollSpec,
-    input_lits: Sequence[Sequence[int]] | None = None,
 ) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
     """Chain keyed frames from reset according to `spec`.
 
     Returns per-frame (input, output, next-state) literals.  Inputs come
-    from `spec.fix_inputs` as constants, from `input_lits` when the caller
-    shares them across copies, or as fresh variables otherwise; outputs are
-    constrained to `spec.fix_outputs` when given.
+    from `spec.fix_inputs` as constants, or as fresh variables otherwise;
+    outputs are constrained to `spec.fix_outputs` when given.
     """
     m = camo.num_inputs
     state = _const_bits(camo.reset_state, camo.num_flops)
@@ -96,8 +94,6 @@ def unroll(
     for f in range(spec.frames):
         if spec.fix_inputs is not None:
             ins = _const_bits(spec.fix_inputs.steps[f], m)
-        elif input_lits is not None:
-            ins = list(input_lits[f])
         else:
             ins = bld.new_vars(m)
         outs, state = emit_keyed_frame(bld, camo, key, state, ins)
@@ -201,30 +197,9 @@ def encode_bmc_disagreement(camo: CamoCircuit, qs: QuerySet, bound: int) -> CnfI
 
     Groups: key1, key2, and in0..in{bound-1} for the free input frames.
     """
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
-    bld = CnfBuilder()
-    k1 = new_key_vector(bld, camo, "key1")
-    k2 = new_key_vector(bld, camo, "key2")
-    emit_consistency(bld, camo, k1, qs)
-    emit_consistency(bld, camo, k2, qs)
-    keys_eq = _emit_keys_equal(bld, k1, k2)
-    shared = UnrollSpec(bound, share_inputs=True)
-    frame_ins = []
-    for f in range(bound):
-        ins = bld.new_vars(camo.num_inputs)
-        bld.group(f"in{f}", ins)
-        frame_ins.append(ins)
-    _, outs1, next1 = unroll(bld, camo, k1, shared, frame_ins)
-    _, outs2, next2 = unroll(bld, camo, k2, shared, frame_ins)
-    frame_flags = []
-    for o1, n1, o2, n2 in zip(outs1, next1, outs2, next2):
-        _bridge_equal_keys(bld, keys_eq, o1 + n1, o2 + n2)
-        flag = _emit_any_mismatch(bld, o1, o2)
-        if flag is not None:
-            frame_flags.append(flag)
-    bld.add(*frame_flags)  # disagreement at some frame; empty OR = UNSAT
-    return bld.build()
+    inst = AttackInstance.from_queries(camo, qs)
+    inst.bld.add(inst.bound_selector(bound))
+    return inst.bld.build()
 
 
 def _emit_any_mismatch(bld: CnfBuilder, a: Sequence[int], b: Sequence[int]) -> int | None:
@@ -269,14 +244,9 @@ def _bridge_equal_keys(
 
 def encode_uc(camo: CamoCircuit, qs: QuerySet) -> CnfInstance:
     """SAT iff two distinct completions are both consistent with qs."""
-    bld = CnfBuilder()
-    k1 = new_key_vector(bld, camo, "key1")
-    k2 = new_key_vector(bld, camo, "key2")
-    emit_consistency(bld, camo, k1, qs)
-    emit_consistency(bld, camo, k2, qs)
-    diff = _emit_any_mismatch(bld, k1.all_vars(), k2.all_vars())
-    bld.add(*( [diff] if diff is not None else [] ))
-    return bld.build()
+    inst = AttackInstance.from_queries(camo, qs)
+    inst.bld.add(inst.uc_selector())
+    return inst.bld.build()
 
 
 def encode_ce(camo: CamoCircuit, qs: QuerySet) -> CnfInstance:
@@ -286,33 +256,22 @@ def encode_ce(camo: CamoCircuit, qs: QuerySet) -> CnfInstance:
     unreachable ones, so UNSAT is a sound but conservative certificate that
     qs is discriminating.  Groups: key1, key2, ce_state, ce_input.
     """
-    bld = CnfBuilder()
-    k1 = new_key_vector(bld, camo, "key1")
-    k2 = new_key_vector(bld, camo, "key2")
-    emit_consistency(bld, camo, k1, qs)
-    emit_consistency(bld, camo, k2, qs)
-    state = bld.new_vars(camo.num_flops)
-    inputs = bld.new_vars(camo.num_inputs)
-    bld.group("ce_state", state)
-    bld.group("ce_input", inputs)
-    o1, n1 = emit_keyed_frame(bld, camo, k1, state, inputs)
-    o2, n2 = emit_keyed_frame(bld, camo, k2, state, inputs)
-    _bridge_equal_keys(bld, _emit_keys_equal(bld, k1, k2), o1 + n1, o2 + n2)
-    flag = _emit_any_mismatch(bld, o1 + n1, o2 + n2)
-    bld.add(*( [flag] if flag is not None else [] ))
-    return bld.build()
+    inst = AttackInstance.from_queries(camo, qs)
+    inst.bld.add(inst.ce_selector())
+    return inst.bld.build()
 
 
 class AttackInstance:
-    """One growing CNF backing every solver query of the attack loop.
+    """One growing CNF backing every solver query: the only place a query
+    is built or solved.
 
     Consistency constraints are emitted once per (record, key vector) and
     shared by all queries; the BMC disagreement OR, the UC distinctness OR
-    and the CE mismatch OR are each guarded by a labeled assumption literal
-    so a single incremental solver context answers all of them.
+    and the CE mismatch OR are each guarded by a selector, an assumption
+    literal, so a single incremental solver context answers all of them.
     """
 
-    def __init__(self, camo: CamoCircuit, backend: str = "internal"):
+    def __init__(self, camo: CamoCircuit):
         self.camo = camo
         self.bld = CnfBuilder()
         self.k1 = new_key_vector(self.bld, camo, "key1")
@@ -327,8 +286,15 @@ class AttackInstance:
         self._ce_sel: int | None = None
         self._emitted_clauses = 0
         self._emitted_implied = 0
-        self._ctx = satmod.SatContext(CnfInstance(1, ()), backend=backend)
-        self._epoch = 0
+        self._ctx = satmod.SatContext(CnfInstance(1, ()))
+
+    @classmethod
+    def from_queries(cls, camo: CamoCircuit, qs: QuerySet) -> "AttackInstance":
+        """An instance holding every record of qs."""
+        inst = cls(camo)
+        for seq, out in qs:
+            inst.add_record(seq, out)
+        return inst
 
     # ------------------------------------------------------------- plumbing
 
@@ -348,11 +314,6 @@ class AttackInstance:
         self._sync()
         return self._ctx.solve(assumptions, time_budget=budget)
 
-    @property
-    def instance(self) -> CnfInstance:
-        self._sync()
-        return self._ctx.instance
-
     # ------------------------------------------------------------- building
 
     def ensure_frames(self, bound: int) -> None:
@@ -368,24 +329,26 @@ class AttackInstance:
             self._frame_flags.append(flag if flag is not None else FALSE)
 
     def bound_selector(self, bound: int) -> int:
+        if bound < 1:
+            raise ValueError("bound must be >= 1")
         self.ensure_frames(bound)
         sel = self._bound_sel.get(bound)
         if sel is None:
-            sel = self.bld.selector(f"disagree_le_{bound}")
+            sel = self.bld.new_var()
             self.bld.add(-sel, *[f for f in self._frame_flags[:bound] if f != FALSE])
             self._bound_sel[bound] = sel
         return sel
 
     def uc_selector(self) -> int:
         if self._uc_sel is None:
-            self._uc_sel = self.bld.selector("distinct_keys")
+            self._uc_sel = self.bld.new_var()
             diff = _emit_any_mismatch(self.bld, self.k1.all_vars(), self.k2.all_vars())
             self.bld.add(-self._uc_sel, *( [diff] if diff is not None else [] ))
         return self._uc_sel
 
     def ce_selector(self) -> int:
         if self._ce_sel is None:
-            self._ce_sel = self.bld.selector("comb_mismatch")
+            self._ce_sel = self.bld.new_var()
             state = self.bld.new_vars(self.camo.num_flops)
             inputs = self.bld.new_vars(self.camo.num_inputs)
             self.bld.group("ce_state", state)
@@ -437,56 +400,40 @@ class AttackInstance:
         budget: float | None = None,
         stats: "satmod.SolveStats | None" = None,
     ) -> list[Completion] | None:
-        """Up to `cap` distinct consistent completions; None if there are more.
+        """The distinct consistent completions, in the order found; None once
+        there are more than `cap`.
 
-        See `enumerate_completions`.  Blocking clauses are guarded by a
-        one-shot epoch literal, assumed by every model search of this call,
-        so they do not constrain later queries on this instance.
+        One resumed search: each model is excluded by a blocking clause (the
+        negated key bits of k1) from which the solver backjumps and searches
+        on, instead of starting again from level 0.  Every model is still
+        verified against every clause, blocking clauses included.  The
+        blocking clauses are guarded by a one-shot epoch literal, assumed by
+        every model search of this call, so they do not constrain later
+        queries on this instance.  Raises SolverTimeoutError when one model
+        search exceeds `budget` seconds; `stats`, when given, accumulates the
+        counters of every solver call.  The solver's trail is back at level 0
+        on every exit.
         """
-        self._epoch += 1
-        epoch = self.bld.selector(f"enum_epoch{self._epoch}")
+        epoch = self.bld.new_var()
         self._sync()
-        return enumerate_completions(self._ctx, self.k1, cap, budget, epoch, stats)
-
-
-def enumerate_completions(
-    ctx: "satmod.SatContext",
-    key: KeyVector,
-    cap: int,
-    budget: float | None = None,
-    guard: int | None = None,
-    stats: "satmod.SolveStats | None" = None,
-) -> list[Completion] | None:
-    """The distinct values of `key` over the models of `ctx`, in the order
-    found; None once there are more than `cap`.
-
-    One resumed search: each model is excluded by a blocking clause (the
-    negated key bits, plus -guard when a guard literal is given and assumed)
-    from which the solver backjumps and searches on, instead of starting
-    again from level 0.  Every model is still verified against every clause,
-    blocking clauses included.  Raises SolverTimeoutError when one model
-    search exceeds `budget` seconds; `stats`, when given, accumulates the
-    counters of every solver call.  The solver's trail is back at level 0
-    on every exit.
-    """
-    assumptions = [] if guard is None else [guard]
-    found: list[Completion] = []
-    try:
-        while True:
-            res = ctx.solve(assumptions, time_budget=budget, resume=True)
-            if stats is not None:
-                stats.add(res.stats)
-            if res.status == satmod.TIMEOUT:
-                raise satmod.SolverTimeoutError("solver budget exhausted during enumeration")
-            if res.status == satmod.UNSAT:
-                return found
-            x = key.decode(res)
-            found.append(x)
-            if len(found) > cap:
-                return None
-            block = [] if guard is None else [-guard]
-            for ci, v in enumerate(x.choices):
-                block.extend(-lit for lit in key.value_lits(ci, v))
-            ctx.block(block)
-    finally:
-        ctx.rewind()
+        ctx = self._ctx
+        found: list[Completion] = []
+        try:
+            while True:
+                res = ctx.solve([epoch], time_budget=budget, resume=True)
+                if stats is not None:
+                    stats.add(res.stats)
+                if res.status == satmod.TIMEOUT:
+                    raise satmod.SolverTimeoutError("solver budget exhausted during enumeration")
+                if res.status == satmod.UNSAT:
+                    return found
+                x = self.k1.decode(res)
+                found.append(x)
+                if len(found) > cap:
+                    return None
+                block = [-epoch]
+                for ci, v in enumerate(x.choices):
+                    block.extend(-lit for lit in self.k1.value_lits(ci, v))
+                ctx.block(block)
+        finally:
+            ctx.rewind()

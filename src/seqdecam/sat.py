@@ -1,24 +1,19 @@
 """Incremental SAT solving for CnfInstances.
 
-Two backends share one interface: an embedded CDCL solver (watched
-literals, first-UIP learning, VSIDS, phase saving, Luby restarts,
-solve-under-assumptions) and an external process that accepts DIMACS on a
-file argument and prints a model on stdout.  Every SAT answer is verified
-against the clause database and the assumptions before it is returned.
+An embedded CDCL solver (watched literals, first-UIP learning, VSIDS, phase
+saving, Luby restarts, solve-under-assumptions) behind `SatContext`, which
+verifies every SAT answer against the clause database and the assumptions
+before it is returned.
 
 Models are enumerated by one resumed search: a SAT answer can keep its
-trail, a blocking clause that the model falsifies backjumps the embedded
-solver to the clause's asserting level, and the next model is searched
-from there rather than from level 0 (the blocking scheme of Toda & Soh,
-"Implementing Efficient All Solutions SAT Solvers", ACM JEA 2016).
-
-Run ``python -m seqdecam.sat file.cnf`` to use the embedded solver as a
-DIMACS command-line solver (this doubles as the external backend in tests).
+trail, a blocking clause that the model falsifies backjumps the solver to
+the clause's asserting level, and the next model is searched from there
+rather than from level 0 (the blocking scheme of Toda & Soh, "Implementing
+Efficient All Solutions SAT Solvers", ACM JEA 2016).
 """
 
 from __future__ import annotations
 
-import sys
 import time
 from array import array
 from dataclasses import dataclass, field
@@ -685,24 +680,18 @@ class SatContext:
     against are held flat, with no object per clause: encoded literals (2v,
     or 2v+1 when negated) back to back in one int32 array and each clause's
     first offset in another, both grown geometrically by ``array``.
-    ``instance`` materializes a frozen snapshot.
     """
 
-    def __init__(self, inst: CnfInstance, backend: "str | ExternalSolver" = "internal"):
+    def __init__(self, inst: CnfInstance):
         self._lits = array("i")
         self._starts = array("i")
         self._nempty = 0  # empty clauses, which no model satisfies
         self._groups = dict(inst.groups)
-        self._selectors = dict(inst.selectors)
-        self._implied: list[int] = list(inst.implied_vars)
         self._num_vars = max(inst.num_vars, self._append(inst.clauses))
-        self.backend = backend
-        self._cdcl: Cdcl | None = None
-        if backend == "internal":
-            self._cdcl = Cdcl()
-            self._cdcl.ensure_vars(inst.num_vars)
-            self._cdcl.mark_implied(inst.implied_vars)
-            self._cdcl.add_clauses(inst.clauses)
+        self._cdcl = Cdcl()
+        self._cdcl.ensure_vars(inst.num_vars)
+        self._cdcl.mark_implied(inst.implied_vars)
+        self._cdcl.add_clauses(inst.clauses)
 
     def _append(self, clauses: Sequence[Sequence[int]]) -> int:
         """Store clauses for verification; returns their highest variable."""
@@ -723,14 +712,6 @@ class SatContext:
         return tuple(-(e >> 1) if e & 1 else e >> 1 for e in self._lits[self._starts[i] : end])
 
     @property
-    def instance(self) -> CnfInstance:
-        clauses = tuple(self._clause(i) for i in range(len(self._starts)))
-        return CnfInstance(
-            self._num_vars, clauses, dict(self._groups),
-            dict(self._selectors), tuple(self._implied),
-        )
-
-    @property
     def num_vars(self) -> int:
         return self._num_vars
 
@@ -743,30 +724,26 @@ class SatContext:
         clauses = list(clauses)
         top = max(self._num_vars, num_vars or 0, self._append(clauses))
         self._num_vars = top
-        self._implied.extend(implied_vars)
-        if self._cdcl is not None:
-            self._cdcl.ensure_vars(top)
-            self._cdcl.mark_implied(implied_vars)
-            self._cdcl.add_clauses(clauses)
+        self._cdcl.ensure_vars(top)
+        self._cdcl.mark_implied(implied_vars)
+        self._cdcl.add_clauses(clauses)
 
     def block(self, clause: Sequence[int]) -> None:
         """Add a clause that the model of the last SAT answer falsifies,
         typically one excluding that model.
 
-        After a ``resume=True`` answer the embedded solver still holds the
-        model's trail; it backjumps to the clause's asserting level, so the
-        next ``resume=True`` call searches on from there.  Later models are
+        After a ``resume=True`` answer the solver still holds the model's
+        trail; it backjumps to the clause's asserting level, so the next
+        ``resume=True`` call searches on from there.  Later models are
         verified against this clause too.
         """
         clause = tuple(clause)
         self._append([clause])
-        if self._cdcl is not None:
-            self._cdcl.block(clause)
+        self._cdcl.block(clause)
 
     def rewind(self) -> None:
         """Put the solver's trail back at level 0 (ends a resumed search)."""
-        if self._cdcl is not None:
-            self._cdcl.rewind()
+        self._cdcl.rewind()
 
     def solve(
         self,
@@ -775,29 +752,23 @@ class SatContext:
         conflict_budget: int | None = None,
         resume: bool = False,
     ) -> SolveResult:
-        """One solver call; ``resume`` is passed to `Cdcl.solve` (the
-        external backend always solves from scratch)."""
+        """One solver call; ``resume`` is passed to `Cdcl.solve`."""
         for l in assumptions:
             if l == 0 or abs(l) > self._num_vars:
                 raise MalformedInstanceError(f"assumption {l} references an undeclared variable")
         t0 = time.monotonic()
-        if self._cdcl is not None:
-            solver = self._cdcl
-            before = SolveStats(solver.stats.conflicts, solver.stats.decisions, solver.stats.propagations)
-            status = solver.solve(assumptions, conflict_budget, time_budget, resume)
-            stats = SolveStats(
-                solver.stats.conflicts - before.conflicts,
-                solver.stats.decisions - before.decisions,
-                solver.stats.propagations - before.propagations,
-                time.monotonic() - t0,
-            )
-            raw = solver.model if status == SAT else None
-        else:
-            status, raw = self.backend.solve_dimacs(self.instance, assumptions, time_budget)
-            stats = SolveStats(wall_time=time.monotonic() - t0)
+        solver = self._cdcl
+        before = SolveStats(solver.stats.conflicts, solver.stats.decisions, solver.stats.propagations)
+        status = solver.solve(assumptions, conflict_budget, time_budget, resume)
+        stats = SolveStats(
+            solver.stats.conflicts - before.conflicts,
+            solver.stats.decisions - before.decisions,
+            solver.stats.propagations - before.propagations,
+            time.monotonic() - t0,
+        )
         if status != SAT:
             return SolveResult(status, stats=stats)
-        assert raw is not None
+        raw = solver.model
         self._verify(raw, assumptions)
         groups = {name: tuple(_lit_val(raw, l) for l in lits) for name, lits in self._groups.items()}
         return SolveResult(SAT, model=groups, raw_model=raw, stats=stats)
@@ -839,111 +810,3 @@ class SatContext:
 
 def _lit_val(model: list[bool], lit: int) -> int:
     return int(model[lit] if lit > 0 else not model[-lit])
-
-
-def solve(
-    inst: CnfInstance,
-    assumptions: Sequence[int] = (),
-    time_budget: float | None = None,
-    backend: "str | ExternalSolver" = "internal",
-) -> SolveResult:
-    """One-shot solve of an instance (fresh solver state)."""
-    return SatContext(inst, backend).solve(assumptions, time_budget)
-
-
-def add_clauses(inst: CnfInstance, clauses: Iterable[Sequence[int]]) -> CnfInstance:
-    """Pure clause append; solver-facing incremental growth lives in SatContext."""
-    return inst.extended(clauses)
-
-
-class ExternalSolver:
-    """Backend running `argv + [cnf_path]` per call; expects DIMACS output.
-
-    The process must print `s SATISFIABLE` / `s UNSATISFIABLE` (or the bare
-    words) and, when satisfiable, `v` lines with a 0-terminated model.
-    """
-
-    def __init__(self, argv: Sequence[str]):
-        self.argv = list(argv)
-
-    def solve_dimacs(
-        self, inst: CnfInstance, assumptions: Sequence[int], time_budget: float | None
-    ) -> tuple[str, list[bool] | None]:
-        import subprocess
-        import tempfile
-
-        work = inst
-        units = [(l,) for l in assumptions]
-        if units:
-            work = inst.extended(units)
-        with tempfile.NamedTemporaryFile("w", suffix=".cnf", delete=False) as fh:
-            fh.write(work.to_dimacs())
-            path = fh.name
-        try:
-            proc = subprocess.run(
-                self.argv + [path],
-                capture_output=True,
-                text=True,
-                timeout=time_budget,
-            )
-        except subprocess.TimeoutExpired:
-            return TIMEOUT, None
-        text = proc.stdout
-        status = None
-        lits: list[int] = []
-        for line in text.splitlines():
-            line = line.strip()
-            if line.startswith("s ") or line in ("SATISFIABLE", "UNSATISFIABLE"):
-                word = line.split()[-1].upper()
-                status = SAT if word == "SATISFIABLE" else UNSAT
-            elif line.startswith("v "):
-                lits.extend(int(x) for x in line[2:].split())
-        if status is None:
-            raise RuntimeError(f"external solver produced no status line: {text[:200]!r}")
-        if status != SAT:
-            return status, None
-        model = [False] * (inst.num_vars + 1)
-        for l in lits:
-            if l != 0 and abs(l) <= inst.num_vars:
-                model[abs(l)] = l > 0
-        return SAT, model
-
-
-def _dimacs_main(argv: list[str]) -> int:
-    if len(argv) != 1:
-        print("usage: python -m seqdecam.sat FILE.cnf", file=sys.stderr)
-        return 2
-    nvars = 0
-    clauses = []
-    implied: list[int] = []
-    with open(argv[0]) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line[0] in "cp%0":
-                if line.startswith("p cnf"):
-                    nvars = int(line.split()[2])
-                elif line.startswith("c implied "):
-                    implied.extend(int(x) for x in line.split()[2:])
-                continue
-            lits = [int(x) for x in line.split()]
-            if lits and lits[-1] == 0:
-                lits.pop()
-            clauses.append(tuple(lits))
-    solver = Cdcl()
-    solver.ensure_vars(nvars)
-    solver.mark_implied(implied)
-    solver.add_clauses(clauses)
-    status = solver.solve()
-    if status == SAT:
-        print("s SATISFIABLE")
-        lits = [v if solver.model[v] else -v for v in range(1, solver.nvars + 1)]
-        for i in range(0, len(lits), 20):
-            print("v " + " ".join(str(x) for x in lits[i : i + 20]))
-        print("v 0")
-        return 10
-    print("s UNSATISFIABLE")
-    return 20
-
-
-if __name__ == "__main__":
-    sys.exit(_dimacs_main(sys.argv[1:]))

@@ -10,7 +10,7 @@ ROOT = Path(__file__).resolve().parent.parent
 BENCH_DIR = ROOT / "benchmarks"
 
 # pytest puts src/ on its own sys.path (pyproject.toml); the Python child
-# processes some tests start (pipe oracle, DIMACS solver) need it as well
+# processes some tests start (the pipe oracle) need it as well
 os.environ["PYTHONPATH"] = os.pathsep.join(
     p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p
 )

@@ -227,20 +227,38 @@ def test_first_inequivalent_agrees_with_pairwise_search():
 
 
 def test_umc_product_cap_falls_back_to_bmc(monkeypatch, s27_camo):
-    bounds = []
-    orig = atk.find_distinguishing
+    from seqdecam import sat as sm
+    from seqdecam.encode import AttackInstance
 
-    def spy(camo, qs, bound, *args):
-        bounds.append(bound)
-        return orig(camo, qs, bound, *args)
+    searches = []
+    orig = AttackInstance.solve_bmc
 
-    monkeypatch.setattr(atk, "find_distinguishing", spy)
+    def spy(self, bound, *args):
+        searches.append((self, bound))
+        return orig(self, bound, *args)
+
+    monkeypatch.setattr(AttackInstance, "solve_bmc", spy)
     cfg = atk.AttackConfig(product_state_cap=1)
     assert atk.check_umc(s27_camo, QuerySet(), cfg) is False
-    assert bounds == [64]  # the product diameter of three flops per copy
+    assert [b for _, b in searches] == [64]  # the product diameter of three flops per copy
+    # handed an instance, the check asks it and builds no second solver context
+    inst = AttackInstance(s27_camo)
+    contexts = []
+    real_init = sm.SatContext.__init__
+
+    def count_init(self, *args, **kwargs):
+        contexts.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(sm.SatContext, "__init__", count_init)
+    searches.clear()
+    assert atk.check_umc(s27_camo, QuerySet(), cfg, instance=inst) is False
+    assert searches == [(inst, 64)]
+    assert contexts == []
 
 
 def test_umc_bmc_below_diameter_is_inconclusive_at_once(monkeypatch):
+    from seqdecam.encode import AttackInstance
     from seqdecam.netlist import camouflage, parse_bench
     from test_acceptance import DELAY_LINE
 
@@ -249,7 +267,7 @@ def test_umc_bmc_below_diameter_is_inconclusive_at_once(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("bounded search ran although it cannot certify")
 
-    monkeypatch.setattr(atk, "find_distinguishing", refuse)
+    monkeypatch.setattr(AttackInstance, "solve_bmc", refuse)
     with pytest.raises(atk.InconclusiveError, match="max_bound 120 .* diameter 256"):
         atk.check_umc(camo, QuerySet(), atk.AttackConfig(umc_mode="bmc"))
 
@@ -431,8 +449,8 @@ def test_run_attack_enumerate_all_keeps_one_completion_at_product_cap():
 
 
 def test_umc_record_counts_every_solver_call_of_the_check(monkeypatch, s27_camo):
-    # an enumeration cap of 1 sends every UMC check on to the stateless
-    # bounded search at the diameter 64, outside the attack's instance
+    # an enumeration cap of 1 sends every UMC check on to the bounded search
+    # at the diameter 64, which adds its frames to the attack's instance
     from seqdecam import sat as sm
 
     inside = []
@@ -484,7 +502,7 @@ def test_three_candidate_cells():
     }
     assert survivors == {(2,)}
     inst = encode_consistency(camo, rep.disc_set)
-    res = sm.solve(inst)
+    res = sm.SatContext(inst).solve()
     assert res.status == sm.SAT and res.model["key"] == (0, 1)  # index 2, LSB first
 
 
@@ -579,7 +597,5 @@ def test_unroll_spec_validation():
 
     with pytest.raises(ValueError):
         UnrollSpec(2, fix_inputs=BitSeq(4, (1,)))
-    with pytest.raises(ValueError):
-        UnrollSpec(1, share_inputs=True, fix_inputs=BitSeq(4, (1,)))
     spec = UnrollSpec(2, fix_inputs=BitSeq(4, (1, 2)), fix_outputs=BitSeq(1, (0, 1)))
     assert spec.frames == 2

@@ -63,11 +63,12 @@ def test_attack_verify_report_roundtrip(workdir):
     rc = run_cli(
         "attack", "--bench", S27, "--sidecar", _sidecar(workdir),
         "--secret", _secret(workdir), "--bmc-inc", "2", "--max-bound", "16",
-        "--out", workdir,
+        "--seed", "3", "--out", workdir,
     )
     assert rc == 0
     rec = json.loads(next(workdir.glob("*.runrecord.json")).read_text())
     assert rec["success"] and rec["termination"] in ("UC", "CE", "UMC")
+    assert rec["seed"] == 3  # reported from --seed
     assert rec["max_steps"] <= 2
     report = json.loads(next(workdir.glob("*.report.json")).read_text())
     assert all(it["status"] for it in report["iterations"])
@@ -184,11 +185,12 @@ def test_attack_directory_mode_with_jobs(tmp_path):
         run_cli("camouflage", "--bench", S27, "--k", "2", "--seed", seed, "--out", tmp_path / "in")
     rc = run_cli(
         "attack", "--bench", S27, "--sidecar", tmp_path / "in",
-        "--bmc-inc", "2", "--max-bound", "16", "--jobs", "2",
+        "--bmc-inc", "2", "--max-bound", "16", "--jobs", "2", "--seed", "5",
         "--out", tmp_path / "out",
     )
     assert rc == 0
-    assert len(list((tmp_path / "out").glob("*.runrecord.json"))) == 2
+    recs = [json.loads(p.read_text()) for p in (tmp_path / "out").glob("*.runrecord.json")]
+    assert len(recs) == 2 and all(r["seed"] == 5 for r in recs)
 
 
 def test_report_single_record_min_equals_max(tmp_path, capsys):

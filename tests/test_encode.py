@@ -32,6 +32,10 @@ def _key_bits(camo, x):
     return bits
 
 
+def _status(inst):
+    return sm.SatContext(inst).solve().status
+
+
 def _consistent_set_by_simulation(camo, qs):
     return {x.choices for x in camo.all_completions() if consistent(camo, x, qs)}
 
@@ -147,13 +151,11 @@ def test_consistency_larger_key_space_exhaustive():
 # ------------------------------------------------------------ disagreement
 
 def test_bmc_b1_unsat_on_s27(s27_camo):
-    res = sm.solve(encode_bmc_disagreement(s27_camo, QuerySet(), 1))
-    assert res.status == sm.UNSAT
+    assert _status(encode_bmc_disagreement(s27_camo, QuerySet(), 1)) == sm.UNSAT
 
 
 def test_bmc_b2_sat_on_s27(s27_camo):
-    res = sm.solve(encode_bmc_disagreement(s27_camo, QuerySet(), 2))
-    assert res.status == sm.SAT
+    assert _status(encode_bmc_disagreement(s27_camo, QuerySet(), 2)) == sm.SAT
 
 
 def test_bmc_unsat_when_single_completion_remains(s27_camo):
@@ -162,7 +164,7 @@ def test_bmc_unsat_when_single_completion_remains(s27_camo):
         seq = BitSeq(4, steps)
         qs = record(qs, seq, run_sequence(s27_camo, S27_SECRET, seq))
     for b in (1, 2, 4, 8):
-        assert sm.solve(encode_bmc_disagreement(s27_camo, qs, b)).status == sm.UNSAT
+        assert _status(encode_bmc_disagreement(s27_camo, qs, b)) == sm.UNSAT
 
 
 def test_bmc_monotone_in_bound():
@@ -171,7 +173,7 @@ def test_bmc_monotone_in_bound():
         camo, secret = random_camo(rng, random_circuit(rng))
         statuses = []
         for b in (1, 2, 3, 5):
-            statuses.append(sm.solve(encode_bmc_disagreement(camo, QuerySet(), b)).status)
+            statuses.append(_status(encode_bmc_disagreement(camo, QuerySet(), b)))
         # once SAT, larger bounds stay SAT
         seen_sat = False
         for s in statuses:
@@ -183,12 +185,14 @@ def test_bmc_monotone_in_bound():
 def test_bmc_bound_validation(s27_camo):
     with pytest.raises(ValueError):
         encode_bmc_disagreement(s27_camo, QuerySet(), 0)
+    with pytest.raises(ValueError):
+        AttackInstance(s27_camo).solve_bmc(0)
 
 
 # ----------------------------------------------------------------- UC / CE
 
 def test_uc_sat_with_unconstrained_key_space(s27_camo):
-    assert sm.solve(encode_uc(s27_camo, QuerySet())).status == sm.SAT
+    assert _status(encode_uc(s27_camo, QuerySet())) == sm.SAT
 
 
 def test_uc_unsat_on_singleton(s27_camo):
@@ -196,7 +200,7 @@ def test_uc_unsat_on_singleton(s27_camo):
     for steps in [(8, 9), (4, 8)]:
         seq = BitSeq(4, steps)
         qs = record(qs, seq, run_sequence(s27_camo, S27_SECRET, seq))
-    assert sm.solve(encode_uc(s27_camo, qs)).status == sm.UNSAT
+    assert _status(encode_uc(s27_camo, qs)) == sm.UNSAT
 
 
 def test_uc_stays_sat_for_identical_candidates(identical_candidates_camo):
@@ -205,22 +209,22 @@ def test_uc_stays_sat_for_identical_candidates(identical_candidates_camo):
     for i in (0, 1):
         seq = BitSeq(1, (i, 1 - i, i))
         qs = record(qs, seq, run_sequence(camo, secret, seq))
-    assert sm.solve(encode_uc(camo, qs)).status == sm.SAT  # UC can never certify
+    assert _status(encode_uc(camo, qs)) == sm.SAT  # UC can never certify
 
 
 def test_ce_unsat_for_identical_candidates(identical_candidates_camo):
     camo, _ = identical_candidates_camo
-    assert sm.solve(encode_ce(camo, QuerySet())).status == sm.UNSAT
+    assert _status(encode_ce(camo, QuerySet())) == sm.UNSAT
 
 
 def test_ce_sat_for_unreachable_divergence(unreachable_divergence_camo):
     camo, _ = unreachable_divergence_camo
     # the two candidates differ at state 1, which is never reachable
-    assert sm.solve(encode_ce(camo, QuerySet())).status == sm.SAT
+    assert _status(encode_ce(camo, QuerySet())) == sm.SAT
 
 
 def test_ce_sat_on_s27_empty(s27_camo):
-    assert sm.solve(encode_ce(s27_camo, QuerySet())).status == sm.SAT
+    assert _status(encode_ce(s27_camo, QuerySet())) == sm.SAT
 
 
 def test_uc_unsat_implies_ce_unsat():
@@ -232,27 +236,42 @@ def test_uc_unsat_implies_ce_unsat():
         for _ in range(rng.randint(0, 3)):
             seq = BitSeq(m, tuple(rng.randrange(1 << m) for _ in range(rng.randint(1, 4))))
             qs = record(qs, seq, run_sequence(camo, secret, seq))
-        if sm.solve(encode_uc(camo, qs)).status == sm.UNSAT:
-            assert sm.solve(encode_ce(camo, qs)).status == sm.UNSAT
+        if _status(encode_uc(camo, qs)) == sm.UNSAT:
+            assert _status(encode_ce(camo, qs)) == sm.UNSAT
 
 
 # ---------------------------------------------------- incremental instance
 
+def _brute_force_verdicts(camo, qs):
+    """BMC at bound 2, UC and CE, each decided by simulating every consistent
+    completion: a query is SAT iff two of them differ where it looks."""
+    m, l = camo.num_inputs, camo.num_flops
+    comps = [x for x in camo.all_completions() if consistent(camo, x, qs)]
+    runs2 = {
+        tuple(run_sequence(camo, x, BitSeq(m, (a, b))) for a in range(1 << m) for b in range(1 << m))
+        for x in comps
+    }
+    frames = {
+        tuple(step(camo, x, st, i) for st in range(1 << l) for i in range(1 << m)) for x in comps
+    }
+    verdict = lambda differ: sm.SAT if differ else sm.UNSAT
+    return verdict(len(runs2) > 1), verdict(len(comps) > 1), verdict(len(frames) > 1)
+
+
 def test_attack_instance_matches_stateless_queries():
+    # reference: brute-force simulation; the one-shot encoders, which build
+    # their instance from the whole query set at once, are checked as well
     rng = random.Random(77)
     for _ in range(50):
         camo, secret = random_camo(rng, random_circuit(rng))
         m = camo.num_inputs
         inst = AttackInstance(camo)
         qs = QuerySet()
-        for round_ in range(3):
-            fresh_bmc = sm.solve(encode_bmc_disagreement(camo, qs, 2)).status
-            inc_bmc = inst.solve_bmc(2).status
-            assert fresh_bmc == inc_bmc
-            fresh_uc = sm.solve(encode_uc(camo, qs)).status
-            assert fresh_uc == inst.solve_uc().status
-            fresh_ce = sm.solve(encode_ce(camo, qs)).status
-            assert fresh_ce == inst.solve_ce().status
+        for _ in range(3):
+            bmc, uc, ce = _brute_force_verdicts(camo, qs)
+            assert inst.solve_bmc(2).status == bmc == _status(encode_bmc_disagreement(camo, qs, 2))
+            assert inst.solve_uc().status == uc == _status(encode_uc(camo, qs))
+            assert inst.solve_ce().status == ce == _status(encode_ce(camo, qs))
             seq = BitSeq(m, tuple(rng.randrange(1 << m) for _ in range(rng.randint(1, 3))))
             out = run_sequence(camo, secret, seq)
             qs = record(qs, seq, out)
@@ -374,7 +393,9 @@ def test_enumeration_leaves_level_0_on_every_exit(monkeypatch, s27_camo):
 
 
 def test_dimacs_header_of_bmc_instance(s27_camo):
+    # the named variable groups of a one-shot BMC instance
     inst = encode_bmc_disagreement(s27_camo, QuerySet(), 2)
-    text = inst.to_dimacs()
-    assert "c group key1" in text and "c group key2" in text
-    assert "c group in0" in text and "c group in1" in text
+    assert {"key1", "key2", "in0", "in1"} <= inst.groups.keys()
+    assert "in2" not in inst.groups
+    assert len(inst.groups["key1"]) == len(inst.groups["key2"]) == 2
+    assert len(inst.groups["in0"]) == len(inst.groups["in1"]) == s27_camo.num_inputs

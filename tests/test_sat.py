@@ -3,7 +3,6 @@ import copy
 import heapq
 import itertools
 import random
-import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,20 +24,20 @@ def _brute_sat(num_vars, clauses):
 
 
 def test_empty_clause_set_is_sat():
-    res = sm.solve(_inst(0, []))
+    res = sm.SatContext(_inst(0, [])).solve()
     assert res.status == sm.SAT
     assert res.model == {}
 
 
 def test_unit_contradiction_is_unsat():
-    res = sm.solve(_inst(1, [(1,), (-1,)]))
+    res = sm.SatContext(_inst(1, [(1,), (-1,)])).solve()
     assert res.status == sm.UNSAT
     assert res.model is None
 
 
 def test_sat_model_is_verified_against_all_clauses():
     inst = _inst(3, [(1, 2), (-1, 3), (-2, -3)], {"all": (1, 2, 3)})
-    res = sm.solve(inst)
+    res = sm.SatContext(inst).solve()
     assert res.status == sm.SAT
     bits = res.model["all"]
     for c in inst.clauses:
@@ -54,15 +53,7 @@ def test_assumptions():
 
 def test_assumption_must_be_declared():
     with pytest.raises(sm.MalformedInstanceError):
-        sm.solve(_inst(1, [(1,)]), assumptions=[5])
-
-
-def test_add_clauses_pure_helper():
-    inst = _inst(2, [(1, 2)])
-    assert sm.add_clauses(inst, []) == inst
-    grown = sm.add_clauses(inst, [(-1,)])
-    assert len(grown.clauses) == 2
-    assert len(inst.clauses) == 1
+        sm.SatContext(_inst(1, [(1,)])).solve([5])
 
 
 def test_incremental_add_then_assume():
@@ -225,7 +216,7 @@ def test_agrees_with_brute_force(seed):
         clauses.append(
             tuple(rng.choice([1, -1]) * rng.randint(1, nv) for _ in range(rng.randint(1, 3)))
         )
-    res = sm.solve(_inst(nv, clauses))
+    res = sm.SatContext(_inst(nv, clauses)).solve()
     assert (res.status == sm.SAT) == _brute_sat(nv, clauses)
 
 
@@ -235,38 +226,13 @@ def test_solver_is_deterministic():
         tuple(rng.choice([1, -1]) * rng.randint(1, 30) for _ in range(3)) for _ in range(120)
     ]
     inst = _inst(30, clauses)
-    first = sm.solve(inst)
-    second = sm.solve(inst)
+    first = sm.SatContext(inst).solve()
+    second = sm.SatContext(inst).solve()
     assert first.status == second.status
     assert first.raw_model == second.raw_model
     for counter in ("conflicts", "decisions", "propagations"):
         assert getattr(first.stats, counter) == getattr(second.stats, counter), counter
     assert first.stats.decisions > 0
-
-
-def test_dimacs_export_carries_groups():
-    bld = CnfBuilder()
-    a, b = bld.new_var(), bld.new_var()
-    bld.add(a, -b)
-    bld.group("pair", [a, b])
-    text = bld.build().to_dimacs()
-    assert "c group pair 2 3" in text
-    assert "p cnf 3 2" in text  # constant-true unit plus the added clause
-
-
-def test_external_backend_matches_internal():
-    ext = sm.ExternalSolver([sys.executable, "-m", "seqdecam.sat"])
-    rng = random.Random(11)
-    for _ in range(8):
-        nv = rng.randint(1, 8)
-        clauses = [
-            tuple(rng.choice([1, -1]) * rng.randint(1, nv) for _ in range(rng.randint(1, 3)))
-            for _ in range(rng.randint(1, 25))
-        ]
-        inst = _inst(nv, clauses, {"all": tuple(range(1, nv + 1))})
-        internal = sm.solve(inst)
-        external = sm.solve(inst, backend=ext)
-        assert internal.status == external.status
 
 
 def _brute_projections(num_vars, clauses, assumptions, proj):
@@ -352,7 +318,7 @@ def test_verifier_refuses_bad_models(monkeypatch):
     # a violated clause: the true model of (1)(1 v 2)(-2) with 1 flipped
     monkeypatch.setattr(sm.Cdcl, "solve", _corrupting_solve([1]))
     with pytest.raises(sm.ModelVerificationError, match=r"clause \(1,\)"):
-        sm.solve(_inst(2, [(1,), (1, 2), (-2,)]))
+        sm.SatContext(_inst(2, [(1,), (1, 2), (-2,)])).solve()
     # a violated blocking clause added after a kept trail
     monkeypatch.setattr(sm.Cdcl, "solve", _corrupting_solve([]))
     ctx = sm.SatContext(_inst(2, [(1, 2)]))
@@ -366,13 +332,13 @@ def test_verifier_refuses_bad_models(monkeypatch):
     # the next clause's first literal in its place)
     monkeypatch.setattr(sm.Cdcl, "solve", _corrupting_solve([]))
     with pytest.raises(sm.ModelVerificationError, match=r"clause \(\)"):
-        sm.solve(_inst(2, [(1, 2), (), (-1,)]))
+        sm.SatContext(_inst(2, [(1, 2), (), (-1,)])).solve()
     with pytest.raises(sm.ModelVerificationError, match=r"clause \(\)"):
-        sm.solve(_inst(2, [(1, 2), ()]))
+        sm.SatContext(_inst(2, [(1, 2), ()])).solve()
     # a violated assumption: the clauses hold, the assumed literal does not
     monkeypatch.setattr(sm.Cdcl, "solve", _corrupting_solve([2]))
     with pytest.raises(sm.ModelVerificationError, match="assumption 2"):
-        sm.solve(_inst(2, [(1,)]), assumptions=[2])
+        sm.SatContext(_inst(2, [(1,)])).solve([2])
     # a model that leaves declared variables out
     monkeypatch.setattr(sm.Cdcl, "solve", lambda self, *a, **k: sm.SAT)
     ctx = sm.SatContext(_inst(3, [(1, 2)]))

@@ -10,8 +10,11 @@ unbounded check (UMC) runs before the bound grows: it lists the surviving
 completions in one resumed SAT search and checks each one for sequential
 equivalence with the first, in lock-step over the states the first reaches
 from reset and by explicit product-machine reachability for any survivor
-that leaves lock-step.  Small-instance ground truth comes from an exhaustive
-pairwise-equivalence procedure over the whole completion space.
+that leaves lock-step.  Every solver question of an attack is a query of
+its one incremental `AttackInstance`, so the solver work of a check is the
+change in that instance's running `stats`.  Small-instance ground truth
+comes from an exhaustive pairwise-equivalence procedure over the whole
+completion space.
 """
 
 from __future__ import annotations
@@ -124,7 +127,6 @@ def find_distinguishing(
     qs: QuerySet,
     bound: int,
     budget: float | None = None,
-    stats: satmod.SolveStats | None = None,
     instance: AttackInstance | None = None,
 ) -> tuple[Completion, Completion, BitSeq] | None:
     """Two qs-consistent completions plus an input sequence they disagree on.
@@ -132,13 +134,10 @@ def find_distinguishing(
     Returns None when no two consistent completions can be told apart by any
     sequence of length <= bound.  The returned sequence is truncated at its
     first disagreeing step and re-simulated as a self-check.  `instance`,
-    when given, must hold the records of qs; `stats`, when given,
-    accumulates the counters of the solver call.
+    when given, must hold the records of qs.
     """
     inst = instance or AttackInstance.from_queries(camo, qs)
     res = inst.solve_bmc(bound, budget)
-    if stats is not None:
-        stats.add(res.stats)
     if res.status == satmod.TIMEOUT:
         raise SolverTimeoutError(f"bounded search at b={bound} exceeded its budget")
     if res.status == satmod.UNSAT:
@@ -182,40 +181,6 @@ def check_ce(camo: CamoCircuit, qs: QuerySet, budget: float | None = None,
 
 # --------------------------------------------- explicit product machine
 
-@dataclass(frozen=True)
-class ProductState:
-    """Joint state of the two circuit copies during product exploration."""
-
-    s1: int
-    s2: int
-
-    def pack(self, num_flops: int) -> int:
-        return (self.s1 << num_flops) | self.s2
-
-    @staticmethod
-    def unpack(key: int, num_flops: int) -> "ProductState":
-        return ProductState(key >> num_flops, key & ((1 << num_flops) - 1))
-
-
-def product_reachable_pairs(
-    camo: CamoCircuit,
-    x1: Completion,
-    x2: Completion,
-    state_cap: int = 1 << 26,
-    expand_cap: int = 1 << 26,
-) -> list[ProductState]:
-    """All joint states reachable from (reset, reset) under shared inputs.
-
-    Only defined when the pair is equivalent (exploration stops early at the
-    first observable mismatch otherwise).
-    """
-    witness, packed = _product_bfs(camo, x1, x2, state_cap, expand_cap)
-    if witness is not None:
-        raise ValueError("completions are inequivalent; the reach set is partial")
-    l = camo.num_flops
-    return [ProductState.unpack(key, l) for key in packed]
-
-
 def product_equiv(
     camo: CamoCircuit,
     x1: Completion,
@@ -232,16 +197,6 @@ def product_equiv(
     """
     if x1 == x2:
         return None
-    return _product_bfs(camo, x1, x2, state_cap, expand_cap)[0]
-
-
-def _product_bfs(
-    camo: CamoCircuit,
-    x1: Completion,
-    x2: Completion,
-    state_cap: int,
-    expand_cap: int,
-) -> tuple[BitSeq | None, list[int]]:
     m, l = camo.num_inputs, camo.num_flops
     p = 1 << m
     if p > expand_cap:
@@ -250,7 +205,7 @@ def _product_bfs(
     ev2 = Evaluator(camo, x2)
     s0 = camo.reset_state
     start = (s0 << l) | s0 if l else 0
-    visited = {start: 0}
+    visited = {start}
     states: list[int] = [start]
     parent = [-1]
     via = [0]
@@ -283,12 +238,12 @@ def _product_bfs(
                 mism |= a ^ b
             if mism:
                 j = (mism & -mism).bit_length() - 1
-                return witness(chunk[j // p], j % p), states
+                return witness(chunk[j // p], j % p)
             keys = _pair_keys(n1, n2, w, l)
             uniq, first = np.unique(keys, return_index=True)
             for key, j in zip(uniq.tolist(), first.tolist()):
                 if key not in visited:
-                    visited[key] = len(states)
+                    visited.add(key)
                     states.append(key)
                     parent.append(chunk[j // p])
                     via.append(j % p)
@@ -296,7 +251,7 @@ def _product_bfs(
                     if len(states) > state_cap:
                         raise ProductCapError(f"product state cap {state_cap} exceeded")
         frontier = nxt_frontier
-    return None, states
+    return None
 
 
 def _input_pattern(bit: int, m: int) -> int:
@@ -421,7 +376,6 @@ def check_umc(
     qs: QuerySet,
     cfg: AttackConfig | None = None,
     instance: AttackInstance | None = None,
-    stats: satmod.SolveStats | None = None,
 ) -> bool:
     """True iff qs is discriminating; raises InconclusiveError at the caps.
 
@@ -435,61 +389,32 @@ def check_umc(
     solver call is a query of `instance`, which must hold the records of qs
     (the attack passes its own; one is built from qs when none is given), so
     the fallback search adds its frames there rather than building a second
-    CNF.  `stats`, when given, accumulates the counters of those calls.
+    CNF, and the work of the check is the change in `instance.stats`.
     """
     cfg = cfg or AttackConfig()
     if cfg.umc_mode == "skip":
         raise InconclusiveError("unbounded check disabled (umc_mode=skip)")
     inst = instance or AttackInstance.from_queries(camo, qs)
-    if cfg.umc_mode == "explicit":
-        try:
-            return _umc_explicit(camo, qs, cfg, inst, stats)
-        except InconclusiveError as exc:
-            try:  # degrade to bounded search at the diameter
-                return _umc_bmc(camo, qs, cfg, inst, stats)
-            except InconclusiveError as fallback:
-                raise InconclusiveError(f"{exc}; {fallback}") from fallback
-    return _umc_bmc(camo, qs, cfg, inst, stats)
-
-
-def _umc_explicit(
-    camo: CamoCircuit,
-    qs: QuerySet,
-    cfg: AttackConfig,
-    instance: AttackInstance,
-    stats: satmod.SolveStats | None,
-) -> bool:
-    comps = _enumerate_consistent(camo, qs, cfg, instance, stats)
-    if not comps:
-        raise OracleInconsistentError("no completion is consistent with the observations")
-    return _first_inequivalent(
-        camo, comps, cfg.product_state_cap, cfg.product_expand_cap
-    ) is None
-
-
-def _enumerate_consistent(
-    camo: CamoCircuit,
-    qs: QuerySet,
-    cfg: AttackConfig,
-    instance: AttackInstance | None,
-    stats: satmod.SolveStats | None,
-) -> list[Completion]:
-    inst = instance or AttackInstance.from_queries(camo, qs)
+    if cfg.umc_mode == "bmc":
+        return _umc_bmc(camo, qs, cfg, inst)
     try:
-        comps = inst.enumerate_consistent(cfg.umc_enum_cap, cfg.solver_budget, stats)
-    except SolverTimeoutError as exc:
-        raise InconclusiveError(str(exc)) from exc
-    if comps is None:
-        raise InconclusiveError(f"more than {cfg.umc_enum_cap} consistent completions")
-    return comps
+        comps = inst.enumerate_consistent(cfg.umc_enum_cap, cfg.solver_budget)
+        if comps is None:
+            raise InconclusiveError(f"more than {cfg.umc_enum_cap} consistent completions")
+        if not comps:
+            raise OracleInconsistentError("no completion is consistent with the observations")
+        return _first_inequivalent(
+            camo, comps, cfg.product_state_cap, cfg.product_expand_cap
+        ) is None
+    except (InconclusiveError, SolverTimeoutError) as exc:
+        try:  # degrade to bounded search at the diameter
+            return _umc_bmc(camo, qs, cfg, inst)
+        except InconclusiveError as fallback:
+            raise InconclusiveError(f"{exc}; {fallback}") from fallback
 
 
 def _umc_bmc(
-    camo: CamoCircuit,
-    qs: QuerySet,
-    cfg: AttackConfig,
-    instance: AttackInstance,
-    stats: satmod.SolveStats | None,
+    camo: CamoCircuit, qs: QuerySet, cfg: AttackConfig, instance: AttackInstance
 ) -> bool:
     # no shortest distinguisher of two l-flop copies is longer than the
     # product diameter 2^(2l), so only a search that deep can certify
@@ -500,7 +425,7 @@ def _umc_bmc(
             f"the product diameter {diameter}"
         )
     try:
-        found = find_distinguishing(camo, qs, diameter, cfg.solver_budget, stats, instance)
+        found = find_distinguishing(camo, qs, diameter, cfg.solver_budget, instance)
     except SolverTimeoutError as exc:
         raise InconclusiveError(str(exc)) from exc
     return found is None
@@ -671,15 +596,17 @@ def run_attack(camo: CamoCircuit, oracle, cfg: AttackConfig | None = None) -> At
         if cfg.umc_mode != "skip" and umc_at != len(qs):
             umc_at = len(qs)
             t0 = time.monotonic()
-            used = satmod.SolveStats()
+            before = inst.stats
             try:
-                status = UMC if check_umc(camo, qs, cfg, inst, used) else "refuted"
+                status = UMC if check_umc(camo, qs, cfg, inst) else "refuted"
             except InconclusiveError as exc:
                 status = f"inconclusive: {exc}"
+            after = inst.stats
             iterations.append(
                 IterationRecord(
-                    bound, "umc", None, used.conflicts, used.decisions,
-                    round(time.monotonic() - t0, 6), status,
+                    bound, "umc", None, after.conflicts - before.conflicts,
+                    after.decisions - before.decisions, round(time.monotonic() - t0, 6),
+                    status,
                 )
             )
             if status == UMC:

@@ -174,9 +174,6 @@ class CnfBuilder:
         self.add(*gneg, -a, b)
         self.add(*gneg, a, -b)
 
-    def add_equal(self, a: int, b: int) -> None:
-        self.add_guarded_equal((), a, b)
-
     def emit_mismatch(self, a: int, b: int) -> int | None:
         """A literal that can only be true when a != b (one-directional).
 

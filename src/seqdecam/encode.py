@@ -55,58 +55,6 @@ class KeyVector:
         return Completion(tuple(choices))
 
 
-@dataclass(frozen=True)
-class UnrollSpec:
-    """How to unroll one keyed copy: frame count and pinned I/O.
-
-    ``fix_inputs`` / ``fix_outputs`` pin the unrolling to a recorded query.
-    """
-
-    frames: int
-    fix_inputs: BitSeq | None = None
-    fix_outputs: BitSeq | None = None
-
-    def __post_init__(self):
-        if self.frames < 0:
-            raise ValueError("frames must be >= 0")
-        for name, seq in (("fix_inputs", self.fix_inputs), ("fix_outputs", self.fix_outputs)):
-            if seq is not None and len(seq) != self.frames:
-                raise ValueError(f"{name} has {len(seq)} steps for {self.frames} frames")
-
-
-def unroll(
-    bld: CnfBuilder,
-    camo: CamoCircuit,
-    key: KeyVector,
-    spec: UnrollSpec,
-) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """Chain keyed frames from reset according to `spec`.
-
-    Returns per-frame (input, output, next-state) literals.  Inputs come
-    from `spec.fix_inputs` as constants, or as fresh variables otherwise;
-    outputs are constrained to `spec.fix_outputs` when given.
-    """
-    m = camo.num_inputs
-    state = _const_bits(camo.reset_state, camo.num_flops)
-    all_ins: list[list[int]] = []
-    all_outs: list[list[int]] = []
-    all_next: list[list[int]] = []
-    for f in range(spec.frames):
-        if spec.fix_inputs is not None:
-            ins = _const_bits(spec.fix_inputs.steps[f], m)
-        else:
-            ins = bld.new_vars(m)
-        outs, state = emit_keyed_frame(bld, camo, key, state, ins)
-        if spec.fix_outputs is not None:
-            want = spec.fix_outputs.steps[f]
-            for i, ol in enumerate(outs):
-                bld.add_guarded_equal((), ol, TRUE if (want >> i) & 1 else FALSE)
-        all_ins.append(ins)
-        all_outs.append(outs)
-        all_next.append(list(state))
-    return all_ins, all_outs, all_next
-
-
 def new_key_vector(bld: CnfBuilder, camo: CamoCircuit, name: str) -> KeyVector:
     """Allocate key variables for every cell; block candidate indices >= t."""
     cells = []
@@ -162,9 +110,21 @@ def _const_bits(mask: int, width: int) -> list[int]:
 
 
 def emit_consistency(bld: CnfBuilder, camo: CamoCircuit, key: KeyVector, qs: QuerySet) -> None:
-    """Constrain `key` to completions reproducing every recorded query."""
+    """Constrain `key` to completions reproducing every recorded query.
+
+    Each record chains keyed frames from reset over its input steps, as
+    constants, and pins every frame's outputs to the recorded ones.  Raises
+    ValueError when a record's output and input lengths differ.
+    """
     for seq, out in qs:
-        unroll(bld, camo, key, UnrollSpec(len(seq), fix_inputs=seq, fix_outputs=out))
+        if len(out) != len(seq):
+            raise ValueError(f"output has {len(out)} steps for {len(seq)} input steps")
+        state = _const_bits(camo.reset_state, camo.num_flops)
+        for step, want in zip(seq.steps, out.steps):
+            ins = _const_bits(step, camo.num_inputs)
+            outs, state = emit_keyed_frame(bld, camo, key, state, ins)
+            for i, ol in enumerate(outs):
+                bld.add_guarded_equal((), ol, TRUE if (want >> i) & 1 else FALSE)
 
 
 def encode_keyed_frame(camo: CamoCircuit) -> CnfInstance:
@@ -314,6 +274,12 @@ class AttackInstance:
         self._sync()
         return self._ctx.solve(assumptions, time_budget=budget)
 
+    @property
+    def stats(self) -> "satmod.SolveStats":
+        """Running counters of the one solver behind every query (see
+        `SatContext.stats`); the work of a run of queries is the change."""
+        return self._ctx.stats
+
     # ------------------------------------------------------------- building
 
     def ensure_frames(self, bound: int) -> None:
@@ -395,10 +361,7 @@ class AttackInstance:
         return self._solve(list(pin), budget)
 
     def enumerate_consistent(
-        self,
-        cap: int,
-        budget: float | None = None,
-        stats: "satmod.SolveStats | None" = None,
+        self, cap: int, budget: float | None = None
     ) -> list[Completion] | None:
         """The distinct consistent completions, in the order found; None once
         there are more than `cap`.
@@ -410,9 +373,9 @@ class AttackInstance:
         blocking clauses are guarded by a one-shot epoch literal, assumed by
         every model search of this call, so they do not constrain later
         queries on this instance.  Raises SolverTimeoutError when one model
-        search exceeds `budget` seconds; `stats`, when given, accumulates the
-        counters of every solver call.  The solver's trail is back at level 0
-        on every exit.
+        search exceeds `budget` seconds.  The counters of its solver calls
+        are read off `stats`, like those of every other query.  The solver's
+        trail is back at level 0 on every exit.
         """
         epoch = self.bld.new_var()
         self._sync()
@@ -421,8 +384,6 @@ class AttackInstance:
         try:
             while True:
                 res = ctx.solve([epoch], time_budget=budget, resume=True)
-                if stats is not None:
-                    stats.add(res.stats)
                 if res.status == satmod.TIMEOUT:
                     raise satmod.SolverTimeoutError("solver budget exhausted during enumeration")
                 if res.status == satmod.UNSAT:

@@ -218,11 +218,6 @@ class BitSeq:
     def prefix(self, p: int) -> "BitSeq":
         return BitSeq(self.width, self.steps[:p])
 
-    def concat(self, other: "BitSeq") -> "BitSeq":
-        if other.width != self.width:
-            raise ValueError("width mismatch in concatenation")
-        return BitSeq(self.width, self.steps + other.steps)
-
     def to_strings(self) -> list[str]:
         return [format_bits(s, self.width) for s in self.steps]
 

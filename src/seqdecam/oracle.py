@@ -21,10 +21,6 @@ class OracleConflictError(RuntimeError):
     """Two observations of the same input sequence disagreed."""
 
 
-class QueryBudgetError(RuntimeError):
-    """The configured query cap was exhausted."""
-
-
 class OracleTimeoutError(TimeoutError):
     """An oracle process did not answer a query within its deadline."""
 
@@ -49,12 +45,11 @@ class BlackBox:
     the instance.
     """
 
-    def __init__(self, circuit: CamoCircuit, secret: Completion, query_budget: int | None = None):
+    def __init__(self, circuit: CamoCircuit, secret: Completion):
         self.num_inputs = circuit.num_inputs
         self.num_outputs = circuit.num_outputs
         self.query_count = 0
         self.step_count = 0
-        self.query_budget = query_budget
         self._answer = _seal(circuit, secret)
         self._lock = threading.Lock()
 
@@ -62,8 +57,6 @@ class BlackBox:
         if seq.width != self.num_inputs:
             raise ValueError(f"query width {seq.width} != {self.num_inputs} inputs")
         with self._lock:
-            if self.query_budget is not None and self.query_count >= self.query_budget:
-                raise QueryBudgetError(f"query budget of {self.query_budget} exhausted")
             self.query_count += 1
             self.step_count += len(seq)
         return self._answer(seq)
@@ -80,9 +73,6 @@ class QuerySet:
 
     def __iter__(self):
         return iter(self.records)
-
-    def sequences(self) -> tuple[BitSeq, ...]:
-        return tuple(i for i, _ in self.records)
 
 
 def record(qs: QuerySet, seq: BitSeq, out: BitSeq) -> QuerySet:

@@ -41,23 +41,16 @@ class SolveStats:
     propagations: int = 0
     wall_time: float = 0.0
 
-    def add(self, other: "SolveStats") -> None:
-        self.conflicts += other.conflicts
-        self.decisions += other.decisions
-        self.propagations += other.propagations
-        self.wall_time += other.wall_time
-
 
 @dataclass
 class SolveResult:
     """Outcome of one solver call.
 
-    ``model`` maps group names of the instance to bit tuples and is present
-    iff status is SAT.  ``raw_model`` maps variable index to bool.
+    ``raw_model`` maps variable index to bool and is present iff status is
+    SAT; read literals off it with `lit_value` or `bits`.
     """
 
     status: str
-    model: dict[str, tuple[int, ...]] | None = None
     raw_model: list[bool] | None = None
     stats: SolveStats = field(default_factory=SolveStats)
 
@@ -686,12 +679,9 @@ class SatContext:
         self._lits = array("i")
         self._starts = array("i")
         self._nempty = 0  # empty clauses, which no model satisfies
-        self._groups = dict(inst.groups)
-        self._num_vars = max(inst.num_vars, self._append(inst.clauses))
+        self._num_vars = 0
         self._cdcl = Cdcl()
-        self._cdcl.ensure_vars(inst.num_vars)
-        self._cdcl.mark_implied(inst.implied_vars)
-        self._cdcl.add_clauses(inst.clauses)
+        self.add_clauses(inst.clauses, inst.num_vars, inst.implied_vars)
 
     def _append(self, clauses: Sequence[Sequence[int]]) -> int:
         """Store clauses for verification; returns their highest variable."""
@@ -714,6 +704,16 @@ class SatContext:
     @property
     def num_vars(self) -> int:
         return self._num_vars
+
+    @property
+    def stats(self) -> SolveStats:
+        """The solver's running conflicts, decisions and propagations.
+
+        Propagations also count the level-0 propagation of unit clauses as
+        they are added, which no `solve` result reports.
+        """
+        s = self._cdcl.stats
+        return SolveStats(s.conflicts, s.decisions, s.propagations)
 
     def add_clauses(
         self,
@@ -757,21 +757,20 @@ class SatContext:
             if l == 0 or abs(l) > self._num_vars:
                 raise MalformedInstanceError(f"assumption {l} references an undeclared variable")
         t0 = time.monotonic()
-        solver = self._cdcl
-        before = SolveStats(solver.stats.conflicts, solver.stats.decisions, solver.stats.propagations)
-        status = solver.solve(assumptions, conflict_budget, time_budget, resume)
+        before = self.stats
+        status = self._cdcl.solve(assumptions, conflict_budget, time_budget, resume)
+        after = self.stats
         stats = SolveStats(
-            solver.stats.conflicts - before.conflicts,
-            solver.stats.decisions - before.decisions,
-            solver.stats.propagations - before.propagations,
+            after.conflicts - before.conflicts,
+            after.decisions - before.decisions,
+            after.propagations - before.propagations,
             time.monotonic() - t0,
         )
         if status != SAT:
             return SolveResult(status, stats=stats)
-        raw = solver.model
+        raw = self._cdcl.model
         self._verify(raw, assumptions)
-        groups = {name: tuple(_lit_val(raw, l) for l in lits) for name, lits in self._groups.items()}
-        return SolveResult(SAT, model=groups, raw_model=raw, stats=stats)
+        return SolveResult(SAT, raw_model=raw, stats=stats)
 
     def _verify(self, raw: list[bool], assumptions: Sequence[int]) -> None:
         """Raise ModelVerificationError unless raw satisfies every clause
@@ -806,7 +805,3 @@ class SatContext:
             np.frombuffer(self._starts, np.int32),
         )
         return None if sat.all() else int(np.argmin(sat))
-
-
-def _lit_val(model: list[bool], lit: int) -> int:
-    return int(model[lit] if lit > 0 else not model[-lit])

@@ -185,6 +185,7 @@ def test_umc_lockstep_survivors_need_no_product_search(monkeypatch, identical_ca
 def test_umc_finds_an_inequivalent_survivor_past_the_second(monkeypatch):
     # cell 0 is the dead-flop AND/OR (equivalent either way), cell 1 drives
     # the output; only the last survivor differs from the reference
+    from seqdecam.encode import AttackInstance
     from seqdecam.netlist import camouflage, parse_bench
 
     src = DEAD_FLOP.replace("y = BUF(a)", "INPUT(b)\ny = AND(a, b)")
@@ -193,7 +194,7 @@ def test_umc_finds_an_inequivalent_survivor_past_the_second(monkeypatch):
     w = atk._first_inequivalent(camo, comps, 1 << 10, 1 << 10)
     assert w is not None
     assert run_sequence(camo, comps[0], w) != run_sequence(camo, comps[2], w)
-    monkeypatch.setattr(atk, "_enumerate_consistent", lambda *args: comps)
+    monkeypatch.setattr(AttackInstance, "enumerate_consistent", lambda *args: comps)
     assert atk.check_umc(camo, QuerySet(), atk.AttackConfig()) is False
 
 
@@ -503,7 +504,7 @@ def test_three_candidate_cells():
     assert survivors == {(2,)}
     inst = encode_consistency(camo, rep.disc_set)
     res = sm.SatContext(inst).solve()
-    assert res.status == sm.SAT and res.model["key"] == (0, 1)  # index 2, LSB first
+    assert res.status == sm.SAT and res.bits(inst.groups["key"]) == (0, 1)  # index 2, LSB first
 
 
 def test_run_attack_at_table_scale_synthetic():
@@ -576,26 +577,14 @@ def test_run_attack_asks_each_check_once_per_query_set():
     assert ("umc", 1) in asked
 
 
-def test_product_reachable_pairs(unreachable_divergence_camo):
-    # the dead-state fixture never leaves (0, 0): that is exactly why the
-    # combinational check fails while reachability succeeds
-    camo, _ = unreachable_divergence_camo
-    pairs = atk.product_reachable_pairs(camo, Completion((0,)), Completion((1,)))
-    assert pairs == [atk.ProductState(0, 0)]
-    # an inequivalent pair has no total reach set
-    from seqdecam.netlist import camouflage, parse_bench
+def test_add_record_rejects_an_output_of_the_wrong_length(s27_camo):
+    from seqdecam.encode import AttackInstance
 
-    c = parse_bench("INPUT(a)\nOUTPUT(y)\ny = AND(a, a)\n", "mini")
-    camo2 = camouflage(c, ["y"], ["AND", "NAND"])
-    with pytest.raises(ValueError):
-        atk.product_reachable_pairs(camo2, Completion((0,)), Completion((1,)))
-
-
-def test_unroll_spec_validation():
-    from seqdecam.encode import UnrollSpec
-    from seqdecam.netlist import BitSeq
-
-    with pytest.raises(ValueError):
-        UnrollSpec(2, fix_inputs=BitSeq(4, (1,)))
-    spec = UnrollSpec(2, fix_inputs=BitSeq(4, (1, 2)), fix_outputs=BitSeq(1, (0, 1)))
-    assert spec.frames == 2
+    inst = AttackInstance(s27_camo)
+    emitted = len(inst.bld.clauses)
+    for out in (BitSeq(1, (0,)), BitSeq(1, (0, 1, 1))):
+        with pytest.raises(ValueError, match=f"output has {len(out)} steps for 2 input steps"):
+            inst.add_record(BitSeq(4, (1, 2)), out)
+    assert len(inst.bld.clauses) == emitted  # rejected before any clause is emitted
+    inst.add_record(BitSeq(4, (1, 2)), BitSeq(1, (0, 1)))
+    assert len(inst.bld.clauses) > emitted

@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from seqdecam import attack as atk
 from seqdecam import sat as sm
 from seqdecam.encode import (
     AttackInstance,
@@ -292,6 +291,39 @@ def test_attack_instance_enumeration(s27_camo):
         inst.enumerate_consistent(cap=10, budget=0.0)
 
 
+def test_instance_stats_are_the_sum_of_its_solver_calls(monkeypatch, s27_camo):
+    seq = BitSeq(4, (8, 9))
+    inst = AttackInstance(s27_camo)
+    inst.add_record(seq, run_sequence(s27_camo, S27_SECRET, seq))
+    calls = []
+    real = sm.SatContext.solve
+
+    def solve(self, *args, **kwargs):
+        res = real(self, *args, **kwargs)
+        calls.append(res.stats)
+        return res
+
+    monkeypatch.setattr(sm.SatContext, "solve", solve)
+    assert inst.solve_consistent().status == sm.SAT  # loads the record's clauses
+    before = inst.stats
+    calls.clear()
+    for bound in (1, 2, 3):
+        inst.solve_bmc(bound)
+    inst.solve_uc()
+    inst.solve_ce()
+    inst.solve_consistent(inst.k1.value_lits(0, 1))
+    assert len(inst.enumerate_consistent(cap=10)) == 2
+    after = inst.stats
+    assert len(calls) == 9 and sum(c.decisions for c in calls) > 0
+    for counter in ("conflicts", "decisions"):
+        want = sum(getattr(c, counter) for c in calls)
+        assert getattr(after, counter) - getattr(before, counter) == want, counter
+    # the running total also holds the level-0 propagation of unit clauses
+    # loaded between calls: s27's outputs cannot differ in one frame, so the
+    # bound-1 selector is a unit clause
+    assert after.propagations - before.propagations >= sum(c.propagations for c in calls)
+
+
 def _instance_of(camo, qs):
     inst = AttackInstance(camo)
     for seq, out in qs:
@@ -329,15 +361,12 @@ def test_enumeration_matches_brute_force_sweep(s27_camo):
         for cap in (n - 1, n, n + 1):
             got = inst.enumerate_consistent(cap)
             assert inst._ctx._cdcl.trail_lim == []
-            cfg = atk.AttackConfig(umc_enum_cap=cap)
             if cap < n:
                 assert got is None
-                with pytest.raises(atk.InconclusiveError, match=f"more than {cap} "):
-                    atk._enumerate_consistent(camo, qs, cfg, None, None)
                 continue
             assert len(got) == n and {x.choices for x in got} == want
-            stateless = atk._enumerate_consistent(camo, qs, cfg, None, None)
-            assert len(stateless) == n and {x.choices for x in stateless} == want
+            again = AttackInstance.from_queries(camo, qs).enumerate_consistent(cap)
+            assert len(again) == n and {x.choices for x in again} == want
         # two fresh instances list the same completions in the same order
         first = _instance_of(camo, qs).enumerate_consistent(n)
         assert _instance_of(camo, qs).enumerate_consistent(n) == first

@@ -109,17 +109,6 @@ def test_pipe_protocol_roundtrip(s27_camo):
     assert box.query_count == 2
 
 
-def test_query_budget(s27_camo):
-    from seqdecam.oracle import QueryBudgetError
-
-    box = BlackBox(s27_camo, S27_SECRET, query_budget=2)
-    box.query(BitSeq(4, (1,)))
-    box.query(BitSeq(4, (2,)))
-    with pytest.raises(QueryBudgetError):
-        box.query(BitSeq(4, (3,)))
-    assert box.query_count == 2  # the rejected call does not count
-
-
 SLEEPING_ORACLE = [sys.executable, "-c", "import time; time.sleep(60)"]
 
 

@@ -26,20 +26,20 @@ def _brute_sat(num_vars, clauses):
 def test_empty_clause_set_is_sat():
     res = sm.SatContext(_inst(0, [])).solve()
     assert res.status == sm.SAT
-    assert res.model == {}
+    assert res.raw_model is not None
 
 
 def test_unit_contradiction_is_unsat():
     res = sm.SatContext(_inst(1, [(1,), (-1,)])).solve()
     assert res.status == sm.UNSAT
-    assert res.model is None
+    assert res.raw_model is None
 
 
 def test_sat_model_is_verified_against_all_clauses():
     inst = _inst(3, [(1, 2), (-1, 3), (-2, -3)], {"all": (1, 2, 3)})
     res = sm.SatContext(inst).solve()
     assert res.status == sm.SAT
-    bits = res.model["all"]
+    bits = res.bits(inst.groups["all"])
     for c in inst.clauses:
         assert any(bits[abs(l) - 1] == (1 if l > 0 else 0) for l in c)
 

@@ -10,11 +10,11 @@ unbounded check (UMC) runs before the bound grows: it lists the surviving
 completions in one resumed SAT search and checks each one for sequential
 equivalence with the first, in lock-step over the states the first reaches
 from reset and by explicit product-machine reachability for any survivor
-that leaves lock-step.  Every solver question of an attack is a query of
-its one incremental `AttackInstance`, so the solver work of a check is the
-change in that instance's running `stats`.  Small-instance ground truth
-comes from an exhaustive pairwise-equivalence procedure over the whole
-completion space.
+that leaves lock-step.  Every check takes the attack's one incremental
+`AttackInstance`, which holds the records (`inst.qs`) and answers every
+solver question about them, so the solver work of a check is the change in
+that instance's running `stats`.  Small-instance ground truth comes from an
+exhaustive pairwise-equivalence procedure over the whole completion space.
 """
 
 from __future__ import annotations
@@ -30,11 +30,15 @@ from .encode import AttackInstance
 # perfbench/tracing.py patches these four names here, so they stay importable
 from .encode import encode_bmc_disagreement, encode_ce, encode_consistency, encode_uc  # noqa: F401
 from .netlist import BitSeq, CamoCircuit, Completion, Evaluator, run_sequence
-from .oracle import QuerySet, record
+from .oracle import QuerySet
 from .sat import SolverTimeoutError
 
 UC, CE, UMC = "UC", "CE", "UMC"
 EXHAUSTED, TIMEOUT_TAG = "EXHAUSTED", "TIMEOUT"
+# caps of the explicit product search in check_umc and enumerate_all, read
+# when the check runs
+PRODUCT_STATE_CAP = 1 << 26
+PRODUCT_EXPAND_CAP = 1 << 26
 
 
 class InconclusiveError(RuntimeError):
@@ -60,8 +64,6 @@ class AttackConfig:
     solver_budget: float | None = None  # seconds per solver call
     umc_mode: str = "explicit"  # explicit | bmc | skip
     umc_enum_cap: int = 4096
-    product_state_cap: int = 1 << 26
-    product_expand_cap: int = 1 << 26
     enumerate_all: bool = False
 
     def __post_init__(self):
@@ -123,60 +125,35 @@ def consistent(camo: CamoCircuit, x: Completion, qs: QuerySet) -> bool:
 # ------------------------------------------------------- bounded search
 
 def find_distinguishing(
-    camo: CamoCircuit,
-    qs: QuerySet,
-    bound: int,
-    budget: float | None = None,
-    instance: AttackInstance | None = None,
+    inst: AttackInstance, bound: int, budget: float | None = None
 ) -> tuple[Completion, Completion, BitSeq] | None:
-    """Two qs-consistent completions plus an input sequence they disagree on.
+    """Two consistent completions plus an input sequence they disagree on.
 
-    Returns None when no two consistent completions can be told apart by any
-    sequence of length <= bound.  The returned sequence is truncated at its
-    first disagreeing step and re-simulated as a self-check.  `instance`,
-    when given, must hold the records of qs.
+    Returns None when no two completions consistent with `inst.qs` can be
+    told apart by any sequence of length <= bound.  The returned sequence is
+    truncated at its first disagreeing step and re-simulated as a self-check.
     """
-    inst = instance or AttackInstance.from_queries(camo, qs)
     res = inst.solve_bmc(bound, budget)
     if res.status == satmod.TIMEOUT:
         raise SolverTimeoutError(f"bounded search at b={bound} exceeded its budget")
     if res.status == satmod.UNSAT:
         return None
-    return _check_triple(camo, qs, *inst.decode_bmc(res, bound))
+    return _check_triple(inst, *inst.decode_bmc(res, bound))
 
 
 def _check_triple(
-    camo: CamoCircuit, qs: QuerySet, x1: Completion, x2: Completion, seq: BitSeq
+    inst: AttackInstance, x1: Completion, x2: Completion, seq: BitSeq
 ) -> tuple[Completion, Completion, BitSeq]:
     """Truncate at the first disagreeing step and verify the model's claims."""
+    camo = inst.camo
     o1 = run_sequence(camo, x1, seq)
     o2 = run_sequence(camo, x2, seq)
     cut = next((i for i, (a, b) in enumerate(zip(o1.steps, o2.steps)) if a != b), None)
     if cut is None:
         raise EncodingBugError("solver model decodes to completions that do not disagree")
-    if not consistent(camo, x1, qs) or not consistent(camo, x2, qs):
+    if not consistent(camo, x1, inst.qs) or not consistent(camo, x2, inst.qs):
         raise EncodingBugError("solver model decodes to a completion inconsistent with records")
     return x1, x2, seq.prefix(cut + 1)
-
-
-# ---------------------------------------------------- termination checks
-
-def check_uc(camo: CamoCircuit, qs: QuerySet, budget: float | None = None,
-             instance: AttackInstance | None = None) -> bool:
-    """True iff exactly one completion is consistent with qs (timeout: False)."""
-    inst = instance or AttackInstance.from_queries(camo, qs)
-    return inst.solve_uc(budget).status == satmod.UNSAT
-
-
-def check_ce(camo: CamoCircuit, qs: QuerySet, budget: float | None = None,
-             instance: AttackInstance | None = None) -> bool:
-    """True iff all qs-consistent completions are combinationally identical.
-
-    Sound for termination (implies qs is discriminating) but conservative:
-    disagreement confined to unreachable states still returns False.
-    """
-    inst = instance or AttackInstance.from_queries(camo, qs)
-    return inst.solve_ce(budget).status == satmod.UNSAT
 
 
 # --------------------------------------------- explicit product machine
@@ -185,8 +162,8 @@ def product_equiv(
     camo: CamoCircuit,
     x1: Completion,
     x2: Completion,
-    state_cap: int = 1 << 26,
-    expand_cap: int = 1 << 26,
+    state_cap: int = PRODUCT_STATE_CAP,
+    expand_cap: int = PRODUCT_EXPAND_CAP,
 ) -> BitSeq | None:
     """Sequential equivalence of two completions from reset.
 
@@ -239,7 +216,7 @@ def product_equiv(
             if mism:
                 j = (mism & -mism).bit_length() - 1
                 return witness(chunk[j // p], j % p)
-            keys = _pair_keys(n1, n2, w, l)
+            keys = _scenario_keys([*n2, *n1], w)  # (s1 << l) | s2
             uniq, first = np.unique(keys, return_index=True)
             for key, j in zip(uniq.tolist(), first.tolist()):
                 if key not in visited:
@@ -293,18 +270,16 @@ def _bits_array(x: int, width: int) -> np.ndarray:
 
 
 def _scenario_keys(wires: Sequence[int], width: int) -> np.ndarray:
-    """Per-scenario integer whose bit i is the value of wires[i] (at most 64 wires)."""
+    """Per-scenario integer whose bit i is the value of wires[i].
+
+    Raises ProductCapError for more than 64 wires, which a key cannot hold.
+    """
+    if len(wires) > 64:
+        raise ProductCapError(f"{len(wires)} state bits exceed the 64-bit state key")
     keys = np.zeros(width, dtype=np.uint64)
     for i, wire in enumerate(wires):
         keys |= _bits_array(wire, width).astype(np.uint64) << np.uint64(i)
     return keys
-
-
-def _pair_keys(n1: Sequence[int], n2: Sequence[int], width: int, l: int) -> np.ndarray:
-    """Per-scenario (s1 << l) | s2 keys for the joint next state."""
-    if 2 * l > 63:
-        raise ProductCapError("more than 31 flip-flops per copy; explicit product disabled")
-    return _scenario_keys([*n2, *n1], width)
 
 
 def _first_inequivalent(
@@ -328,8 +303,6 @@ def _first_inequivalent(
     p = 1 << m
     if p > expand_cap:
         raise ProductCapError(f"2^{m} inputs per state exceeds the expansion cap")
-    if l > 64:
-        raise ProductCapError("more than 64 flip-flops; explicit reachability disabled")
     ref = comps[0]
     ev_ref = Evaluator(camo, ref)
     lockstep = [(x, Evaluator(camo, x)) for x in comps[1:]]
@@ -371,13 +344,8 @@ def _first_inequivalent(
 
 # -------------------------------------------------------- unbounded check
 
-def check_umc(
-    camo: CamoCircuit,
-    qs: QuerySet,
-    cfg: AttackConfig | None = None,
-    instance: AttackInstance | None = None,
-) -> bool:
-    """True iff qs is discriminating; raises InconclusiveError at the caps.
+def check_umc(inst: AttackInstance, cfg: AttackConfig | None = None) -> bool:
+    """True iff `inst.qs` is discriminating; raises InconclusiveError at the caps.
 
     Explicit mode lists the consistent completions in one resumed SAT
     search (see `AttackInstance.enumerate_consistent`) and checks each one
@@ -386,17 +354,15 @@ def check_umc(
     it degrades to bounded search at the product-diameter bound 2^(2l); that
     search runs only when max_bound reaches the diameter, since a shallower
     one cannot certify.  Inconclusive outcomes name every reason.  Every
-    solver call is a query of `instance`, which must hold the records of qs
-    (the attack passes its own; one is built from qs when none is given), so
-    the fallback search adds its frames there rather than building a second
-    CNF, and the work of the check is the change in `instance.stats`.
+    solver call is a query of `inst`, so the fallback search adds its frames
+    there rather than building a second CNF, and the work of the check is
+    the change in `inst.stats`.
     """
     cfg = cfg or AttackConfig()
     if cfg.umc_mode == "skip":
         raise InconclusiveError("unbounded check disabled (umc_mode=skip)")
-    inst = instance or AttackInstance.from_queries(camo, qs)
     if cfg.umc_mode == "bmc":
-        return _umc_bmc(camo, qs, cfg, inst)
+        return _umc_bmc(inst, cfg)
     try:
         comps = inst.enumerate_consistent(cfg.umc_enum_cap, cfg.solver_budget)
         if comps is None:
@@ -404,28 +370,26 @@ def check_umc(
         if not comps:
             raise OracleInconsistentError("no completion is consistent with the observations")
         return _first_inequivalent(
-            camo, comps, cfg.product_state_cap, cfg.product_expand_cap
+            inst.camo, comps, PRODUCT_STATE_CAP, PRODUCT_EXPAND_CAP
         ) is None
     except (InconclusiveError, SolverTimeoutError) as exc:
         try:  # degrade to bounded search at the diameter
-            return _umc_bmc(camo, qs, cfg, inst)
+            return _umc_bmc(inst, cfg)
         except InconclusiveError as fallback:
             raise InconclusiveError(f"{exc}; {fallback}") from fallback
 
 
-def _umc_bmc(
-    camo: CamoCircuit, qs: QuerySet, cfg: AttackConfig, instance: AttackInstance
-) -> bool:
+def _umc_bmc(inst: AttackInstance, cfg: AttackConfig) -> bool:
     # no shortest distinguisher of two l-flop copies is longer than the
     # product diameter 2^(2l), so only a search that deep can certify
-    diameter = 1 << (2 * camo.num_flops)
+    diameter = 1 << (2 * inst.camo.num_flops)
     if diameter > cfg.max_bound:
         raise InconclusiveError(
             f"bounded search cannot certify: max_bound {cfg.max_bound} is below "
             f"the product diameter {diameter}"
         )
     try:
-        found = find_distinguishing(camo, qs, diameter, cfg.solver_budget, instance)
+        found = find_distinguishing(inst, diameter, cfg.solver_budget)
     except SolverTimeoutError as exc:
         raise InconclusiveError(str(exc)) from exc
     return found is None
@@ -435,8 +399,8 @@ def brute_force_disc(
     camo: CamoCircuit,
     qs: QuerySet,
     completion_cap: int = 4096,
-    state_cap: int = 1 << 26,
-    expand_cap: int = 1 << 26,
+    state_cap: int = PRODUCT_STATE_CAP,
+    expand_cap: int = PRODUCT_EXPAND_CAP,
 ) -> bool:
     """Ground truth for small instances: is qs discriminating?
 
@@ -460,14 +424,8 @@ def brute_force_disc(
 
 # ------------------------------------------------------------- completion
 
-def recover_completion(
-    camo: CamoCircuit,
-    qs: QuerySet,
-    budget: float | None = None,
-    instance: AttackInstance | None = None,
-) -> Completion:
-    """Any completion consistent with qs (correct whenever qs is discriminating)."""
-    inst = instance or AttackInstance.from_queries(camo, qs)
+def recover_completion(inst: AttackInstance, budget: float | None = None) -> Completion:
+    """Any completion consistent with `inst.qs` (correct when it is discriminating)."""
     res = inst.solve_consistent(budget=budget)
     if res.status == satmod.UNSAT:
         raise OracleInconsistentError(
@@ -477,23 +435,17 @@ def recover_completion(
     if res.status == satmod.TIMEOUT:
         raise SolverTimeoutError("completion recovery exceeded its budget")
     x = inst.k1.decode(res)
-    if not consistent(camo, x, qs):
+    if not consistent(inst.camo, x, inst.qs):
         raise EncodingBugError("recovered completion fails re-simulation")
     return x
 
 
-def partial_completion(
-    camo: CamoCircuit,
-    qs: QuerySet,
-    budget: float | None = None,
-    instance: AttackInstance | None = None,
-) -> dict[str, int | None]:
-    """Per-gate verdicts: candidate index if every consistent completion
-    agrees on that cell, None when the cell is still ambiguous (or a
-    sub-query timed out)."""
-    inst = instance or AttackInstance.from_queries(camo, qs)
+def partial_completion(inst: AttackInstance, budget: float | None = None) -> dict[str, int | None]:
+    """Per-gate verdicts: candidate index if every completion consistent
+    with `inst.qs` agrees on that cell, None when the cell is still
+    ambiguous (or a sub-query timed out)."""
     verdicts: dict[str, int | None] = {}
-    for ci, cell in enumerate(camo.cells):
+    for ci, cell in enumerate(inst.camo.cells):
         feasible: list[int] = []
         timed_out = False
         for v in range(cell.t):
@@ -527,7 +479,6 @@ def run_attack(camo: CamoCircuit, oracle, cfg: AttackConfig | None = None) -> At
     cfg = cfg or AttackConfig()
     t_start = time.monotonic()
     inst = AttackInstance(camo)
-    qs = QuerySet()
     iterations: list[IterationRecord] = []
     bound = 0
     termination: str | None = None
@@ -567,38 +518,33 @@ def run_attack(camo: CamoCircuit, oracle, cfg: AttackConfig | None = None) -> At
             if res.status == satmod.UNSAT:
                 log("bound", res)
                 break
-            x1, x2, raw = inst.decode_bmc(res, bound)
-            x1, x2, seq = _check_triple(camo, qs, x1, x2, raw)
-            out = oracle.query(seq)
-            grown = record(qs, seq, out)
-            if len(grown) == len(qs):
+            x1, x2, seq = _check_triple(inst, *inst.decode_bmc(res, bound))
+            if not inst.add_record(seq, oracle.query(seq)):
                 raise EncodingBugError("bounded search returned an already-recorded sequence")
-            qs = grown
             # progress: the two witnesses disagree on seq, so at most one of
             # them survives the new record
-            if consistent(camo, x1, qs) and consistent(camo, x2, qs):
+            if consistent(camo, x1, inst.qs) and consistent(camo, x2, inst.qs):
                 raise EncodingBugError("neither counterexample completion was eliminated")
-            inst.add_record(seq, out)
             log("sequence", res, len(seq))
             # UC or CE puts every pair of survivors in lock-step from reset,
             # so the proof that would close this bound cannot change the outcome
             termination = sufficient()
-            sufficient_at = len(qs)
+            sufficient_at = len(inst.qs)
             if termination is not None:
                 break
         if termination is not None:
             break
-        if sufficient_at != len(qs):
+        if sufficient_at != len(inst.qs):
             termination = sufficient()
-            sufficient_at = len(qs)
+            sufficient_at = len(inst.qs)
             if termination is not None:
                 break
-        if cfg.umc_mode != "skip" and umc_at != len(qs):
-            umc_at = len(qs)
+        if cfg.umc_mode != "skip" and umc_at != len(inst.qs):
+            umc_at = len(inst.qs)
             t0 = time.monotonic()
             before = inst.stats
             try:
-                status = UMC if check_umc(camo, qs, cfg, inst) else "refuted"
+                status = UMC if check_umc(inst, cfg) else "refuted"
             except InconclusiveError as exc:
                 status = f"inconclusive: {exc}"
             after = inst.stats
@@ -617,7 +563,7 @@ def run_attack(camo: CamoCircuit, oracle, cfg: AttackConfig | None = None) -> At
     partial: dict[str, int | None] | None = None
     if termination in (UC, CE, UMC):
         try:
-            x = recover_completion(camo, qs, cfg.solver_budget, inst)
+            x = recover_completion(inst, cfg.solver_budget)
         except SolverTimeoutError:
             termination = TIMEOUT_TAG
         else:
@@ -628,7 +574,7 @@ def run_attack(camo: CamoCircuit, oracle, cfg: AttackConfig | None = None) -> At
                     # with a discriminating set every survivor is correct, so
                     # they must all be mutually equivalent
                     w = None if allc is None else _first_inequivalent(
-                        camo, allc, cfg.product_state_cap, cfg.product_expand_cap
+                        camo, allc, PRODUCT_STATE_CAP, PRODUCT_EXPAND_CAP
                     )
                 except (SolverTimeoutError, ProductCapError):
                     allc = None  # a budget or a product cap: keep the one verified completion
@@ -640,10 +586,10 @@ def run_attack(camo: CamoCircuit, oracle, cfg: AttackConfig | None = None) -> At
                         )
                     completions = tuple(allc)
     if termination in (EXHAUSTED, TIMEOUT_TAG):
-        partial = partial_completion(camo, qs, cfg.solver_budget, instance=inst)
+        partial = partial_completion(inst, cfg.solver_budget)
 
     return AttackReport(
-        disc_set=qs,
+        disc_set=inst.qs,
         completions=completions,
         termination=termination,
         iterations=tuple(iterations),

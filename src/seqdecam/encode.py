@@ -26,7 +26,7 @@ from typing import Sequence
 
 from .cnf import FALSE, TRUE, CnfBuilder, CnfInstance
 from .netlist import BitSeq, CamoCircuit, Completion
-from .oracle import QuerySet
+from .oracle import QuerySet, record
 from . import sat as satmod
 
 
@@ -225,14 +225,16 @@ class AttackInstance:
     """One growing CNF backing every solver query: the only place a query
     is built or solved.
 
-    Consistency constraints are emitted once per (record, key vector) and
-    shared by all queries; the BMC disagreement OR, the UC distinctness OR
-    and the CE mismatch OR are each guarded by a selector, an assumption
-    literal, so a single incremental solver context answers all of them.
+    `qs` holds the records, which only `add_record` grows.  Consistency
+    constraints are emitted once per (record, key vector) and shared by all
+    queries; the BMC disagreement OR, the UC distinctness OR and the CE
+    mismatch OR are each guarded by a selector, an assumption literal, so a
+    single incremental solver context answers all of them.
     """
 
     def __init__(self, camo: CamoCircuit):
         self.camo = camo
+        self.qs = QuerySet()
         self.bld = CnfBuilder()
         self.k1 = new_key_vector(self.bld, camo, "key1")
         self.k2 = new_key_vector(self.bld, camo, "key2")
@@ -326,10 +328,20 @@ class AttackInstance:
             self.bld.add(-self._ce_sel, *( [flag] if flag is not None else [] ))
         return self._ce_sel
 
-    def add_record(self, seq: BitSeq, out: BitSeq) -> None:
-        one = QuerySet(((seq, out),))
-        emit_consistency(self.bld, self.camo, self.k1, one)
-        emit_consistency(self.bld, self.camo, self.k2, one)
+    def add_record(self, seq: BitSeq, out: BitSeq) -> bool:
+        """Add (seq, out) to `qs` and constrain both key vectors by it.
+
+        Returns False, emitting nothing, when the pair is already recorded.
+        Raises OracleConflictError when seq was recorded with another output
+        and ValueError when the lengths differ, before any clause is emitted.
+        """
+        grown = record(self.qs, seq, out)
+        if len(grown) == len(self.qs):
+            return False
+        for key in (self.k1, self.k2):
+            emit_consistency(self.bld, self.camo, key, QuerySet(((seq, out),)))
+        self.qs = grown
+        return True
 
     # -------------------------------------------------------------- queries
 
@@ -352,6 +364,11 @@ class AttackInstance:
         return self._solve([self.uc_selector()], budget)
 
     def solve_ce(self, budget: float | None = None) -> "satmod.SolveResult":
+        """UNSAT iff all consistent completions are combinationally identical.
+
+        Sound for termination (UNSAT implies `qs` is discriminating) but
+        conservative: disagreement confined to unreachable states is SAT.
+        """
         return self._solve([self.ce_selector()], budget)
 
     def solve_consistent(

@@ -166,10 +166,6 @@ class Cdcl:
             if v <= self.nvars:
                 self.branchable[v] = 0
 
-    def add_clause(self, lits: Sequence[int]) -> None:
-        """Add a problem clause; must be called with the trail at level 0."""
-        self.add_clauses((lits,))
-
     def add_clauses(self, clauses: Iterable[Sequence[int]]) -> None:
         """Add problem clauses; must be called with the trail at level 0."""
         assert not self.trail_lim, "clauses can only be added at decision level 0"
@@ -224,7 +220,7 @@ class Cdcl:
         second-highest level, with the clause as its reason; when the top two
         literals share a level, the trail goes back one level below it and
         both are watched.  Literals false at level 0 are dropped, as
-        add_clause does.
+        add_clauses does.
         """
         val = self.val
         level = self.level

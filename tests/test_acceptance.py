@@ -23,7 +23,7 @@ from seqdecam.netlist import (
 )
 from seqdecam.oracle import BlackBox, QuerySet, record
 from seqdecam import sat as sm
-from seqdecam.encode import encode_consistency, encode_keyed_frame
+from seqdecam.encode import AttackInstance, encode_consistency, encode_keyed_frame
 
 from conftest import S27_SECRET, bench_path, load_bench
 
@@ -69,9 +69,7 @@ def _attack_and_soundcheck(camo, secret, cfg) -> atk.AttackReport:
     for seq, out in report.disc_set:
         assert run_sequence(camo, recovered, seq) == out
     try:
-        witness = atk.product_equiv(
-            camo, recovered, secret, cfg.product_state_cap, cfg.product_expand_cap
-        )
+        witness = atk.product_equiv(camo, recovered, secret)
         assert witness is None, f"recovered completion differs on {witness.to_strings()}"
     except atk.ProductCapError:
         pass  # equivalence check inconclusive at the caps; allowed
@@ -134,9 +132,10 @@ def test_criterion_3_oracle_equivalence_suite():
         variants = [QuerySet(), record(QuerySet(), seq, run_sequence(camo, secret, seq))]
         for qs in variants:
             truth = atk.brute_force_disc(camo, qs)
-            umc = atk.check_umc(camo, qs, atk.AttackConfig())
+            umc = atk.check_umc(AttackInstance.from_queries(camo, qs), atk.AttackConfig())
             diameter = 1 << (2 * l)
-            bmc_none = atk.find_distinguishing(camo, qs, diameter) is None
+            bmc_none = atk.find_distinguishing(AttackInstance.from_queries(camo, qs),
+                                               diameter) is None
             assert truth == umc == bmc_none, (
                 f"disagreement on {camo.base.name}: brute={truth} umc={umc} bmc={bmc_none}"
             )
@@ -169,13 +168,15 @@ def test_criterion_5_termination_hierarchy(
 ):
     # UC-fail / CE-pass: functionally identical candidates
     camo, secret = identical_candidates_camo
-    qs = record(QuerySet(), BitSeq(1, (1, 0)), run_sequence(camo, secret, BitSeq(1, (1, 0))))
-    assert atk.check_uc(camo, qs) is False
-    assert atk.check_ce(camo, qs) is True
+    inst = AttackInstance(camo)
+    inst.add_record(BitSeq(1, (1, 0)), run_sequence(camo, secret, BitSeq(1, (1, 0))))
+    assert inst.solve_uc().status == sm.SAT
+    assert inst.solve_ce().status == sm.UNSAT
     # CE-fail / UMC-pass: divergence confined to an unreachable state
     camo2, _ = unreachable_divergence_camo
-    assert atk.check_ce(camo2, QuerySet()) is False
-    assert atk.check_umc(camo2, QuerySet(), atk.AttackConfig()) is True
+    inst2 = AttackInstance(camo2)
+    assert inst2.solve_ce().status == sm.SAT
+    assert atk.check_umc(inst2, atk.AttackConfig()) is True
     # empirical implication UC => CE => UMC across the random fixture set
     rng = random.Random(55)
     done = 0
@@ -186,10 +187,11 @@ def test_criterion_5_termination_hierarchy(
             continue
         m = camo3.num_inputs
         seq = BitSeq(m, tuple(rng.randrange(1 << m) for _ in range(rng.randint(1, 3))))
-        qs3 = record(QuerySet(), seq, run_sequence(camo3, secret3, seq))
-        uc = atk.check_uc(camo3, qs3)
-        ce = atk.check_ce(camo3, qs3)
-        umc = atk.check_umc(camo3, qs3, atk.AttackConfig())
+        inst3 = AttackInstance(camo3)
+        inst3.add_record(seq, run_sequence(camo3, secret3, seq))
+        uc = inst3.solve_uc().status == sm.UNSAT
+        ce = inst3.solve_ce().status == sm.UNSAT
+        umc = atk.check_umc(inst3, atk.AttackConfig())
         assert (not uc or ce) and (not ce or umc)
         done += 1
     print(f"\nCRITERION 5: PASS (both fixtures + implication on {done} random instances)")

@@ -4,6 +4,8 @@ import random
 import pytest
 
 from seqdecam import attack as atk
+from seqdecam import sat as sm
+from seqdecam.encode import AttackInstance
 from seqdecam.gen import random_camo, random_circuit
 from seqdecam.netlist import BitSeq, Completion, run_sequence
 from seqdecam.oracle import BlackBox, QuerySet, record
@@ -12,11 +14,20 @@ from conftest import S27_SECRET
 
 
 def _observe(camo, secret, steps_list):
-    qs = QuerySet()
+    """An attack instance holding the secret's answers to the given sequences."""
+    inst = AttackInstance(camo)
     for steps in steps_list:
         seq = BitSeq(camo.num_inputs, steps)
-        qs = record(qs, seq, run_sequence(camo, secret, seq))
-    return qs
+        inst.add_record(seq, run_sequence(camo, secret, seq))
+    return inst
+
+
+def _uc(inst):
+    return inst.solve_uc().status == sm.UNSAT
+
+
+def _ce(inst):
+    return inst.solve_ce().status == sm.UNSAT
 
 
 S27_DISC = [(8, 9), (4, 8)]  # frozen 2-step sequences splitting each cell
@@ -25,11 +36,11 @@ S27_DISC = [(8, 9), (4, 8)]  # frozen 2-step sequences splitting each cell
 # --------------------------------------------------- find_distinguishing
 
 def test_find_distinguishing_none_at_b1(s27_camo):
-    assert atk.find_distinguishing(s27_camo, QuerySet(), 1) is None
+    assert atk.find_distinguishing(AttackInstance(s27_camo), 1) is None
 
 
 def test_find_distinguishing_triple_at_b2(s27_camo):
-    x1, x2, seq = atk.find_distinguishing(s27_camo, QuerySet(), 2)
+    x1, x2, seq = atk.find_distinguishing(AttackInstance(s27_camo), 2)
     assert len(seq) == 2
     o1 = run_sequence(s27_camo, x1, seq)
     o2 = run_sequence(s27_camo, x2, seq)
@@ -38,37 +49,37 @@ def test_find_distinguishing_triple_at_b2(s27_camo):
 
 
 def test_find_distinguishing_respects_records(s27_camo):
-    qs = _observe(s27_camo, S27_SECRET, S27_DISC)
-    assert atk.find_distinguishing(s27_camo, qs, 8) is None
+    inst = _observe(s27_camo, S27_SECRET, S27_DISC)
+    assert atk.find_distinguishing(inst, 8) is None
 
 
 # --------------------------------------------------------------- UC / CE
 
 def test_check_uc_progression(s27_camo):
-    assert atk.check_uc(s27_camo, QuerySet()) is False
-    qs = _observe(s27_camo, S27_SECRET, S27_DISC)
-    assert atk.check_uc(s27_camo, qs) is True
+    assert _uc(AttackInstance(s27_camo)) is False
+    assert _uc(_observe(s27_camo, S27_SECRET, S27_DISC)) is True
 
 
 def test_check_uc_never_true_for_identical_candidates(identical_candidates_camo):
     camo, secret = identical_candidates_camo
-    qs = _observe(camo, secret, [(0, 1), (1, 0, 1)])
-    assert atk.check_uc(camo, qs) is False
-    assert atk.check_ce(camo, qs) is True  # CE catches what UC cannot
+    inst = _observe(camo, secret, [(0, 1), (1, 0, 1)])
+    assert _uc(inst) is False
+    assert _ce(inst) is True  # CE catches what UC cannot
 
 
 def test_check_ce_conservative_on_unreachable_divergence(unreachable_divergence_camo):
     camo, secret = unreachable_divergence_camo
-    assert atk.check_ce(camo, QuerySet()) is False
-    assert atk.check_umc(camo, QuerySet()) is True  # reachability sees the truth
+    inst = AttackInstance(camo)
+    assert _ce(inst) is False
+    assert atk.check_umc(inst) is True  # reachability sees the truth
     assert atk.brute_force_disc(camo, QuerySet()) is True
 
 
 def test_check_hierarchy_on_singleton(s27_camo):
-    qs = _observe(s27_camo, S27_SECRET, S27_DISC)
-    assert atk.check_uc(s27_camo, qs)
-    assert atk.check_ce(s27_camo, qs)
-    assert atk.check_umc(s27_camo, qs)
+    inst = _observe(s27_camo, S27_SECRET, S27_DISC)
+    assert _uc(inst)
+    assert _ce(inst)
+    assert atk.check_umc(inst)
 
 
 # ----------------------------------------------------------- product BFS
@@ -129,20 +140,40 @@ def test_product_cap_raises(s27_camo):
         atk.product_equiv(s27_camo, Completion((0, 1)), Completion((1, 0)), expand_cap=4)
 
 
+def _stuck_flops(l):
+    """l flops that AND with their own reset value 0 and never leave it; the
+    last is camouflaged AND/OR, and OR latches the input into a flop no
+    output reads, so both completions are equivalent."""
+    from seqdecam.netlist import camouflage, parse_bench
+
+    lines = ["INPUT(a)", "OUTPUT(y)", "y = BUF(a)"]
+    for i in range(l):
+        lines += [f"s{i} = DFF(g{i})", f"g{i} = AND(a, s{i})"]
+    return camouflage(parse_bench("\n".join(lines), f"stuck{l}"), [f"g{l - 1}"], ["AND", "OR"])
+
+
+def test_product_equiv_keys_up_to_32_flops_per_copy():
+    # 2 x 32 state bits fill the 64-bit pair key; the OR copy's latched flop
+    # is its top bit
+    assert atk.product_equiv(_stuck_flops(32), Completion((1,)), Completion((0,))) is None
+    with pytest.raises(atk.ProductCapError):
+        atk.product_equiv(_stuck_flops(33), Completion((1,)), Completion((0,)))
+
+
 # ------------------------------------------------------------- unbounded
 
 def test_umc_modes_agree(s27_camo):
-    qs_empty = QuerySet()
-    qs_full = _observe(s27_camo, S27_SECRET, S27_DISC)
-    for qs, want in ((qs_empty, False), (qs_full, True)):
-        explicit = atk.check_umc(s27_camo, qs, atk.AttackConfig(umc_mode="explicit"))
-        bmc = atk.check_umc(s27_camo, qs, atk.AttackConfig(umc_mode="bmc"))
+    for disc, want in (([], False), (S27_DISC, True)):
+        explicit = atk.check_umc(_observe(s27_camo, S27_SECRET, disc),
+                                 atk.AttackConfig(umc_mode="explicit"))
+        bmc = atk.check_umc(_observe(s27_camo, S27_SECRET, disc),
+                            atk.AttackConfig(umc_mode="bmc"))
         assert explicit == bmc == want
 
 
 def test_umc_skip_raises(s27_camo):
     with pytest.raises(atk.InconclusiveError):
-        atk.check_umc(s27_camo, QuerySet(), atk.AttackConfig(umc_mode="skip"))
+        atk.check_umc(AttackInstance(s27_camo), atk.AttackConfig(umc_mode="skip"))
 
 
 # the flop of AND(a, s) never leaves reset while that of OR(a, s) latches the
@@ -168,7 +199,7 @@ def test_umc_product_search_only_for_survivors_out_of_lockstep(monkeypatch):
         return orig(*args, **kwargs)
 
     monkeypatch.setattr(atk, "product_equiv", spy)
-    assert atk.check_umc(camo, QuerySet(), atk.AttackConfig()) is True
+    assert atk.check_umc(AttackInstance(camo), atk.AttackConfig()) is True
     assert len(calls) == 1
 
 
@@ -179,13 +210,12 @@ def test_umc_lockstep_survivors_need_no_product_search(monkeypatch, identical_ca
         raise AssertionError("product search ran for survivors in lock-step")
 
     monkeypatch.setattr(atk, "product_equiv", refuse)
-    assert atk.check_umc(camo, QuerySet(), atk.AttackConfig()) is True
+    assert atk.check_umc(AttackInstance(camo), atk.AttackConfig()) is True
 
 
 def test_umc_finds_an_inequivalent_survivor_past_the_second(monkeypatch):
     # cell 0 is the dead-flop AND/OR (equivalent either way), cell 1 drives
     # the output; only the last survivor differs from the reference
-    from seqdecam.encode import AttackInstance
     from seqdecam.netlist import camouflage, parse_bench
 
     src = DEAD_FLOP.replace("y = BUF(a)", "INPUT(b)\ny = AND(a, b)")
@@ -195,7 +225,7 @@ def test_umc_finds_an_inequivalent_survivor_past_the_second(monkeypatch):
     assert w is not None
     assert run_sequence(camo, comps[0], w) != run_sequence(camo, comps[2], w)
     monkeypatch.setattr(AttackInstance, "enumerate_consistent", lambda *args: comps)
-    assert atk.check_umc(camo, QuerySet(), atk.AttackConfig()) is False
+    assert atk.check_umc(AttackInstance(camo), atk.AttackConfig()) is False
 
 
 def test_first_inequivalent_agrees_with_pairwise_search():
@@ -228,9 +258,6 @@ def test_first_inequivalent_agrees_with_pairwise_search():
 
 
 def test_umc_product_cap_falls_back_to_bmc(monkeypatch, s27_camo):
-    from seqdecam import sat as sm
-    from seqdecam.encode import AttackInstance
-
     searches = []
     orig = AttackInstance.solve_bmc
 
@@ -239,10 +266,7 @@ def test_umc_product_cap_falls_back_to_bmc(monkeypatch, s27_camo):
         return orig(self, bound, *args)
 
     monkeypatch.setattr(AttackInstance, "solve_bmc", spy)
-    cfg = atk.AttackConfig(product_state_cap=1)
-    assert atk.check_umc(s27_camo, QuerySet(), cfg) is False
-    assert [b for _, b in searches] == [64]  # the product diameter of three flops per copy
-    # handed an instance, the check asks it and builds no second solver context
+    monkeypatch.setattr(atk, "PRODUCT_STATE_CAP", 1)
     inst = AttackInstance(s27_camo)
     contexts = []
     real_init = sm.SatContext.__init__
@@ -251,15 +275,14 @@ def test_umc_product_cap_falls_back_to_bmc(monkeypatch, s27_camo):
         contexts.append(self)
         real_init(self, *args, **kwargs)
 
+    # the check asks the instance it is handed and builds no second solver context
     monkeypatch.setattr(sm.SatContext, "__init__", count_init)
-    searches.clear()
-    assert atk.check_umc(s27_camo, QuerySet(), cfg, instance=inst) is False
-    assert searches == [(inst, 64)]
+    assert atk.check_umc(inst) is False
+    assert searches == [(inst, 64)]  # the product diameter of three flops per copy
     assert contexts == []
 
 
 def test_umc_bmc_below_diameter_is_inconclusive_at_once(monkeypatch):
-    from seqdecam.encode import AttackInstance
     from seqdecam.netlist import camouflage, parse_bench
     from test_acceptance import DELAY_LINE
 
@@ -270,21 +293,19 @@ def test_umc_bmc_below_diameter_is_inconclusive_at_once(monkeypatch):
 
     monkeypatch.setattr(AttackInstance, "solve_bmc", refuse)
     with pytest.raises(atk.InconclusiveError, match="max_bound 120 .* diameter 256"):
-        atk.check_umc(camo, QuerySet(), atk.AttackConfig(umc_mode="bmc"))
+        atk.check_umc(AttackInstance(camo), atk.AttackConfig(umc_mode="bmc"))
 
 
 def test_umc_names_an_enumeration_timeout(s27_camo):
-    from seqdecam.encode import AttackInstance
-
     cfg = atk.AttackConfig(bmc_inc=1, max_bound=4, solver_budget=0.0)
     with pytest.raises(atk.InconclusiveError, match="^solver budget exhausted during enumeration; "
                        "bounded search cannot certify"):
-        atk.check_umc(s27_camo, QuerySet(), cfg, instance=AttackInstance(s27_camo))
+        atk.check_umc(AttackInstance(s27_camo), cfg)
 
 
 def test_brute_force_examples(s27_camo, identical_candidates_camo):
     assert atk.brute_force_disc(s27_camo, QuerySet()) is False
-    qs = _observe(s27_camo, S27_SECRET, S27_DISC)
+    qs = _observe(s27_camo, S27_SECRET, S27_DISC).qs
     assert atk.brute_force_disc(s27_camo, qs) is True
     camo, _ = identical_candidates_camo
     assert atk.brute_force_disc(camo, QuerySet()) is True
@@ -295,8 +316,8 @@ def test_brute_force_examples(s27_camo, identical_candidates_camo):
 # ------------------------------------------------------------ completion
 
 def test_recover_completion_singleton(s27_camo):
-    qs = _observe(s27_camo, S27_SECRET, S27_DISC)
-    assert atk.recover_completion(s27_camo, qs) == S27_SECRET
+    inst = _observe(s27_camo, S27_SECRET, S27_DISC)
+    assert atk.recover_completion(inst) == S27_SECRET
 
 
 def test_recover_completion_oracle_conflict(s27_camo):
@@ -305,27 +326,28 @@ def test_recover_completion_oracle_conflict(s27_camo):
     seq = BitSeq(4, (0,))
     truth = run_sequence(s27_camo, S27_SECRET, seq)
     lie = BitSeq(1, (1 - truth.steps[0],))
-    qs = record(QuerySet(), seq, lie)
+    inst = AttackInstance(s27_camo)
+    inst.add_record(seq, lie)
     with pytest.raises(atk.OracleInconsistentError):
-        atk.recover_completion(s27_camo, qs)
+        atk.recover_completion(inst)
 
 
 def test_partial_completion_all_ambiguous_after_single_steps(s27_camo):
-    qs = _observe(s27_camo, S27_SECRET, [(i,) for i in range(16)])
-    verdicts = atk.partial_completion(s27_camo, qs)
+    inst = _observe(s27_camo, S27_SECRET, [(i,) for i in range(16)])
+    verdicts = atk.partial_completion(inst)
     assert verdicts == {"G13": None, "G10": None}
 
 
 def test_partial_completion_fixed_on_singleton(s27_camo):
-    qs = _observe(s27_camo, S27_SECRET, S27_DISC)
-    verdicts = atk.partial_completion(s27_camo, qs)
+    inst = _observe(s27_camo, S27_SECRET, S27_DISC)
+    verdicts = atk.partial_completion(inst)
     assert verdicts == {"G13": 0, "G10": 1}
 
 
 def test_partial_completion_half_constrained(s27_camo):
     # only the first sequence: G13 resolved, G10 still open
-    qs = _observe(s27_camo, S27_SECRET, S27_DISC[:1])
-    verdicts = atk.partial_completion(s27_camo, qs)
+    inst = _observe(s27_camo, S27_SECRET, S27_DISC[:1])
+    verdicts = atk.partial_completion(inst)
     assert verdicts["G13"] == 0
     assert verdicts["G10"] is None
 
@@ -435,14 +457,15 @@ def test_run_attack_enumerate_all(identical_candidates_camo):
     assert {x.choices for x in rep.completions} == {(0,), (1,)}
 
 
-def test_run_attack_enumerate_all_keeps_one_completion_at_product_cap():
+def test_run_attack_enumerate_all_keeps_one_completion_at_product_cap(monkeypatch):
     # the dead-flop pair is certified by the bounded fallback at the product
     # diameter 4, but the all-survivors check then hits the state cap
     from seqdecam.netlist import camouflage, parse_bench
 
     camo = camouflage(parse_bench(DEAD_FLOP, "dead_flop"), ["g"], ["AND", "OR"])
     secret = Completion((0,))
-    cfg = atk.AttackConfig(bmc_inc=1, max_bound=4, product_state_cap=1, enumerate_all=True)
+    monkeypatch.setattr(atk, "PRODUCT_STATE_CAP", 1)
+    cfg = atk.AttackConfig(bmc_inc=1, max_bound=4, enumerate_all=True)
     rep = atk.run_attack(camo, BlackBox(camo, secret), cfg)
     assert rep.termination == atk.UMC
     assert len(rep.completions) == 1
@@ -452,8 +475,6 @@ def test_run_attack_enumerate_all_keeps_one_completion_at_product_cap():
 def test_umc_record_counts_every_solver_call_of_the_check(monkeypatch, s27_camo):
     # an enumeration cap of 1 sends every UMC check on to the bounded search
     # at the diameter 64, which adds its frames to the attack's instance
-    from seqdecam import sat as sm
-
     inside = []
     per_check: list[list[int]] = []
     real_solve, real_umc = sm.SatContext.solve, atk.check_umc
@@ -496,7 +517,6 @@ def test_three_candidate_cells():
     assert rep.completions[0] == secret
     # CNF solution set over the 3 candidates matches simulation exactly
     from seqdecam.encode import encode_consistency
-    from seqdecam import sat as sm
 
     survivors = {
         x.choices for x in camo.all_completions() if atk.consistent(camo, x, rep.disc_set)
@@ -578,8 +598,6 @@ def test_run_attack_asks_each_check_once_per_query_set():
 
 
 def test_add_record_rejects_an_output_of_the_wrong_length(s27_camo):
-    from seqdecam.encode import AttackInstance
-
     inst = AttackInstance(s27_camo)
     emitted = len(inst.bld.clauses)
     for out in (BitSeq(1, (0,)), BitSeq(1, (0, 1, 1))):

@@ -13,7 +13,7 @@ from seqdecam.encode import (
 )
 from seqdecam.gen import random_camo, random_circuit
 from seqdecam.netlist import BitSeq, Completion, run_sequence, step
-from seqdecam.oracle import QuerySet, record
+from seqdecam.oracle import OracleConflictError, QuerySet, record
 from seqdecam.attack import consistent
 
 from conftest import S27_SECRET
@@ -275,6 +275,25 @@ def test_attack_instance_matches_stateless_queries():
             out = run_sequence(camo, secret, seq)
             qs = record(qs, seq, out)
             inst.add_record(seq, out)
+            assert inst.qs == qs
+
+
+def test_add_record_keeps_the_query_set(s27_camo):
+    seq = BitSeq(4, (8, 9))
+    out = run_sequence(s27_camo, S27_SECRET, seq)
+    inst = AttackInstance(s27_camo)
+    assert inst.add_record(seq, out) is True
+    qs, emitted = inst.qs, len(inst.bld.clauses)
+    assert qs == record(QuerySet(), seq, out)
+    # an already-recorded pair is a no-op
+    assert inst.add_record(seq, out) is False
+    assert len(inst.bld.clauses) == emitted
+    # a second answer to the same sequence is rejected before any clause
+    lie = BitSeq(1, tuple(1 - b for b in out.steps))
+    with pytest.raises(OracleConflictError):
+        inst.add_record(seq, lie)
+    assert inst.qs == qs and len(inst.bld.clauses) == emitted
+    assert AttackInstance.from_queries(s27_camo, qs).qs == qs
 
 
 def test_attack_instance_enumeration(s27_camo):

@@ -87,8 +87,8 @@ def test_branching_follows_activity_after_rescale():
     for seed in range(8):
         rng = random.Random(seed)
         s = sm.Cdcl()
-        for _ in range(255):
-            s.add_clause([v if rng.random() < 0.5 else -v for v in rng.sample(range(1, 61), 3)])
+        s.add_clauses([[v if rng.random() < 0.5 else -v for v in rng.sample(range(1, 61), 3)]
+                       for _ in range(255)])
         s.var_inc = 1e98
         s.solve(conflict_budget=60)
         if s.var_inc > 1e90:

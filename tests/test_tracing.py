@@ -12,6 +12,7 @@ from seqdecam import attack as atk
 from seqdecam.encode import AttackInstance
 from seqdecam.netlist import BitSeq, run_sequence
 from seqdecam.oracle import BlackBox, QuerySet, record
+from seqdecam.sat import SAT, UNSAT
 
 from conftest import ROOT, S27_SECRET
 
@@ -39,13 +40,14 @@ def test_tracer_patches_resolve_and_every_solver_call_is_an_instance_query(s27_c
     with tracing.installed(tracing.Tracer()) as tr:
         for (owner, attr), orig in before.items():
             assert _lookup(owner, attr) is not orig, f"{attr} is not patched"
-        assert atk.find_distinguishing(s27_camo, QuerySet(), 2) is not None
-        assert atk.check_uc(s27_camo, qs) is True
-        assert atk.check_ce(s27_camo, QuerySet()) is False
-        assert atk.check_umc(s27_camo, QuerySet()) is False
-        assert atk.check_umc(s27_camo, qs, atk.AttackConfig(umc_mode="bmc", max_bound=64))
-        assert atk.recover_completion(s27_camo, qs) == S27_SECRET
-        assert atk.partial_completion(s27_camo, QuerySet()) == {"G13": None, "G10": None}
+        empty, full = AttackInstance(s27_camo), AttackInstance.from_queries(s27_camo, qs)
+        assert atk.find_distinguishing(empty, 2) is not None
+        assert full.solve_uc().status == UNSAT
+        assert empty.solve_ce().status == SAT
+        assert atk.check_umc(empty) is False
+        assert atk.check_umc(full, atk.AttackConfig(umc_mode="bmc", max_bound=64))
+        assert atk.recover_completion(full) == S27_SECRET
+        assert atk.partial_completion(empty) == {"G13": None, "G10": None}
         cfg = atk.AttackConfig(bmc_inc=2, max_bound=16)
         assert atk.run_attack(s27_camo, BlackBox(s27_camo, S27_SECRET), cfg).success
     for (owner, attr), orig in before.items():

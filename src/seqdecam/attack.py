@@ -1,20 +1,23 @@
 """The iterative decamouflaging attack and its reference procedures.
 
-The main loop grows a set of input sequences: a bounded search finds two
-completions that agree with everything observed so far yet disagree within
-the current bound, the oracle arbitrates, and the loser is eliminated.
-After every new record the two sufficient conditions are asked: unique
-completion (UC), then combinational equivalence (CE); either one ends the
-attack.  When no bounded distinguisher remains and neither holds, an
-unbounded check (UMC) runs before the bound grows: it lists the surviving
-completions in one resumed SAT search and checks each one for sequential
-equivalence with the first, in lock-step over the states the first reaches
-from reset and by explicit product-machine reachability for any survivor
-that leaves lock-step.  Every check takes the attack's one incremental
-`AttackInstance`, which holds the records (`inst.qs`) and answers every
-solver question about them, so the solver work of a check is the change in
-that instance's running `stats`.  Small-instance ground truth comes from an
-exhaustive pairwise-equivalence procedure over the whole completion space.
+The main loop grows a set of input sequences: a bounded search
+(`find_distinguishing`) finds two completions that agree with everything
+observed so far yet disagree within the current bound, the oracle
+arbitrates, and the loser is eliminated.  After every new record the two
+sufficient conditions are asked: unique completion (UC), then combinational
+equivalence (CE); either one ends the attack.  When no bounded distinguisher
+remains and neither holds, an unbounded check (UMC) runs before the bound
+grows: it lists the surviving completions in one resumed SAT search and
+checks each one for sequential equivalence with the first, in lock-step over
+the states the first reaches from reset and by explicit product-machine
+reachability for any survivor that leaves lock-step.  Every check takes the
+attack's one incremental `AttackInstance`, which holds the records
+(`inst.qs`) and answers every solver question about them.  Each check the
+loop runs becomes one `IterationRecord`: its solver work is the change in
+the instance's running `stats` and its wall time spans the whole check
+(encoding, oracle round trip and re-simulation included).  Small-instance
+ground truth comes from an exhaustive pairwise-equivalence procedure over
+the whole completion space.
 """
 
 from __future__ import annotations
@@ -35,8 +38,7 @@ from .sat import SolverTimeoutError
 
 UC, CE, UMC = "UC", "CE", "UMC"
 EXHAUSTED, TIMEOUT_TAG = "EXHAUSTED", "TIMEOUT"
-# caps of the explicit product search in check_umc and enumerate_all, read
-# when the check runs
+# caps of the explicit product search in check_umc, read when the check runs
 PRODUCT_STATE_CAP = 1 << 26
 PRODUCT_EXPAND_CAP = 1 << 26
 
@@ -64,7 +66,6 @@ class AttackConfig:
     solver_budget: float | None = None  # seconds per solver call
     umc_mode: str = "explicit"  # explicit | bmc | skip
     umc_enum_cap: int = 4096
-    enumerate_all: bool = False
 
     def __post_init__(self):
         if self.bmc_inc < 1:
@@ -138,13 +139,7 @@ def find_distinguishing(
         raise SolverTimeoutError(f"bounded search at b={bound} exceeded its budget")
     if res.status == satmod.UNSAT:
         return None
-    return _check_triple(inst, *inst.decode_bmc(res, bound))
-
-
-def _check_triple(
-    inst: AttackInstance, x1: Completion, x2: Completion, seq: BitSeq
-) -> tuple[Completion, Completion, BitSeq]:
-    """Truncate at the first disagreeing step and verify the model's claims."""
+    x1, x2, seq = inst.decode_bmc(res, bound)
     camo = inst.camo
     o1 = run_sequence(camo, x1, seq)
     o2 = run_sequence(camo, x2, seq)
@@ -483,23 +478,48 @@ def run_attack(camo: CamoCircuit, oracle, cfg: AttackConfig | None = None) -> At
     bound = 0
     termination: str | None = None
 
-    def log(event: str, res: "satmod.SolveResult", seq_len: int | None = None) -> None:
+    def log(check) -> str:
+        """Run check() -> (event, status, seq_len), record it, return the status.
+
+        The record's counters are the change in `inst.stats` across the check
+        and its wall time spans all of it, encoding and re-simulation included.
+        """
+        t0, before = time.monotonic(), inst.stats
+        event, status, seq_len = check()
+        after = inst.stats
         iterations.append(
             IterationRecord(
-                bound, event, seq_len, res.stats.conflicts, res.stats.decisions,
-                round(res.stats.wall_time, 6), res.status,
+                bound, event, seq_len, after.conflicts - before.conflicts,
+                after.decisions - before.decisions, round(time.monotonic() - t0, 6), status,
             )
         )
+        return status
+
+    def grow():
+        found = find_distinguishing(inst, bound, cfg.solver_budget)
+        if found is None:
+            return "bound", satmod.UNSAT, None
+        x1, x2, seq = found
+        if not inst.add_record(seq, oracle.query(seq)):
+            raise EncodingBugError("bounded search returned an already-recorded sequence")
+        # progress: the two witnesses disagree on seq, so at most one of
+        # them survives the new record
+        if consistent(camo, x1, inst.qs) and consistent(camo, x2, inst.qs):
+            raise EncodingBugError("neither counterexample completion was eliminated")
+        return "sequence", satmod.SAT, len(seq)
+
+    def umc():
+        try:
+            return "umc", UMC if check_umc(inst, cfg) else "refuted", None
+        except InconclusiveError as exc:
+            return "umc", f"inconclusive: {exc}", None
 
     def sufficient() -> str | None:
         # UC before CE: UC is the stronger verdict and keeps its label
-        res = inst.solve_uc(cfg.solver_budget)
-        log("uc", res)
-        if res.status == satmod.UNSAT:
+        if log(lambda: ("uc", inst.solve_uc(cfg.solver_budget).status, None)) == satmod.UNSAT:
             return UC
-        res = inst.solve_ce(cfg.solver_budget)
-        log("ce", res)
-        return CE if res.status == satmod.UNSAT else None
+        ce = log(lambda: ("ce", inst.solve_ce(cfg.solver_budget).status, None))
+        return CE if ce == satmod.UNSAT else None
 
     # record counts at which UC/CE and UMC last ran; their verdicts depend
     # only on the query set, so an unchanged set is never asked again
@@ -510,28 +530,15 @@ def run_attack(camo: CamoCircuit, oracle, cfg: AttackConfig | None = None) -> At
             termination = EXHAUSTED
             break
         bound += cfg.bmc_inc
-        while True:
-            res = inst.solve_bmc(bound, cfg.solver_budget)
-            if res.status == satmod.TIMEOUT:
-                termination = TIMEOUT_TAG
-                break
-            if res.status == satmod.UNSAT:
-                log("bound", res)
-                break
-            x1, x2, seq = _check_triple(inst, *inst.decode_bmc(res, bound))
-            if not inst.add_record(seq, oracle.query(seq)):
-                raise EncodingBugError("bounded search returned an already-recorded sequence")
-            # progress: the two witnesses disagree on seq, so at most one of
-            # them survives the new record
-            if consistent(camo, x1, inst.qs) and consistent(camo, x2, inst.qs):
-                raise EncodingBugError("neither counterexample completion was eliminated")
-            log("sequence", res, len(seq))
-            # UC or CE puts every pair of survivors in lock-step from reset,
-            # so the proof that would close this bound cannot change the outcome
-            termination = sufficient()
-            sufficient_at = len(inst.qs)
-            if termination is not None:
-                break
+        try:
+            while termination is None and log(grow) == satmod.SAT:
+                # UC or CE puts every pair of survivors in lock-step from
+                # reset, so the proof that would close this bound cannot
+                # change the outcome
+                termination = sufficient()
+                sufficient_at = len(inst.qs)
+        except SolverTimeoutError:
+            termination = TIMEOUT_TAG
         if termination is not None:
             break
         if sufficient_at != len(inst.qs):
@@ -541,50 +548,16 @@ def run_attack(camo: CamoCircuit, oracle, cfg: AttackConfig | None = None) -> At
                 break
         if cfg.umc_mode != "skip" and umc_at != len(inst.qs):
             umc_at = len(inst.qs)
-            t0 = time.monotonic()
-            before = inst.stats
-            try:
-                status = UMC if check_umc(inst, cfg) else "refuted"
-            except InconclusiveError as exc:
-                status = f"inconclusive: {exc}"
-            after = inst.stats
-            iterations.append(
-                IterationRecord(
-                    bound, "umc", None, after.conflicts - before.conflicts,
-                    after.decisions - before.decisions, round(time.monotonic() - t0, 6),
-                    status,
-                )
-            )
-            if status == UMC:
+            if log(umc) == UMC:
                 termination = UMC
-                break
 
     completions: tuple[Completion, ...] = ()
     partial: dict[str, int | None] | None = None
     if termination in (UC, CE, UMC):
         try:
-            x = recover_completion(inst, cfg.solver_budget)
+            completions = (recover_completion(inst, cfg.solver_budget),)
         except SolverTimeoutError:
             termination = TIMEOUT_TAG
-        else:
-            completions = (x,)
-            if cfg.enumerate_all:
-                try:
-                    allc = inst.enumerate_consistent(cfg.umc_enum_cap, cfg.solver_budget)
-                    # with a discriminating set every survivor is correct, so
-                    # they must all be mutually equivalent
-                    w = None if allc is None else _first_inequivalent(
-                        camo, allc, PRODUCT_STATE_CAP, PRODUCT_EXPAND_CAP
-                    )
-                except (SolverTimeoutError, ProductCapError):
-                    allc = None  # a budget or a product cap: keep the one verified completion
-                if allc is not None:
-                    if w is not None:
-                        raise EncodingBugError(
-                            "termination check accepted a non-discriminating set: "
-                            f"completions differ on {w.to_strings()}"
-                        )
-                    completions = tuple(allc)
     if termination in (EXHAUSTED, TIMEOUT_TAG):
         partial = partial_completion(inst, cfg.solver_budget)
 

@@ -5,7 +5,8 @@ secret), attack (runs the full loop against an in-process or piped oracle),
 verify (product-machine equivalence of a claimed completion against the
 secret), report (aggregates run records into a table), serve-oracle (answers
 the pipe protocol on stdio).  Exit codes: 0 success, 1 attack failure,
-inequivalence, or an oracle conflict or timeout, 2 usage error, 3
+inequivalence, or an oracle conflict, timeout or protocol error, 2 usage
+error (including a malformed netlist, sidecar or completion file), 3
 inconclusive verification.
 """
 
@@ -21,7 +22,10 @@ from pathlib import Path
 
 from . import attack as atk
 from . import netlist as nl
-from .oracle import BlackBox, OracleConflictError, OracleTimeoutError, PipeOracle, serve_pipe_oracle
+from .oracle import (
+    BlackBox, OracleConflictError, OracleProtocolError, OracleTimeoutError, PipeOracle,
+    serve_pipe_oracle,
+)
 
 
 class UsageError(ValueError):
@@ -335,6 +339,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except OracleTimeoutError as exc:
         print(f"oracle timeout: {exc}", file=sys.stderr)
+        return 1
+    except OracleProtocolError as exc:
+        print(f"oracle error: {exc}", file=sys.stderr)
         return 1
     except atk.InconclusiveError as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)

@@ -461,7 +461,10 @@ def parse_sidecar(text: str, circuit: Circuit) -> CamoCircuit:
             candidates = line.split(":", 1)[1].split()
         elif line.lower().startswith("reset:"):
             bits = line.split(":", 1)[1].strip()
-            reset = parse_bits(bits, circuit.num_flops)
+            try:
+                reset = parse_bits(bits, circuit.num_flops)
+            except ValueError as exc:
+                raise BenchSyntaxError(f"bad reset state: {exc}", lineno) from None
         else:
             if not _ID_RE.match(line):
                 raise BenchSyntaxError(f"bad gate-id {line!r}", lineno)
@@ -493,13 +496,17 @@ def parse_completion_file(text: str, camo: CamoCircuit) -> Completion:
     for cell in camo.cells:
         if cell.gate_out not in assigned:
             raise CamouflageError(f"completion file misses cell {cell.gate_out!r}")
-        choices.append(assigned[cell.gate_out])
+        v = assigned[cell.gate_out]
+        if v >= cell.t:
+            raise CamouflageError(
+                f"completion file gives cell {cell.gate_out!r} index {v}, "
+                f"out of range 0..{cell.t - 1}"
+            )
+        choices.append(v)
     extra = set(assigned) - {c.gate_out for c in camo.cells}
     if extra:
         raise CamouflageError(f"completion file names unknown cells: {sorted(extra)}")
-    x = Completion(tuple(choices))
-    x.check(camo)
-    return x
+    return Completion(tuple(choices))
 
 
 # -------------------------------------------------------------- simulation

@@ -25,6 +25,10 @@ class OracleTimeoutError(TimeoutError):
     """An oracle process did not answer a query within its deadline."""
 
 
+class OracleProtocolError(RuntimeError):
+    """An oracle process closed its pipe, reported an error or sent a malformed answer."""
+
+
 QUERY_TIMEOUT_S = 60.0
 
 
@@ -159,8 +163,11 @@ class PipeOracle:
         with self._lock:
             self.query_count += 1
             self.step_count += len(seq)
-            self._proc.stdin.write(req)
-            self._proc.stdin.flush()
+            try:
+                self._proc.stdin.write(req)
+                self._proc.stdin.flush()
+            except BrokenPipeError:
+                raise OracleProtocolError("oracle process stopped reading queries") from None
             try:
                 resp = self._lines.get(timeout=self.timeout)
             except queue.Empty:
@@ -169,20 +176,26 @@ class PipeOracle:
                     f"oracle process gave no answer within {self.timeout:g} s"
                 ) from None
         if not resp:
-            raise RuntimeError("oracle process closed the pipe")
+            raise OracleProtocolError("oracle process closed the pipe without an answer")
         parts = resp.split()
         if not parts or parts[0] != "A":
-            raise RuntimeError(f"oracle error: {resp.strip()}")
+            raise OracleProtocolError(f"expected an answer line, got {resp.strip()!r}")
         if len(parts) - 1 != len(seq):
             raise OracleConflictError(
                 f"oracle returned {len(parts) - 1} output steps for {len(seq)} inputs"
             )
-        steps = tuple(parse_bits(s, self.num_outputs) for s in parts[1:])
+        try:
+            steps = tuple(parse_bits(s, self.num_outputs) for s in parts[1:])
+        except ValueError as exc:
+            raise OracleProtocolError(f"malformed answer {resp.strip()!r}: {exc}") from None
         return BitSeq(self.num_outputs, steps)
 
     def close(self) -> None:
-        if self._proc.stdin:
+        """End the process's input and wait for it; a dead process is fine."""
+        try:
             self._proc.stdin.close()
+        except BrokenPipeError:  # unsent request bytes of a process that has exited
+            pass
         self._proc.wait(timeout=10)
 
     def __enter__(self):

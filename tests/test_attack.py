@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import random
+import re
 
 import pytest
 
@@ -10,7 +12,7 @@ from seqdecam.gen import random_camo, random_circuit
 from seqdecam.netlist import BitSeq, Completion, run_sequence
 from seqdecam.oracle import BlackBox, QuerySet, record
 
-from conftest import S27_SECRET
+from conftest import ROOT, S27_SECRET
 
 
 def _observe(camo, secret, steps_list):
@@ -448,58 +450,61 @@ def test_run_attack_solver_timeout(s27_camo):
     assert all(v is None for v in rep.partial.values())
 
 
-def test_run_attack_enumerate_all(identical_candidates_camo):
-    camo, secret = identical_candidates_camo
-    box = BlackBox(camo, secret)
-    cfg = atk.AttackConfig(bmc_inc=1, max_bound=4, enumerate_all=True)
-    rep = atk.run_attack(camo, box, cfg)
-    assert rep.success
-    assert {x.choices for x in rep.completions} == {(0,), (1,)}
-
-
-def test_run_attack_enumerate_all_keeps_one_completion_at_product_cap(monkeypatch):
-    # the dead-flop pair is certified by the bounded fallback at the product
-    # diameter 4, but the all-survivors check then hits the state cap
+def _delay_line_attack():
+    # one cell sits behind a four-flop delay line, so bounds 1-4 all close on
+    # the same single record before bound 5 finds the second query
     from seqdecam.netlist import camouflage, parse_bench
+    from test_acceptance import DELAY_LINE
 
-    camo = camouflage(parse_bench(DEAD_FLOP, "dead_flop"), ["g"], ["AND", "OR"])
-    secret = Completion((0,))
-    monkeypatch.setattr(atk, "PRODUCT_STATE_CAP", 1)
-    cfg = atk.AttackConfig(bmc_inc=1, max_bound=4, enumerate_all=True)
-    rep = atk.run_attack(camo, BlackBox(camo, secret), cfg)
-    assert rep.termination == atk.UMC
-    assert len(rep.completions) == 1
-    assert atk.product_equiv(camo, rep.completions[0], secret) is None
+    camo = camouflage(parse_bench(DELAY_LINE, "delayline"), ["c1", "c2", "c3", "c4", "e"],
+                      ["NAND", "NOR"])
+    secret = Completion((0, 1, 0, 1, 0))
+    return camo, secret, atk.AttackConfig(bmc_inc=1, max_bound=8)
 
 
 def test_umc_record_counts_every_solver_call_of_the_check(monkeypatch, s27_camo):
-    # an enumeration cap of 1 sends every UMC check on to the bounded search
-    # at the diameter 64, which adds its frames to the attack's instance
-    inside = []
-    per_check: list[list[int]] = []
-    real_solve, real_umc = sm.SatContext.solve, atk.check_umc
+    # every solver call of the loop lies in exactly one record's window, so
+    # each record holds the solver results summed since the record before it
+    # (the recovery solve after the last record is in none);
+    # on s27 an enumeration cap of 1 sends every UMC check on to the bounded
+    # search at the diameter 64, which adds its frames to the attack's instance
+    since_last = [0, 0]
+    windows: list[list[int]] = []
+    real_solve, real_record = sm.SatContext.solve, atk.IterationRecord
 
     def solve(self, *args, **kwargs):
         res = real_solve(self, *args, **kwargs)
-        if inside:
-            per_check[-1][0] += res.stats.conflicts
-            per_check[-1][1] += res.stats.decisions
+        since_last[0] += res.stats.conflicts
+        since_last[1] += res.stats.decisions
         return res
 
-    def check_umc(*args, **kwargs):
-        inside.append(True)
-        per_check.append([0, 0])
-        try:
-            return real_umc(*args, **kwargs)
-        finally:
-            inside.pop()
+    def record(*args, **kwargs):
+        windows.append(list(since_last))
+        since_last[:] = [0, 0]
+        return real_record(*args, **kwargs)
 
     monkeypatch.setattr(sm.SatContext, "solve", solve)
-    monkeypatch.setattr(atk, "check_umc", check_umc)
-    cfg = atk.AttackConfig(bmc_inc=1, max_bound=64, umc_enum_cap=1)
-    rep = atk.run_attack(s27_camo, BlackBox(s27_camo, S27_SECRET), cfg)
-    umc = [[it.conflicts, it.decisions] for it in rep.iterations if it.event == "umc"]
-    assert umc and umc == per_check
+    monkeypatch.setattr(atk, "IterationRecord", record)
+    s27 = (s27_camo, S27_SECRET, atk.AttackConfig(bmc_inc=1, max_bound=64, umc_enum_cap=1))
+    events = set()
+    for camo, secret, cfg in (s27, _delay_line_attack()):
+        windows.clear()
+        since_last[:] = [0, 0]
+        rep = atk.run_attack(camo, BlackBox(camo, secret), cfg)
+        assert [[it.conflicts, it.decisions] for it in rep.iterations] == windows
+        assert sum(it.wall for it in rep.iterations) <= rep.wall
+        events |= {it.event for it in rep.iterations}
+    assert events == {"sequence", "bound", "uc", "ce", "umc"}
+
+
+def test_every_config_field_has_a_caller():
+    # an option that neither the CLI nor the benchmark sets is one no caller
+    # can reach
+    sources = (ROOT / "src" / "seqdecam" / "cli.py").read_text() + (
+        ROOT / "perfbench" / "workloads.py"
+    ).read_text()
+    for f in dataclasses.fields(atk.AttackConfig):
+        assert re.search(rf"\b{f.name}\s*=(?!=)", sources), f.name
 
 
 def test_three_candidate_cells():
@@ -573,16 +578,8 @@ def test_run_attack_events_carry_status(s27_camo, unreachable_divergence_camo):
 
 
 def test_run_attack_asks_each_check_once_per_query_set():
-    # one cell sits behind a four-flop delay line, so bounds 1-4 all close on
-    # the same single record before bound 5 finds the second query
-    from seqdecam.netlist import camouflage, parse_bench
-    from test_acceptance import DELAY_LINE
-
-    camo = camouflage(parse_bench(DELAY_LINE, "delayline"), ["c1", "c2", "c3", "c4", "e"],
-                      ["NAND", "NOR"])
-    secret = Completion((0, 1, 0, 1, 0))
-    box = BlackBox(camo, secret)
-    rep = atk.run_attack(camo, box, atk.AttackConfig(bmc_inc=1, max_bound=8))
+    camo, secret, cfg = _delay_line_attack()
+    rep = atk.run_attack(camo, BlackBox(camo, secret), cfg)
     assert rep.termination == atk.UC and rep.completions == (secret,)
     assert [i.bound for i in rep.iterations if i.event == "bound"] == [1, 2, 3, 4]
     # uc/ce once per query-set size, umc once per query set

@@ -180,6 +180,43 @@ def test_attack_against_hung_oracle_exits_1(workdir, tmp_path, monkeypatch, caps
     assert "oracle timeout" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "script",
+    [
+        None,  # exits at once: the query meets a closed pipe
+        "for line in sys.stdin: print('E unknown request', flush=True)",
+        "for line in sys.stdin: print('A' + ' 2' * int(line.split()[1]), flush=True)",
+    ],
+    ids=["closed", "error-line", "bad-step"],
+)
+def test_attack_against_broken_oracle_exits_1(workdir, tmp_path, capsys, script):
+    cmd = "true" if script is None else f'{sys.executable} -c "import sys\n{script}"'
+    t0 = time.monotonic()
+    rc = run_cli(
+        "attack", "--bench", S27, "--sidecar", _sidecar(workdir),
+        "--oracle-cmd", cmd, "--bmc-inc", "2", "--max-bound", "16",
+        "--out", tmp_path / "broken",
+    )
+    assert rc == 1
+    assert time.monotonic() - t0 < 5
+    assert "oracle error" in capsys.readouterr().err
+
+
+def test_verify_rejects_malformed_sidecar_and_completion(workdir, capsys):
+    bad_sidecar = workdir / "bad.sidecar.txt"
+    bad_sidecar.write_text("candidates: NAND NOR\nreset: 01\nG13\n")
+    bad_completion = workdir / "bad.completion"
+    cells = [line.split()[0] for line in _secret(workdir).read_text().splitlines()]
+    bad_completion.write_text("".join(f"{c} 5\n" for c in cells))
+    for sidecar, completion in ((bad_sidecar, _secret(workdir)), (_sidecar(workdir), bad_completion)):
+        rc = run_cli(
+            "verify", "--bench", S27, "--sidecar", sidecar,
+            "--secret", _secret(workdir), "--completion", completion,
+        )
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+
 def test_attack_directory_mode_with_jobs(tmp_path):
     for seed in (1, 2):
         run_cli("camouflage", "--bench", S27, "--k", "2", "--seed", seed, "--out", tmp_path / "in")

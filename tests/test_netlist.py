@@ -133,13 +133,18 @@ def test_sidecar_roundtrip(s27):
     assert again == camo
 
 
+def test_sidecar_bad_reset_is_a_syntax_error(s27):
+    with pytest.raises(nl.BenchSyntaxError, match="line 2"):
+        nl.parse_sidecar("candidates: NAND NOR\nreset: 01\nG13\n", s27)  # s27 has 3 flops
+
+
 def test_completion_file_roundtrip(s27_camo):
     x = nl.Completion((1, 0))
     text = nl.format_completion_file(s27_camo, x)
     assert nl.parse_completion_file(text, s27_camo) == x
     with pytest.raises(nl.CamouflageError):
         nl.parse_completion_file("G13 0\n", s27_camo)  # missing cell
-    with pytest.raises(ValueError):
+    with pytest.raises(nl.CamouflageError, match="'G13' index 2"):
         nl.parse_completion_file("G13 2\nG10 0\n", s27_camo)  # index out of range
 
 

@@ -62,8 +62,9 @@ class CnfBuilder:
         """Add a clause; constant literals are folded away."""
         if TRUE in lits:
             return
-        out = tuple(l for l in lits if l != FALSE)
-        self.clauses.append(out)
+        if FALSE in lits:
+            lits = tuple(l for l in lits if l != FALSE)
+        self.clauses.append(lits)
 
     def group(self, name: str, lits: Sequence[int]) -> None:
         self.groups[name] = tuple(lits)

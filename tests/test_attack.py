@@ -427,6 +427,39 @@ def test_run_attack_reports_are_reproducible(s27_camo):
     ]
 
 
+# The search pinned: every record's (bound, event, status, conflicts,
+# decisions) and the query set of two fixed attacks.  A change to the
+# solver or the encoding that alters any decision shows up here; update the
+# values only with a change meant to alter the search.
+_PINNED_S27 = (
+    [(2, "sequence", "SAT", 3, 13), (2, "uc", "SAT", 4, 16), (2, "ce", "SAT", 0, 21),
+     (2, "sequence", "SAT", 0, 18), (2, "uc", "UNSAT", 0, 0)],
+    [((8, 9), (0, 1)), ((4, 9), (1, 0))],
+)
+_PINNED_RANDOM = (
+    [(2, "sequence", "SAT", 8, 28), (2, "uc", "SAT", 0, 14), (2, "ce", "SAT", 0, 21),
+     (2, "sequence", "SAT", 5, 32), (2, "uc", "SAT", 14, 33), (2, "ce", "SAT", 11, 34),
+     (2, "bound", "UNSAT", 0, 0), (2, "umc", "refuted", 3, 59), (4, "sequence", "SAT", 12, 43),
+     (4, "uc", "SAT", 1, 37), (4, "ce", "SAT", 0, 28), (4, "sequence", "SAT", 0, 30),
+     (4, "uc", "UNSAT", 3, 4)],
+    [((3,), (1,)), ((7, 7), (0, 1)), ((7, 7, 5, 3), (0, 1, 0, 1)), ((7, 7, 3, 3), (0, 1, 0, 0))],
+)
+
+
+def test_search_is_pinned(s27_camo):
+    rng = random.Random(2)
+    small = random_camo(rng, random_circuit(rng, num_inputs=3, num_flops=3, num_gates=18), k=4)
+    for camo, secret, cfg, pinned in (
+        (s27_camo, S27_SECRET, atk.AttackConfig(bmc_inc=2, max_bound=16), _PINNED_S27),
+        (*small, atk.AttackConfig(bmc_inc=2, max_bound=64), _PINNED_RANDOM),
+    ):
+        rep = atk.run_attack(camo, BlackBox(camo, secret), cfg)
+        assert rep.termination == atk.UC and rep.completions == (secret,)
+        records = [(i.bound, i.event, i.status, i.conflicts, i.decisions) for i in rep.iterations]
+        queries = [(seq.steps, out.steps) for seq, out in rep.disc_set]
+        assert (records, queries) == pinned
+
+
 def test_progress_invariant_each_iteration(s27_camo):
     # after each query, at least one of the counterexample completions is
     # inconsistent; run_attack raises EncodingBugError otherwise, so a clean

@@ -64,6 +64,86 @@ def test_incremental_add_then_assume():
     assert ctx.solve([1]).status == sm.SAT
 
 
+def test_out_of_range_variable_is_refused_before_anything_is_stored():
+    # 1 << 30 is refused before any per-variable array grows; a variable just
+    # below it would make ensure_vars allocate arrays of 2^30 entries
+    ctx = sm.SatContext(_inst(2, [(1, 2)]))
+    lits, starts = list(ctx._lits), list(ctx._starts)
+    with pytest.raises(sm.MalformedInstanceError, match="int32"):
+        ctx.add_clauses([(1, 1 << 30)])
+    assert (list(ctx._lits), list(ctx._starts), ctx.num_vars) == (lits, starts, 2)
+    assert ctx.solve([-1]).status == sm.SAT
+
+
+def test_refused_blocking_clause_is_not_verified_against():
+    ctx = sm.SatContext(_inst(3, [(1,), (2, 3)]))
+    assert ctx.solve([2], resume=True).status == sm.SAT
+    with pytest.raises(ValueError):
+        ctx.block([2])  # true in the model, so it blocks nothing
+    ctx.rewind()
+    assert ctx.solve([-2]).status == sm.SAT
+
+
+def _state(ctx):
+    return (ctx._cdcl.ok, ctx.num_vars, list(ctx._lits), list(ctx._starts), ctx._nempty,
+            ctx._cdcl.nvars, ctx._cdcl.num_clauses, list(ctx._cdcl.trail), ctx.stats)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**9))
+def test_batched_sync_equals_clause_by_clause(seed):
+    rng = random.Random(seed)
+    nv = rng.randint(2, 8)
+    # units fix some literals at level 0, so the batch meets true and false ones
+    base = [(rng.choice([1, -1]) * v,) for v in rng.sample(range(1, nv + 1), rng.randint(0, 2))]
+    top = nv + rng.randint(0, 2)  # the batch may name variables not yet declared
+    lit = lambda: rng.choice([1, -1]) * rng.randint(1, top)
+    batch = []
+    for _ in range(rng.randint(0, 14)):
+        c = [lit() for _ in range(rng.randint(1, 4))]  # drawn with repeats
+        if rng.random() < 0.2:
+            c.append(-c[0])  # tautology
+        batch.append(tuple(c))
+    if rng.random() < 0.1:
+        batch.insert(rng.randint(0, len(batch)), ())
+    one = sm.SatContext(_inst(nv, base))
+    each = sm.SatContext(_inst(nv, base))
+    # literal 0 is refused by both before anything is stored
+    zero = (lit(), 0)
+    bad = list(batch)
+    bad.insert(rng.randint(0, len(bad)), zero)
+    for ctx, refused in ((one, bad), (each, [zero])):
+        before = _state(ctx)
+        with pytest.raises(sm.MalformedInstanceError, match="literal 0"):
+            ctx.add_clauses(refused)
+        assert _state(ctx) == before
+    one.add_clauses(batch)
+    for c in batch:
+        each.add_clauses([c])
+    assert _state(one) == _state(each)
+    assumptions = [rng.choice([1, -1]) * v for v in rng.sample(range(1, one.num_vars + 1), rng.randint(0, 2))]
+    a, b = one.solve(assumptions), each.solve(assumptions)
+    assert (a.status, a.raw_model) == (b.status, b.raw_model)
+    assert (a.stats.conflicts, a.stats.decisions, a.stats.propagations) == (
+        b.stats.conflicts, b.stats.decisions, b.stats.propagations)
+
+
+def test_pick_falls_back_to_the_lowest_open_variable():
+    # implied variables are never queued, so once the heap is empty the pick
+    # is the lowest open one, in its saved phase
+    s = sm.Cdcl()
+    s.add_clauses([(1, 2, 3, 4, 5)])
+    s.mark_implied(range(1, 6))
+    s.heap.clear()
+    s.add_clauses([(-2,)])
+    s.polarity[3] = 1
+    assert s._pick_branch() == 1 << 1 | 1  # variable 1, negative phase
+    s.add_clauses([(1,)])
+    assert s._pick_branch() == 3 << 1  # variable 3, positive phase
+    s.add_clauses([(-3,), (4,), (5,)])
+    assert s._pick_branch() == -1
+
+
 def test_conflict_budget_reports_timeout():
     # pigeonhole: 6 pigeons in 5 holes, comfortably past a 10-conflict budget
     bld = CnfBuilder()

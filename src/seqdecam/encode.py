@@ -385,19 +385,26 @@ class AttackInstance:
 
         One resumed search: each model is excluded by a blocking clause (the
         negated key bits of k1) from which the solver backjumps and searches
-        on, instead of starting again from level 0.  Every model is still
-        verified against every clause, blocking clauses included.  The
-        blocking clauses are guarded by a one-shot epoch literal, assumed by
-        every model search of this call, so they do not constrain later
-        queries on this instance.  Raises SolverTimeoutError when one model
-        search exceeds `budget` seconds.  The counters of its solver calls
-        are read off `stats`, like those of every other query.  The solver's
-        trail is back at level 0 on every exit.
+        on, instead of starting again from level 0.  The solver decides k1's
+        bits after every other variable (`SatContext.decide_last`), so they
+        sit at the top of the trail and a blocking clause backjumps over
+        them alone: the rest of the model (k2, the frames, k2's consistency)
+        stays assigned for the next search.  Every model is still verified
+        against every clause, blocking clauses included.  The blocking
+        clauses are guarded by a one-shot epoch literal, assumed by every
+        model search of this call, so they do not constrain later queries on
+        this instance.  Raises SolverTimeoutError when one model search
+        exceeds `budget` seconds.  The counters of its solver calls are read
+        off `stats`, like those of every other query.  On every exit the
+        solver's trail is back at level 0 and its decision order is as
+        before the call.
         """
         epoch = self.bld.new_var()
         self._sync()
         ctx = self._ctx
+        key = self.k1.all_vars()
         found: list[Completion] = []
+        ctx.decide_last(key)
         try:
             while True:
                 res = ctx.solve([epoch], time_budget=budget, resume=True)
@@ -405,13 +412,10 @@ class AttackInstance:
                     raise satmod.SolverTimeoutError("solver budget exhausted during enumeration")
                 if res.status == satmod.UNSAT:
                     return found
-                x = self.k1.decode(res)
-                found.append(x)
+                found.append(self.k1.decode(res))
                 if len(found) > cap:
                     return None
-                block = [-epoch]
-                for ci, v in enumerate(x.choices):
-                    block.extend(-lit for lit in self.k1.value_lits(ci, v))
-                ctx.block(block)
+                model = res.raw_model
+                ctx.block([-epoch] + [-b if model[b] else b for b in key])
         finally:
             ctx.rewind()

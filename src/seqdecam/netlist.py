@@ -97,6 +97,11 @@ class Circuit:
 
     def validate(self) -> None:
         """Check structural invariants; raise a BenchError subclass if broken."""
+        self._check_drivers()
+        _toposort(self.inputs, self.state_nets, self.gates)  # raises on cycles
+
+    def _check_drivers(self) -> None:
+        """`validate` without the cycle check (see `build_circuit`)."""
         if self.num_inputs < 1:
             raise BenchError("circuit must declare at least one input")
         if self.num_outputs < 1:
@@ -119,7 +124,6 @@ class Circuit:
         for net in self.outputs:
             if net not in driven:
                 raise UndrivenNetError(f"declared output {net!r} has no driver")
-        _toposort(self.inputs, self.state_nets, self.gates)  # raises on cycles
 
 
 @dataclass(frozen=True)
@@ -304,6 +308,17 @@ def parse_bench(text: str, name: str = "circuit") -> Circuit:
             _claim(driven, out, f"{fn} gate", lineno)
             gates.append(Gate(out, fn, tuple(args)))
 
+    return build_circuit(name, inputs, outputs, flops, gates)
+
+
+def build_circuit(
+    name: str,
+    inputs: Sequence[str],
+    outputs: Sequence[str],
+    flops: Sequence[tuple[str, str]],
+    gates: Sequence[Gate],
+) -> Circuit:
+    """A validated Circuit with its gates in topological order, sorted once."""
     circuit = Circuit(
         name=name,
         inputs=tuple(inputs),
@@ -311,7 +326,7 @@ def parse_bench(text: str, name: str = "circuit") -> Circuit:
         flops=tuple(flops),
         gates=_toposort(tuple(inputs), tuple(s for s, _ in flops), tuple(gates)),
     )
-    circuit.validate()
+    circuit._check_drivers()  # _toposort has ruled out cycles
     return circuit
 
 

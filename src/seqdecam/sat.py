@@ -9,7 +9,9 @@ Models are enumerated by one resumed search: a SAT answer can keep its
 trail, a blocking clause that the model falsifies backjumps the solver to
 the clause's asserting level, and the next model is searched from there
 rather than from level 0 (the blocking scheme of Toda & Soh, "Implementing
-Efficient All Solutions SAT Solvers", ACM JEA 2016).
+Efficient All Solutions SAT Solvers", ACM JEA 2016).  The enumerated
+variables are decided last (`Cdcl.decide_last`), so that backjump undoes
+little else.
 """
 
 from __future__ import annotations
@@ -122,9 +124,17 @@ class Cdcl:
     subscripts and not bytearray ones, so each access costs less, at 8
     bytes per entry instead of 1.
 
-    Decisions come from a binary heap of (-activity, v) keys, so the pick is
-    the open variable of highest activity, the lowest index on a tie.  The
-    heap holds at most one current entry per variable, flagged in
+    A decision picks, in this order: the open variable of highest activity
+    from a binary heap of (-activity, v) keys, the lowest index on a tie;
+    then, once the heap holds no open variable, the first open variable of
+    the late list (`decide_last`); then, as a safety net, the lowest open
+    variable.  Late variables popped from the heap are passed over.  Model
+    enumeration puts the enumerated key on the late list: the key is then
+    decided at the top of the trail, so the blocking clause over the key
+    backjumps over the key's own levels alone and the rest of the model
+    stays assigned for the next one.
+
+    The heap holds at most one current entry per variable, flagged in
     ``in_heap``: a backjump pushes an unassigned branchable variable only if
     it has none, and bumping a variable's activity leaves its old entry
     stale, to be skipped when it surfaces (heapq has no decrease-key).
@@ -152,6 +162,7 @@ class Cdcl:
         self.qhead = 0
         self.heap: list[tuple[float, int]] = []
         self.in_heap = [0]  # 1 while v has an entry keyed by its current activity
+        self.late: dict[int, None] = {}  # decided last, in this order, until rewind
         self.var_inc = 1.0
         self.num_clauses = 0  # problem clauses; long ones live in the watch lists
         self.learnts: list[list[int]] = []
@@ -292,9 +303,24 @@ class Cdcl:
         if top > second:
             self._assign(out[0], out if len(out) > 2 else out[1])
 
+    def decide_last(self, vars_: Iterable[int]) -> None:
+        """Decide these variables, in this order, only once every other
+        branchable variable is assigned, until `rewind`."""
+        self.late = dict.fromkeys(vars_)
+
     def rewind(self) -> None:
-        """Undo every decision: the trail goes back to level 0."""
+        """Undo every decision: the trail goes back to level 0, and the late
+        variables are decided like any other again.
+
+        A late variable popped from the heap while it was passed over has no
+        entry left; each one that is open and branchable gets one back.
+        """
         self._cancel_until(0)
+        for v in self.late:
+            if self.val[v << 1] == 0 and self.branchable[v] and not self.in_heap[v]:
+                self.in_heap[v] = 1
+                heappush(self.heap, (-self.activity[v], v))
+        self.late = {}
 
     # ------------------------------------------------------------ internals
 
@@ -584,20 +610,23 @@ class Cdcl:
             # drop stale entries, which the loop below would skip anyway
             heap[:] = [kv for kv in heap if kv[0] == -activity[kv[1]]]
             heapify(heap)
+        late = self.late
         while heap:
             key, v = heappop(heap)
             if key != -activity[v]:
                 continue  # stale: v was bumped after this entry was pushed
             in_heap[v] = 0
+            if val[v << 1] == 0 and v not in late:
+                return (v << 1) | (0 if self.polarity[v] else 1)
+        if len(self.trail) == self.nvars:
+            return -1  # every variable is assigned
+        for v in late:
             if val[v << 1] == 0:
                 return (v << 1) | (0 if self.polarity[v] else 1)
         # safety net: decide the lowest open variable (implied vars included,
         # in case a one-sided definition left slack); val[2v] is 0 exactly
         # when v is open, and it comes before val[2v + 1]
-        try:
-            v = val.index(0, 2) >> 1
-        except ValueError:
-            return -1
+        v = val.index(0, 2) >> 1
         return (v << 1) | (0 if self.polarity[v] else 1)
 
     # ---------------------------------------------------------------- solve
@@ -776,8 +805,14 @@ class SatContext:
         lits, lens, _ = encode_clauses([clause])
         self._store(lits, lens)
 
+    def decide_last(self, vars_: Iterable[int]) -> None:
+        """Decide these variables after all others until `rewind` (see
+        `Cdcl.decide_last`)."""
+        self._cdcl.decide_last(vars_)
+
     def rewind(self) -> None:
-        """Put the solver's trail back at level 0 (ends a resumed search)."""
+        """Put the solver's trail back at level 0 and clear `decide_last`
+        (ends a resumed search)."""
         self._cdcl.rewind()
 
     def solve(

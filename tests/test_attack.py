@@ -439,7 +439,7 @@ _PINNED_S27 = (
 _PINNED_RANDOM = (
     [(2, "sequence", "SAT", 8, 28), (2, "uc", "SAT", 0, 14), (2, "ce", "SAT", 0, 21),
      (2, "sequence", "SAT", 5, 32), (2, "uc", "SAT", 14, 33), (2, "ce", "SAT", 11, 34),
-     (2, "bound", "UNSAT", 0, 0), (2, "umc", "refuted", 3, 59), (4, "sequence", "SAT", 12, 43),
+     (2, "bound", "UNSAT", 0, 0), (2, "umc", "refuted", 3, 56), (4, "sequence", "SAT", 12, 43),
      (4, "uc", "SAT", 1, 37), (4, "ce", "SAT", 0, 28), (4, "sequence", "SAT", 0, 30),
      (4, "uc", "UNSAT", 3, 4)],
     [((3,), (1,)), ((7, 7), (0, 1)), ((7, 7, 5, 3), (0, 1, 0, 1)), ((7, 7, 3, 3), (0, 1, 0, 0))],
@@ -458,6 +458,25 @@ def test_search_is_pinned(s27_camo):
         records = [(i.bound, i.event, i.status, i.conflicts, i.decisions) for i in rep.iterations]
         queries = [(seq.steps, out.steps) for seq, out in rep.disc_set]
         assert (records, queries) == pinned
+
+
+def test_enumeration_is_pinned():
+    # the resumed model search of explicit UMC on an s344-shaped circuit
+    # (perfbench's S344_SHAPE, circuit 3, k=10) after the attack's first
+    # query: its key is decided last, so each blocking clause backjumps over
+    # the key alone; values recorded with that decision order
+    rng = random.Random(3)
+    shape = dict(num_inputs=9, num_outputs=11, num_flops=15, num_gates=160)
+    camo, secret = random_camo(rng, random_circuit(rng, **shape), k=10)
+    inst = AttackInstance(camo)
+    _, _, seq = atk.find_distinguishing(inst, 1)
+    inst.add_record(seq, BlackBox(camo, secret).query(seq))
+    before = inst.stats
+    found = inst.enumerate_consistent(cap=4096)
+    after = inst.stats
+    assert len(set(found)) == len(found) == 256 and secret in found
+    assert (after.decisions - before.decisions, after.propagations - before.propagations) == (
+        677, 3451)
 
 
 def test_progress_invariant_each_iteration(s27_camo):

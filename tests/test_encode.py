@@ -398,7 +398,12 @@ def test_enumeration_matches_brute_force_sweep(s27_camo):
 
 def test_enumeration_leaves_level_0_on_every_exit(monkeypatch, s27_camo):
     inst = AttackInstance(s27_camo)
-    trail = lambda: inst._ctx._cdcl.trail_lim
+    solver = inst._ctx._cdcl
+
+    def trail():
+        assert not solver.late  # the key is decided like any variable again
+        return solver.trail_lim
+
     assert len(inst.enumerate_consistent(cap=10)) == 4  # ends UNSAT
     assert trail() == []
     assert inst.enumerate_consistent(cap=2) is None  # ends at the cap

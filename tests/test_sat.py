@@ -367,6 +367,56 @@ def test_resumed_enumeration_agrees_with_brute_force(seed):
         assert set(_enumerate_resumed(ctx, assumptions, proj, guard=nv + 1)) == set()
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**9))
+def test_late_variables_are_decided_last(seed):
+    # the decision order of model enumeration: the late variables go last,
+    # the models are those found without the list, and the rewind that
+    # clears it leaves a heap entry for every open branchable variable,
+    # late ones passed over and never decided again included
+    rng = random.Random(seed)
+    nv = rng.randint(2, 10)
+    clauses = _random_clauses(rng, nv, rng.randint(nv, 4 * nv), (1, min(3, nv)))
+    late = rng.sample(range(1, nv + 1), rng.randint(1, nv))
+    proj = late if rng.random() < 0.5 else rng.sample(range(1, nv + 1), rng.randint(1, nv))
+    want = _enumerate_resumed(sm.SatContext(_inst(nv, clauses)), [], proj)
+    ctx = sm.SatContext(_inst(nv, clauses))
+    s = ctx._cdcl
+    if rng.random() < 0.5:
+        # a search that runs out of budget with late variables passed over
+        ctx.decide_last(late)
+        ctx.solve(conflict_budget=1)
+        ctx.rewind()
+        _check_heap(s)
+    real_pick = s._pick_branch
+
+    def pick():
+        e = real_pick()
+        if e != -1 and e >> 1 in late:
+            assert all(s.val[v << 1] for v in range(1, nv + 1) if s.branchable[v] and v not in late)
+        return e
+
+    s._pick_branch = pick
+    ctx.decide_last(late)
+    got = _enumerate_resumed(ctx, [], proj)
+    assert len(got) == len(set(got)) and set(got) == set(want)
+    assert not s.late
+    del s._pick_branch
+    _check_heap(s)
+
+
+def test_rewind_gives_a_passed_over_late_variable_its_heap_entry():
+    # variable 1 tops the heap, is passed over as late, and the search ends
+    # UNSAT on 2 and 3 before it is decided: only the clearing rewind can
+    # give it an entry again
+    ctx = sm.SatContext(_inst(3, [(2, 3), (2, -3), (-2, 3), (-2, -3)]))
+    ctx.decide_last([1])
+    assert ctx.solve().status == sm.UNSAT
+    assert not ctx._cdcl.in_heap[1]
+    ctx.rewind()
+    _check_heap(ctx._cdcl)
+
+
 def test_plain_solve_after_a_kept_trail_starts_from_level_0():
     ctx = sm.SatContext(_inst(3, [(1, 2, 3)]))
     assert ctx.solve(resume=True).status == sm.SAT

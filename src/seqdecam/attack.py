@@ -10,14 +10,17 @@ remains and neither holds, an unbounded check (UMC) runs before the bound
 grows: it lists the surviving completions in one resumed SAT search and
 checks each one for sequential equivalence with the first, in lock-step over
 the states the first reaches from reset and by explicit product-machine
-reachability for any survivor that leaves lock-step.  Every check takes the
-attack's one incremental `AttackInstance`, which holds the records
-(`inst.qs`) and answers every solver question about them.  Each check the
-loop runs becomes one `IterationRecord`: its solver work is the change in
-the instance's running `stats` and its wall time spans the whole check
-(encoding, oracle round trip and re-simulation included).  Small-instance
-ground truth comes from an exhaustive pairwise-equivalence procedure over
-the whole completion space.
+reachability for any survivor that leaves lock-step.  The lock-step walk
+runs the survivors as the lanes of one bit-parallel pass, each lane one
+completion over the same (state, input) scenarios, as parallel fault
+simulation runs faulty machines.  Every check takes the attack's one
+incremental `AttackInstance`, which holds the records (`inst.qs`) and
+answers every solver question about them.  Each check the loop runs becomes
+one `IterationRecord`: its solver work is the change in the instance's
+running `stats` and its wall time spans the whole check (encoding, oracle
+round trip and re-simulation included).  Small-instance ground truth comes
+from an exhaustive pairwise-equivalence procedure over the whole completion
+space.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from . import sat as satmod
 from .encode import AttackInstance
 # perfbench/tracing.py patches these four names here, so they stay importable
 from .encode import encode_bmc_disagreement, encode_ce, encode_consistency, encode_uc  # noqa: F401
-from .netlist import BitSeq, CamoCircuit, Completion, Evaluator, run_sequence
+from .netlist import BitSeq, CamoCircuit, Completion, Evaluator, run_sequence, tile
 from .oracle import QuerySet
 from .sat import SolverTimeoutError
 
@@ -41,6 +44,8 @@ EXHAUSTED, TIMEOUT_TAG = "EXHAUSTED", "TIMEOUT"
 # caps of the explicit product search in check_umc, read when the check runs
 PRODUCT_STATE_CAP = 1 << 26
 PRODUCT_EXPAND_CAP = 1 << 26
+# widest wire, in scenarios times lanes, that a product search evaluates
+WIRE_BITS = 1 << 17
 
 
 class InconclusiveError(RuntimeError):
@@ -183,7 +188,7 @@ def product_equiv(
     via = [0]
     frontier = [0]
     expansions = 0
-    chunk_states = max(1, (1 << 17) // p)
+    chunk_states = max(1, WIRE_BITS // p)
     input_patterns = [_input_pattern(i, m) for i in range(m)]
 
     def witness(idx: int, last_input: int) -> BitSeq:
@@ -286,11 +291,14 @@ def _first_inequivalent(
     Equivalence is transitive, so each completion is checked against the
     reference comps[0] alone.  One breadth-first search walks the states the
     reference reaches from reset and evaluates every completion still in
-    lock-step on the same (state, input) scenarios.  A completion that
-    matches the reference's outputs and next states on all of them visits
-    exactly the reference's states, so it is equivalent; one that leaves
-    lock-step gets the exact product search of `product_equiv` at once.
-    Raises ProductCapError at the caps.
+    lock-step on the same (state, input) scenarios, each in one lane of a
+    bit-parallel pass (`Evaluator` over several completions): one pass per
+    chunk of the frontier and batch of lanes, with no wire wider than
+    `WIRE_BITS` unless one state's 2^m inputs alone are wider.  A
+    completion that matches the reference's outputs and next states on all
+    of them visits exactly the reference's states, so it is equivalent; the
+    ones that leave lock-step get the exact product search of
+    `product_equiv`, in `comps` order.  Raises ProductCapError at the caps.
     """
     if len(comps) < 2:
         return None
@@ -300,14 +308,16 @@ def _first_inequivalent(
         raise ProductCapError(f"2^{m} inputs per state exceeds the expansion cap")
     ref = comps[0]
     ev_ref = Evaluator(camo, ref)
-    lockstep = [(x, Evaluator(camo, x)) for x in comps[1:]]
+    lanes = max(1, WIRE_BITS // p)  # completions per pass
+    lockstep = list(comps[1:])
+    batches = _lane_batches(camo, lockstep, lanes)
     visited = {camo.reset_state}
     frontier = [camo.reset_state]
     expansions = 0
-    chunk_states = max(1, (1 << 17) // p)
     input_patterns = [_input_pattern(i, m) for i in range(m)]
     while frontier:
         nxt_frontier: list[int] = []
+        chunk_states = max(1, WIRE_BITS // (p * min(lanes, len(lockstep))))
         for c0 in range(0, len(frontier), chunk_states):
             chunk = frontier[c0 : c0 + chunk_states]
             w = len(chunk) * p
@@ -316,17 +326,17 @@ def _first_inequivalent(
                 raise ProductCapError(f"product expansion cap {expand_cap} exceeded")
             ins, st = _pack_chunk(chunk, l, input_patterns)
             want = ev_ref.eval(st, ins, w)
-            still = []
-            for x, ev in lockstep:
-                if ev.eval(st, ins, w) == want:
-                    still.append((x, ev))
-                    continue
-                witness = product_equiv(camo, ref, x, state_cap, expand_cap)
-                if witness is not None:
-                    return witness
-            lockstep = still
-            if not lockstep:
-                return None
+            left = [x for ev in batches for x in _out_of_lockstep(ev, ev.eval(st, ins, w), want, w)]
+            if left:
+                for x in left:
+                    witness = product_equiv(camo, ref, x, state_cap, expand_cap)
+                    if witness is not None:
+                        return witness
+                gone = set(left)
+                lockstep = [x for x in lockstep if x not in gone]
+                if not lockstep:
+                    return None
+                batches = _lane_batches(camo, lockstep, lanes)
             for key in np.unique(_scenario_keys(want[1], w)).tolist():
                 if key not in visited:
                     visited.add(key)
@@ -335,6 +345,26 @@ def _first_inequivalent(
                         raise ProductCapError(f"product state cap {state_cap} exceeded")
         frontier = nxt_frontier
     return None
+
+
+def _lane_batches(camo: CamoCircuit, comps: Sequence[Completion], lanes: int) -> list[Evaluator]:
+    """One evaluator per run of at most `lanes` completions, in order."""
+    return [Evaluator(camo, *comps[i : i + lanes]) for i in range(0, len(comps), lanes)]
+
+
+def _out_of_lockstep(
+    ev: Evaluator, got: tuple[list[int], list[int]], want: tuple[list[int], list[int]], width: int
+) -> list[Completion]:
+    """The completions of `ev`'s lanes whose outputs or next states in `got`
+    differ somewhere from the single lane `want`, in lane order."""
+    lanes = ev.lanes
+    diff = 0
+    for a, b in zip(got[0] + got[1], want[0] + want[1]):
+        diff |= a ^ tile(b, width, lanes)
+    if not diff:
+        return []
+    differs = _bits_array(diff, lanes * width).reshape(lanes, width).any(axis=1)
+    return [x for x, d in zip(ev.completions, differs.tolist()) if d]
 
 
 # -------------------------------------------------------- unbounded check
@@ -438,28 +468,39 @@ def recover_completion(inst: AttackInstance, budget: float | None = None) -> Com
 def partial_completion(inst: AttackInstance, budget: float | None = None) -> dict[str, int | None]:
     """Per-gate verdicts: candidate index if every completion consistent
     with `inst.qs` agrees on that cell, None when the cell is still
-    ambiguous (or a sub-query timed out)."""
+    ambiguous (or a sub-query timed out).
+
+    Each cell's candidates are pinned one at a time, but every SAT answer is
+    a verified consistent completion and shows a feasible value for every
+    cell at once: a value already shown is not asked again, and a cell with
+    two feasible values is settled as ambiguous.
+    """
+    cells = inst.camo.cells
+    seen: list[set[int]] = [set() for _ in cells]
     verdicts: dict[str, int | None] = {}
-    for ci, cell in enumerate(inst.camo.cells):
-        feasible: list[int] = []
+    for ci, cell in enumerate(cells):
         timed_out = False
         for v in range(cell.t):
-            status = inst.solve_consistent(inst.k1.value_lits(ci, v), budget).status
-            if status == satmod.TIMEOUT:
+            if len(seen[ci]) > 1:
+                break
+            if v in seen[ci]:
+                continue
+            res = inst.solve_consistent(inst.k1.value_lits(ci, v), budget)
+            if res.status == satmod.TIMEOUT:
                 timed_out = True
                 break
-            if status == satmod.SAT:
-                feasible.append(v)
-                if len(feasible) > 1:
-                    break
+            if res.status == satmod.SAT:
+                for cj in range(ci, len(cells)):  # the cells not yet settled
+                    if len(seen[cj]) < 2:
+                        seen[cj].add(inst.k1.value(res, cj))
         if timed_out:
             verdicts[cell.gate_out] = None
-        elif not feasible:
+        elif not seen[ci]:
             raise OracleInconsistentError(
                 f"no candidate of cell {cell.gate_out!r} is consistent with the observations"
             )
         else:
-            verdicts[cell.gate_out] = feasible[0] if len(feasible) == 1 else None
+            verdicts[cell.gate_out] = min(seen[ci]) if len(seen[ci]) == 1 else None
     return verdicts
 
 

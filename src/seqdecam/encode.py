@@ -45,7 +45,15 @@ class KeyVector:
         bits = self.cells[cell]
         return [bits[i] if (value >> i) & 1 else -bits[i] for i in range(len(bits))]
 
+    def value(self, result: "satmod.SolveResult", cell: int) -> int:
+        """The candidate index a SAT result gives one cell."""
+        v = 0
+        for i, lit in enumerate(self.cells[cell]):
+            v |= result.lit_value(lit) << i
+        return v
+
     def decode(self, result: "satmod.SolveResult") -> Completion:
+        # `value` inlined: enumeration decodes every model it lists
         choices = []
         for bits in self.cells:
             v = 0

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
+import numpy as np
+
 # Function alphabet.  NOT/BUF are unary, everything else takes >= 2 inputs.
 # XOR/XNOR generalize to parity / inverted parity for arity > 2.
 GATE_FUNCTIONS = ("AND", "OR", "NAND", "NOR", "XOR", "XNOR", "NOT", "BUF")
@@ -559,47 +561,126 @@ def _fold_xor(vals):
     return r
 
 
+def tile(x: int, width: int, lanes: int) -> int:
+    """`x` (at most `width` bits) repeated in each of `lanes` lanes of
+    `width` bits: lane i is bits [i*width, (i+1)*width)."""
+    out, filled, block, size = 0, 0, x, 1  # block holds `size` copies
+    while True:
+        if lanes & 1:
+            out |= block << (filled * width)
+            filled += size
+        lanes >>= 1
+        if not lanes:
+            return out
+        block |= block << (size * width)
+        size *= 2
+
+
+def _lane_mask(picks: Sequence[bool], width: int) -> int:
+    """All ones in lane i when picks[i], zeros elsewhere."""
+    bits = np.repeat(np.array(picks, dtype=np.uint8), width)
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
+def _lane_select(first, rest: Sequence[tuple[object, int]]):
+    """A gate op that runs `first` over every lane, then each op of `rest`,
+    whose result replaces it in the lanes of that op's mask."""
+
+    def op(vals, mask):
+        r = first(vals, mask)
+        for fn, lane_mask in rest:
+            r ^= (r ^ fn(vals, mask)) & lane_mask
+        return r
+
+    return op
+
+
 class Evaluator:
-    """Bit-parallel evaluator for one (CamoCircuit, Completion) pair.
+    """Bit-parallel evaluator of a CamoCircuit under one or more completions.
 
     Net values are Python ints holding one scenario per bit, so a single
-    pass evaluates arbitrarily many (state, input) scenarios at once.
+    pass evaluates arbitrarily many (state, input) scenarios at once.  With
+    L completions a value holds L lanes of the same scenarios, lane i for
+    completions[i] (parallel fault simulation, with completions in place of
+    faulty machines).  A plain gate runs once over all lanes.  A camouflaged
+    cell runs each candidate that some lane picks once over all lanes, and
+    lane masks built from the completions' choices put each result in the
+    lanes that pick it; a cell on which every lane agrees is a plain gate.
+    One completion is one lane.
     """
 
-    def __init__(self, camo: CamoCircuit, completion: Completion):
-        completion.check(camo)
+    def __init__(self, camo: CamoCircuit, *completions: Completion):
+        if not completions:
+            raise ValueError("an evaluator needs at least one completion")
+        for x in completions:
+            x.check(camo)
         self.camo = camo
-        self.completion = completion
+        self.completions = completions
+        self.lanes = len(completions)
         base = camo.base
         cidx = camo.cell_index
-        resolved = []
+        lead = completions[0].choices
+        picks = list(zip(*(x.choices for x in completions)))  # per cell, per lane
+        plan = []
+        # split cells: plan index, then (candidate op, lanes that pick it)
+        # for every candidate some lane picks in place of lane 0's
+        cells = []
         for g in base.gates:
-            fn = g.fn
             if g.out in cidx:
-                fn = camo.cells[cidx[g.out]].candidates[completion.choices[cidx[g.out]]]
-            elif fn == CAMO_TAG:
+                ci = cidx[g.out]
+                cands = camo.cells[ci].candidates
+                v0 = lead[ci]
+                picked = picks[ci]
+                if picked.count(v0) < len(picked):
+                    cells.append((len(plan), [(_OPS[cands[v]], [p == v for p in picked])
+                                              for v in sorted(set(picked) - {v0})]))
+                plan.append((g.out, _OPS[cands[v0]], g.ins))
+            elif g.fn == CAMO_TAG:
                 raise ValueError(f"gate {g.out!r} is camouflaged but not listed as a cell")
-            resolved.append((g.out, _OPS[fn], g.ins))
-        self._plan = resolved
+            else:
+                plan.append((g.out, _OPS[g.fn], g.ins))
+        self._plan = plan
+        self._split_cells = cells
+        self._masked: tuple[int, list] | None = None  # (width, plan with lane masks)
         self._base = base
+
+    def _masked_plan(self, width: int) -> list:
+        """The plan, with every split cell's lane masks built for `width`."""
+        if self._masked is None or self._masked[0] != width:
+            plan = list(self._plan)
+            for i, choices in self._split_cells:
+                out, first, ins = plan[i]
+                masks = [(fn, _lane_mask(picks, width)) for fn, picks in choices]
+                plan[i] = (out, _lane_select(first, masks), ins)
+            self._masked = (width, plan)
+        return self._masked[1]
 
     def eval(
         self, state_bits: Sequence[int], input_bits: Sequence[int], width: int
     ) -> tuple[list[int], list[int]]:
-        """One combinational pass over `width` scenarios packed in int bits.
+        """One combinational pass over `width` scenarios in every lane.
 
         ``state_bits[i]`` / ``input_bits[i]`` carry the value of state/input
-        wire i across all scenarios.  Returns (output_bits, next_state_bits)
-        in the same packing.
+        wire i across the `width` scenarios; every lane sees the same ones.
+        Returns (output_bits, next_state_bits), each `lanes * width` bits
+        wide with lane i in bits [i*width, (i+1)*width).
         """
         base = self._base
+        lanes = self.lanes
         mask = (1 << width) - 1
         vals: dict[str, int] = {}
         for n, v in zip(base.inputs, input_bits):
             vals[n] = v & mask
         for (s, _), v in zip(base.flops, state_bits):
             vals[s] = v & mask
-        for out, op, ins in self._plan:
+        plan = self._plan
+        if lanes > 1:
+            for n in vals:
+                vals[n] = tile(vals[n], width, lanes)
+            mask = (1 << (width * lanes)) - 1
+            if self._split_cells:
+                plan = self._masked_plan(width)
+        for out, op, ins in plan:
             vals[out] = op([vals[n] for n in ins], mask)
         outs = [vals[n] for n in base.outputs]
         nxt = [vals[d] for _, d in base.flops]

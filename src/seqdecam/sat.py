@@ -34,6 +34,9 @@ TIMEOUT = "TIMEOUT"
 _VAR_DECAY = 0.95
 _RESTART_BASE = 100
 _CLAUSE_DECAY = 0.999
+# bytes.translate table from a variable's value code (0 undef, 1 true,
+# 2 false) to its model byte (1 true, else 0)
+_TRUE_BYTE = bytes(1 if i == 1 else 0 for i in range(256))
 
 
 @dataclass
@@ -48,19 +51,20 @@ class SolveStats:
 class SolveResult:
     """Outcome of one solver call.
 
-    ``raw_model`` maps variable index to bool and is present iff status is
-    SAT; read literals off it with `lit_value` or `bits`.
+    ``raw_model`` is present iff status is SAT: byte v is 1 when variable v
+    is true and 0 when it is false (byte 0 is unused).  Read literals off it
+    with `lit_value` or `bits`.
     """
 
     status: str
-    raw_model: list[bool] | None = None
+    raw_model: bytes | None = None
     stats: SolveStats = field(default_factory=SolveStats)
 
     def lit_value(self, lit: int) -> int:
         # in CnfBuilder instances variable 1 is pinned true, so the literals
         # +1/-1 resolve to the constants through the model itself
         v = self.raw_model[abs(lit)]
-        return int(v if lit > 0 else not v)
+        return v if lit > 0 else v ^ 1
 
     def bits(self, lits: Sequence[int]) -> tuple[int, ...]:
         return tuple(self.lit_value(l) for l in lits)
@@ -170,7 +174,7 @@ class Cdcl:
         self.cla_lbd: dict[int, int] = {}
         self.cla_inc = 1.0
         self.stats = SolveStats()
-        self.model: list[bool] = []
+        self.model = b""  # byte v is 1 when variable v is true, else 0
 
     # --------------------------------------------------------- construction
 
@@ -714,7 +718,7 @@ class Cdcl:
             e = self._pick_branch()
             if e == -1:
                 # val[2v] is 1 exactly when variable v is true
-                self.model = (np.frombuffer(bytes(self.val[::2]), np.uint8) == 1).tolist()
+                self.model = bytes(self.val[::2]).translate(_TRUE_BYTE)
                 if not resume:
                     self._cancel_until(0)
                 return SAT
@@ -842,7 +846,7 @@ class SatContext:
         self._verify(raw, assumptions)
         return SolveResult(SAT, raw_model=raw, stats=stats)
 
-    def _verify(self, raw: list[bool], assumptions: Sequence[int]) -> None:
+    def _verify(self, raw: bytes, assumptions: Sequence[int]) -> None:
         """Raise ModelVerificationError unless raw satisfies every clause
         and every assumption."""
         if len(raw) <= self._num_vars:
@@ -858,7 +862,7 @@ class SatContext:
             if not (raw[l] if l > 0 else not raw[-l]):
                 raise ModelVerificationError(f"model violates assumption {l}")
 
-    def _first_false_clause(self, raw: list[bool]) -> int | None:
+    def _first_false_clause(self, raw: bytes) -> int | None:
         """Index of the first clause that raw falsifies, in one NumPy pass.
 
         Needs every clause non-empty: reduceat would read an empty clause
@@ -867,7 +871,7 @@ class SatContext:
         if not self._starts:
             return None
         # truth of encoded literal e = 2v + sign, for every variable
-        lit_true = np.frombuffer(bytes(raw), np.uint8).repeat(2)
+        lit_true = np.frombuffer(raw, np.uint8).repeat(2)
         lit_true[1::2] ^= 1
         # the views are gone when this returns, so the arrays can grow again
         sat = np.bitwise_or.reduceat(

@@ -259,6 +259,64 @@ def test_first_inequivalent_agrees_with_pairwise_search():
     assert verdicts == {True, False}
 
 
+# 9 inputs give 512 scenarios per state, so one pass holds at most 256
+# completions and larger pools run in several lane batches.  d0-d7 drive
+# nothing (their completions stay in lock-step), the flop of g is read by
+# nothing (AND/OR leave lock-step yet stay equivalent), y is an output, and
+# the flops u and v widen the frontier to several states per level.
+WIDE = (
+    "".join(f"INPUT(x{i})\n" for i in range(9))
+    + "OUTPUT(y)\ns = DFF(n)\nt = DFF(g)\nu = DFF(x3)\nv = DFF(x4)\n"
+    + "n = XOR(x0, s)\ny = AND(x1, s)\ng = AND(x2, t)\n"
+    + "".join(f"d{i} = AND(x{i}, x{i + 1})\n" for i in range(8))
+)
+
+
+def test_first_inequivalent_agrees_with_pairwise_search_over_lane_batches(monkeypatch):
+    from seqdecam.netlist import Evaluator, camouflage, parse_bench
+
+    camo = camouflage(
+        parse_bench(WIDE, "wide"), [*(f"d{i}" for i in range(8)), "g", "y"], ["AND", "OR"]
+    )
+    lanes = atk.WIRE_BITS >> camo.num_inputs
+    widest = []
+    orig_eval = Evaluator.eval
+
+    def measured(self, state_bits, input_bits, width):
+        widest.append(self.lanes * width)
+        return orig_eval(self, state_bits, input_bits, width)
+
+    calls = []
+    orig_product = atk.product_equiv
+
+    def spy(camo, x1, x2, *args):
+        calls.append(x2)
+        return orig_product(camo, x1, x2, *args)
+
+    monkeypatch.setattr(Evaluator, "eval", measured)
+    monkeypatch.setattr(atk, "product_equiv", spy)
+    rng = random.Random(15)
+    everything = list(camo.all_completions())
+    same_y = [x for x in everything if x.choices[-1] == 0]
+    rng.shuffle(same_y)
+    assert len(same_y) - 1 > lanes
+    assert atk._first_inequivalent(camo, same_y, 1 << 26, 1 << 26) is None
+    assert all(orig_product(camo, same_y[0], x) is None for x in same_y[1:])
+    # exactly the survivors whose g differs from the reference's left
+    # lock-step, and their product searches ran in pool order
+    assert calls == [x for x in same_y[1:] if x.choices[8] != same_y[0].choices[8]]
+    # the one inequivalent survivor last, in the second lane batch
+    odd = Completion(same_y[0].choices[:-1] + (1,))
+    rng.shuffle(everything)
+    for pool in (same_y + [odd], everything):
+        w = atk._first_inequivalent(camo, pool, 1 << 26, 1 << 26)
+        assert w is not None
+        assert not all(orig_product(camo, pool[0], x) is None for x in pool[1:])
+        ref = run_sequence(camo, pool[0], w)
+        assert any(run_sequence(camo, x, w) != ref for x in pool[1:])
+    assert max(widest) <= atk.WIRE_BITS
+
+
 def test_umc_product_cap_falls_back_to_bmc(monkeypatch, s27_camo):
     searches = []
     orig = AttackInstance.solve_bmc
@@ -352,6 +410,55 @@ def test_partial_completion_half_constrained(s27_camo):
     verdicts = atk.partial_completion(inst)
     assert verdicts["G13"] == 0
     assert verdicts["G10"] is None
+
+
+def test_partial_completion_agrees_with_a_solve_per_cell_value(monkeypatch):
+    calls = []
+    orig = AttackInstance.solve_consistent
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return orig(self, *args, **kwargs)
+
+    monkeypatch.setattr(AttackInstance, "solve_consistent", counted)
+
+    def reference(inst):
+        # every (cell, value) pinned in turn, stopping a cell at two feasible values
+        verdicts = {}
+        for ci, cell in enumerate(inst.camo.cells):
+            feasible = []
+            for v in range(cell.t):
+                if inst.solve_consistent(inst.k1.value_lits(ci, v)).status == sm.SAT:
+                    feasible.append(v)
+                    if len(feasible) > 1:
+                        break
+            verdicts[cell.gate_out] = feasible[0] if len(feasible) == 1 else None
+        return verdicts
+
+    rng = random.Random(30)
+    fixed = 0
+    for i in range(30):
+        candidates = ("NAND", "NOR", "XOR") if i % 3 == 0 else ("NAND", "NOR")
+        while True:
+            try:
+                camo, secret = random_camo(rng, random_circuit(rng), rng.randint(1, 4), candidates)
+                break
+            except ValueError:  # too few gates of two or more inputs
+                continue
+        m = camo.num_inputs
+        records = [] if i % 2 else [
+            tuple(rng.randrange(1 << m) for _ in range(rng.randint(1, 4)))
+            for _ in range(rng.randint(1, 3))
+        ]
+        inst = _observe(camo, secret, records)
+        calls.clear()
+        want = reference(inst)
+        ref_calls = len(calls)
+        calls.clear()
+        assert atk.partial_completion(inst) == want
+        assert len(calls) <= ref_calls
+        fixed += sum(v is not None for v in want.values())
+    assert fixed  # some cells are settled, not only ambiguous ones
 
 
 # -------------------------------------------------------------- run_attack

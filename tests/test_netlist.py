@@ -2,6 +2,7 @@ import hashlib
 import random
 
 import pytest
+import hypothesis
 from hypothesis import given, settings, strategies as st
 
 from seqdecam import netlist as nl
@@ -272,6 +273,35 @@ def test_topological_matches_fixed_point_on_random_circuits():
         state = rng.randrange(1 << l) if l else 0
         inp = rng.randrange(1 << m)
         assert nl.step(camo, secret, state, inp) == _naive_fixed_point(camo, secret, state, inp)
+
+
+@hypothesis.seed(15)
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**9), st.data())
+def test_every_lane_equals_a_one_completion_pass(seed, data):
+    rng = random.Random(seed)
+    camo, _ = random_camo(rng, random_circuit(rng), candidates=("NAND", "NOR", "AND", "XOR"))
+    m, l = camo.num_inputs, camo.num_flops
+    comps = [
+        nl.Completion(tuple(rng.randrange(c.t) for c in camo.cells))
+        for _ in range(data.draw(st.integers(1, 40)))
+    ]
+    width = data.draw(st.integers(1, 100).filter(lambda w: w % 8))
+    states = [rng.getrandbits(width) for _ in range(l)]
+    inputs = [rng.getrandbits(width) for _ in range(m)]
+    outs, nxt = nl.Evaluator(camo, *comps).eval(states, inputs, width)
+    mask = (1 << width) - 1
+    for i, x in enumerate(comps):
+        one_outs, one_nxt = nl.Evaluator(camo, x).eval(states, inputs, width)
+        assert [(w >> (i * width)) & mask for w in outs] == one_outs
+        assert [(w >> (i * width)) & mask for w in nxt] == one_nxt
+    assert all(w >> (len(comps) * width) == 0 for w in outs + nxt)
+
+
+def test_tile_repeats_a_lane():
+    assert nl.tile(0b101, 3, 1) == 0b101
+    assert nl.tile(0b101, 3, 5) == int("101" * 5, 2)
+    assert nl.tile(0b01, 2, 6) == int("01" * 6, 2)
 
 
 def test_step_is_pure(s27_camo):

@@ -434,11 +434,13 @@ def _corrupting_solve(flip):
 
     def solve(self, *args, **kwargs):
         status = _REAL_SOLVE(self, *args, **kwargs)
-        if status == sm.UNSAT:  # claim a model anyway
-            self.model = [False] * (self.nvars + 1)
+        if status == sm.UNSAT:  # claim a model anyway: every variable false
+            self.model = bytes(self.nvars + 1)
             return sm.SAT
+        model = bytearray(self.model)
         for v in flip:
-            self.model[v] = not self.model[v]
+            model[v] ^= 1
+        self.model = bytes(model)
         return status
 
     return solve
@@ -472,6 +474,6 @@ def test_verifier_refuses_bad_models(monkeypatch):
     # a model that leaves declared variables out
     monkeypatch.setattr(sm.Cdcl, "solve", lambda self, *a, **k: sm.SAT)
     ctx = sm.SatContext(_inst(3, [(1, 2)]))
-    ctx._cdcl.model = [False, True]
+    ctx._cdcl.model = b"\x00\x01"
     with pytest.raises(sm.ModelVerificationError, match="assigns 1 of 3"):
         ctx.solve()

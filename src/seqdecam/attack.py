@@ -10,7 +10,8 @@ remains and neither holds, an unbounded check (UMC) runs before the bound
 grows: it lists the surviving completions in one resumed SAT search and
 checks each one for sequential equivalence with the first, in lock-step over
 the states the first reaches from reset and by explicit product-machine
-reachability for any survivor that leaves lock-step.  The lock-step walk
+reachability for any survivor that leaves lock-step.  A bound that closes
+at the product diameter 2^(2l) certifies on its own.  The lock-step walk
 runs the survivors as the lanes of one bit-parallel pass, each lane one
 completion over the same (state, input) scenarios, as parallel fault
 simulation runs faulty machines.  Every check takes the attack's one
@@ -69,7 +70,7 @@ class AttackConfig:
     bmc_inc: int = 10
     max_bound: int = 120
     solver_budget: float | None = None  # seconds per solver call
-    umc_mode: str = "explicit"  # explicit | bmc | skip
+    umc_mode: str = "explicit"  # explicit | skip (the enumeration-based check)
     umc_enum_cap: int = 4096
 
     def __post_init__(self):
@@ -77,7 +78,7 @@ class AttackConfig:
             raise ValueError("bmc_inc must be >= 1")
         if self.max_bound < self.bmc_inc:
             raise ValueError("max_bound must be >= bmc_inc")
-        if self.umc_mode not in ("explicit", "bmc", "skip"):
+        if self.umc_mode not in ("explicit", "skip"):
             raise ValueError(f"unknown umc_mode {self.umc_mode!r}")
 
 
@@ -372,52 +373,26 @@ def _out_of_lockstep(
 def check_umc(inst: AttackInstance, cfg: AttackConfig | None = None) -> bool:
     """True iff `inst.qs` is discriminating; raises InconclusiveError at the caps.
 
-    Explicit mode lists the consistent completions in one resumed SAT
-    search (see `AttackInstance.enumerate_consistent`) and checks each one
-    for sequential equivalence with the first (see `_first_inequivalent`).
-    When an enumeration or product cap is hit, or a solver call times out,
-    it degrades to bounded search at the product-diameter bound 2^(2l); that
-    search runs only when max_bound reaches the diameter, since a shallower
-    one cannot certify.  Inconclusive outcomes name every reason.  Every
-    solver call is a query of `inst`, so the fallback search adds its frames
-    there rather than building a second CNF, and the work of the check is
-    the change in `inst.stats`.
+    Lists the consistent completions in one resumed SAT search (see
+    `AttackInstance.enumerate_consistent`) and checks each one for
+    sequential equivalence with the first (see `_first_inequivalent`).
+    More than `cfg.umc_enum_cap` completions, a solver call over its budget
+    or a product cap (ProductCapError) leaves the check inconclusive, with
+    the reason in the error.  Every solver call is a query of `inst`, so the
+    work of the check is the change in `inst.stats`.
     """
     cfg = cfg or AttackConfig()
     if cfg.umc_mode == "skip":
         raise InconclusiveError("unbounded check disabled (umc_mode=skip)")
-    if cfg.umc_mode == "bmc":
-        return _umc_bmc(inst, cfg)
     try:
         comps = inst.enumerate_consistent(cfg.umc_enum_cap, cfg.solver_budget)
-        if comps is None:
-            raise InconclusiveError(f"more than {cfg.umc_enum_cap} consistent completions")
-        if not comps:
-            raise OracleInconsistentError("no completion is consistent with the observations")
-        return _first_inequivalent(
-            inst.camo, comps, PRODUCT_STATE_CAP, PRODUCT_EXPAND_CAP
-        ) is None
-    except (InconclusiveError, SolverTimeoutError) as exc:
-        try:  # degrade to bounded search at the diameter
-            return _umc_bmc(inst, cfg)
-        except InconclusiveError as fallback:
-            raise InconclusiveError(f"{exc}; {fallback}") from fallback
-
-
-def _umc_bmc(inst: AttackInstance, cfg: AttackConfig) -> bool:
-    # no shortest distinguisher of two l-flop copies is longer than the
-    # product diameter 2^(2l), so only a search that deep can certify
-    diameter = 1 << (2 * inst.camo.num_flops)
-    if diameter > cfg.max_bound:
-        raise InconclusiveError(
-            f"bounded search cannot certify: max_bound {cfg.max_bound} is below "
-            f"the product diameter {diameter}"
-        )
-    try:
-        found = find_distinguishing(inst, diameter, cfg.solver_budget)
     except SolverTimeoutError as exc:
         raise InconclusiveError(str(exc)) from exc
-    return found is None
+    if comps is None:
+        raise InconclusiveError(f"more than {cfg.umc_enum_cap} consistent completions")
+    if not comps:
+        raise OracleInconsistentError("no completion is consistent with the observations")
+    return _first_inequivalent(inst.camo, comps, PRODUCT_STATE_CAP, PRODUCT_EXPAND_CAP) is None
 
 
 def brute_force_disc(
@@ -591,6 +566,12 @@ def run_attack(camo: CamoCircuit, oracle, cfg: AttackConfig | None = None) -> At
             umc_at = len(inst.qs)
             if log(umc) == UMC:
                 termination = UMC
+        # the bound closed UNSAT, and no shortest distinguisher of two l-flop
+        # copies is longer than the product diameter 2^(2l), so a bound that
+        # deep certifies, whatever left the unbounded check out: a cap, the
+        # solver budget or umc_mode="skip"
+        if termination is None and bound >= 1 << (2 * camo.num_flops):
+            termination = UMC
 
     completions: tuple[Completion, ...] = ()
     partial: dict[str, int | None] | None = None

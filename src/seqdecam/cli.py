@@ -60,6 +60,8 @@ def cmd_camouflage(args) -> int:
     circuit = _load_circuit(args.bench)
     candidates = [c.strip().upper() for c in args.candidates.split(",")]
     eligible = sorted(g.out for g in circuit.gates if g.fn in candidates)
+    if args.k < 1:
+        raise UsageError(f"k must be >= 1, got {args.k}")
     if args.k > len(eligible):
         raise UsageError(
             f"k={args.k} but only {len(eligible)} gates implement one of {candidates}"
@@ -82,12 +84,15 @@ def cmd_camouflage(args) -> int:
 
 
 def _make_config(args) -> atk.AttackConfig:
-    return atk.AttackConfig(
-        bmc_inc=args.bmc_inc,
-        max_bound=args.max_bound,
-        solver_budget=args.solver_timeout,
-        umc_mode=args.umc_mode,
-    )
+    try:
+        return atk.AttackConfig(
+            bmc_inc=args.bmc_inc,
+            max_bound=args.max_bound,
+            solver_budget=args.solver_timeout,
+            umc_mode=args.umc_mode,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _attack_one(bench: str, sidecar: str, secret: str | None, oracle_cmd: str | None,
@@ -299,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle-cmd", help="command serving the pipe oracle protocol")
     p.add_argument("--bmc-inc", type=int, default=10)
     p.add_argument("--max-bound", type=int, default=120)
-    p.add_argument("--umc-mode", default="explicit", choices=["explicit", "bmc", "skip"])
+    p.add_argument("--umc-mode", default="explicit", choices=["explicit", "skip"])
     p.add_argument("--solver-timeout", type=float, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1)

@@ -44,7 +44,6 @@ class SolveStats:
     conflicts: int = 0
     decisions: int = 0
     propagations: int = 0
-    wall_time: float = 0.0
 
 
 @dataclass
@@ -830,7 +829,6 @@ class SatContext:
         for l in assumptions:
             if l == 0 or abs(l) > self._num_vars:
                 raise MalformedInstanceError(f"assumption {l} references an undeclared variable")
-        t0 = time.monotonic()
         before = self.stats
         status = self._cdcl.solve(assumptions, conflict_budget, time_budget, resume)
         after = self.stats
@@ -838,7 +836,6 @@ class SatContext:
             after.conflicts - before.conflicts,
             after.decisions - before.decisions,
             after.propagations - before.propagations,
-            time.monotonic() - t0,
         )
         if status != SAT:
             return SolveResult(status, stats=stats)

@@ -164,13 +164,22 @@ def test_product_equiv_keys_up_to_32_flops_per_copy():
 
 # ------------------------------------------------------------- unbounded
 
-def test_umc_modes_agree(s27_camo):
-    for disc, want in (([], False), (S27_DISC, True)):
-        explicit = atk.check_umc(_observe(s27_camo, S27_SECRET, disc),
-                                 atk.AttackConfig(umc_mode="explicit"))
-        bmc = atk.check_umc(_observe(s27_camo, S27_SECRET, disc),
-                            atk.AttackConfig(umc_mode="bmc"))
-        assert explicit == bmc == want
+def test_a_bound_closed_at_the_product_diameter_certifies(unreachable_divergence_camo):
+    # one flop per copy: no shortest distinguisher is longer than the product
+    # diameter 4, so a bound closed there certifies although CE fails and
+    # the enumeration cap (or umc_mode="skip") leaves the explicit check out
+    camo, secret = unreachable_divergence_camo
+    for cfg, termination, bound in (
+        (atk.AttackConfig(bmc_inc=1, max_bound=4, umc_enum_cap=1), atk.UMC, 4),
+        (atk.AttackConfig(bmc_inc=1, max_bound=3, umc_enum_cap=1), atk.EXHAUSTED, 3),
+        (atk.AttackConfig(bmc_inc=2, max_bound=8, umc_mode="skip"), atk.UMC, 4),
+    ):
+        rep = atk.run_attack(camo, BlackBox(camo, secret), cfg)
+        assert (rep.termination, rep.bound_reached) == (termination, bound)
+        for x in rep.completions:
+            assert atk.product_equiv(camo, x, secret) is None
+    # with umc_mode="skip" no unbounded check ran: the closed bound alone certified
+    assert rep.completions and not [i for i in rep.iterations if i.event == "umc"]
 
 
 def test_umc_skip_raises(s27_camo):
@@ -317,15 +326,11 @@ def test_first_inequivalent_agrees_with_pairwise_search_over_lane_batches(monkey
     assert max(widest) <= atk.WIRE_BITS
 
 
-def test_umc_product_cap_falls_back_to_bmc(monkeypatch, s27_camo):
-    searches = []
-    orig = AttackInstance.solve_bmc
+def test_umc_product_cap_is_inconclusive(monkeypatch, s27_camo):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the unbounded check ran a bounded search")
 
-    def spy(self, bound, *args):
-        searches.append((self, bound))
-        return orig(self, bound, *args)
-
-    monkeypatch.setattr(AttackInstance, "solve_bmc", spy)
+    monkeypatch.setattr(AttackInstance, "solve_bmc", refuse)
     monkeypatch.setattr(atk, "PRODUCT_STATE_CAP", 1)
     inst = AttackInstance(s27_camo)
     contexts = []
@@ -337,29 +342,14 @@ def test_umc_product_cap_falls_back_to_bmc(monkeypatch, s27_camo):
 
     # the check asks the instance it is handed and builds no second solver context
     monkeypatch.setattr(sm.SatContext, "__init__", count_init)
-    assert atk.check_umc(inst) is False
-    assert searches == [(inst, 64)]  # the product diameter of three flops per copy
+    with pytest.raises(atk.InconclusiveError, match="product state cap 1 exceeded"):
+        atk.check_umc(inst)
     assert contexts == []
-
-
-def test_umc_bmc_below_diameter_is_inconclusive_at_once(monkeypatch):
-    from seqdecam.netlist import camouflage, parse_bench
-    from test_acceptance import DELAY_LINE
-
-    camo = camouflage(parse_bench(DELAY_LINE, "delayline"), ["e"], ["NAND", "NOR"])
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("bounded search ran although it cannot certify")
-
-    monkeypatch.setattr(AttackInstance, "solve_bmc", refuse)
-    with pytest.raises(atk.InconclusiveError, match="max_bound 120 .* diameter 256"):
-        atk.check_umc(AttackInstance(camo), atk.AttackConfig(umc_mode="bmc"))
 
 
 def test_umc_names_an_enumeration_timeout(s27_camo):
     cfg = atk.AttackConfig(bmc_inc=1, max_bound=4, solver_budget=0.0)
-    with pytest.raises(atk.InconclusiveError, match="^solver budget exhausted during enumeration; "
-                       "bounded search cannot certify"):
+    with pytest.raises(atk.InconclusiveError, match="^solver budget exhausted during enumeration$"):
         atk.check_umc(AttackInstance(s27_camo), cfg)
 
 
@@ -625,8 +615,8 @@ def test_umc_record_counts_every_solver_call_of_the_check(monkeypatch, s27_camo)
     # every solver call of the loop lies in exactly one record's window, so
     # each record holds the solver results summed since the record before it
     # (the recovery solve after the last record is in none);
-    # on s27 an enumeration cap of 1 sends every UMC check on to the bounded
-    # search at the diameter 64, which adds its frames to the attack's instance
+    # on s27 an enumeration cap of 1 ends every UMC check inconclusive after
+    # the solver calls of its enumeration, which the umc record counts
     since_last = [0, 0]
     windows: list[list[int]] = []
     real_solve, real_record = sm.SatContext.solve, atk.IterationRecord
@@ -727,10 +717,7 @@ def test_run_attack_events_carry_status(s27_camo, unreachable_divergence_camo):
             else:
                 assert it.status in solver
     statuses = [it.status for it in umc]
-    assert statuses[0] == (
-        "inconclusive: more than 1 consistent completions; bounded search cannot "
-        "certify: max_bound 4 is below the product diameter 64"
-    )
+    assert statuses[0] == "inconclusive: more than 1 consistent completions"
     assert "refuted" in statuses and statuses[-1] == atk.UMC
     # enumeration runs on the attack's solver, and its work is counted
     assert all(it.decisions > 0 for it in umc)

@@ -47,8 +47,10 @@ def test_camouflage_is_seed_deterministic(tmp_path):
 
 
 def test_camouflage_k_exceeds_eligible(tmp_path):
-    rc = run_cli("camouflage", "--bench", S27, "--k", "99", "--out", tmp_path)
-    assert rc == 2
+    for k in ("99", "-1", "0"):
+        rc = run_cli("camouflage", "--bench", S27, "--k", k, "--out", tmp_path)
+        assert rc == 2
+    assert not list(tmp_path.iterdir())
 
 
 def test_camouflage_secret_matches_original_functions(workdir, s27):
@@ -106,6 +108,18 @@ def test_attack_requires_one_oracle_source(workdir):
         "attack", "--bench", S27, "--sidecar", _sidecar(workdir), "--out", workdir
     )
     assert rc == 2
+
+
+def test_attack_rejects_a_bad_schedule_or_umc_mode(workdir, capsys):
+    base = ("attack", "--bench", S27, "--sidecar", _sidecar(workdir),
+            "--secret", _secret(workdir), "--out", workdir)
+    for flags in (("--bmc-inc", "0"), ("--max-bound", "5", "--bmc-inc", "10")):
+        assert run_cli(*base, *flags) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+    with pytest.raises(SystemExit) as exc:  # argparse's own usage error
+        run_cli(*base, "--umc-mode", "bmc")
+    assert exc.value.code == 2
+    assert not list(workdir.glob("*.runrecord.json"))
 
 
 def test_verify_flags_wrong_completion(workdir):

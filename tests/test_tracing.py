@@ -45,7 +45,7 @@ def test_tracer_patches_resolve_and_every_solver_call_is_an_instance_query(s27_c
         assert full.solve_uc().status == UNSAT
         assert empty.solve_ce().status == SAT
         assert atk.check_umc(empty) is False
-        assert atk.check_umc(full, atk.AttackConfig(umc_mode="bmc", max_bound=64))
+        assert atk.check_umc(full)
         assert atk.recover_completion(full) == S27_SECRET
         assert atk.partial_completion(empty) == {"G13": None, "G10": None}
         cfg = atk.AttackConfig(bmc_inc=2, max_bound=16)

@@ -7,21 +7,25 @@ arbitrates, and the loser is eliminated.  After every new record the two
 sufficient conditions are asked: unique completion (UC), then combinational
 equivalence (CE); either one ends the attack.  When no bounded distinguisher
 remains and neither holds, an unbounded check (UMC) runs before the bound
-grows: it lists the surviving completions in one resumed SAT search and
-checks each one for sequential equivalence with the first, in lock-step over
-the states the first reaches from reset and by explicit product-machine
-reachability for any survivor that leaves lock-step.  A bound that closes
-at the product diameter 2^(2l) certifies on its own.  The lock-step walk
-runs the survivors as the lanes of one bit-parallel pass, each lane one
-completion over the same (state, input) scenarios, as parallel fault
-simulation runs faulty machines.  Every check takes the attack's one
-incremental `AttackInstance`, which holds the records (`inst.qs`) and
-answers every solver question about them.  Each check the loop runs becomes
-one `IterationRecord`: its solver work is the change in the instance's
-running `stats` and its wall time spans the whole check (encoding, oracle
-round trip and re-simulation included).  Small-instance ground truth comes
-from an exhaustive pairwise-equivalence procedure over the whole completion
-space.
+grows.  It works on the outputs' sequential cone of influence
+(`netlist.observable_cone`): a cell outside it cannot reach an output, so
+every choice for it is equivalent to every other.  The check lists the
+surviving completions projected onto the observable cells in one resumed
+SAT search and checks each one for sequential equivalence with the first on
+the reduced circuit, in lock-step over the states the first reaches from
+reset and by explicit product-machine reachability for any survivor that
+leaves lock-step.  A bound that closes at the product diameter 2^(2l)
+certifies on its own.  The lock-step walk runs the survivors as the lanes
+of one bit-parallel pass, each lane one completion over the same (state,
+input) scenarios, as parallel fault simulation runs faulty machines.  Every
+check takes the attack's one incremental `AttackInstance`, which holds the
+records (`inst.qs`) and answers every solver question about them on the
+full circuit.  Each check the loop runs becomes one `IterationRecord`: its
+solver work is the change in the instance's running `stats` and its wall
+time spans the whole check (encoding, oracle round trip and re-simulation
+included).  The report names the cells outside the cone as unobservable.
+Small-instance ground truth comes from an exhaustive pairwise-equivalence
+procedure over the whole completion space.
 """
 
 from __future__ import annotations
@@ -36,7 +40,9 @@ from . import sat as satmod
 from .encode import AttackInstance
 # perfbench/tracing.py patches these four names here, so they stay importable
 from .encode import encode_bmc_disagreement, encode_ce, encode_consistency, encode_uc  # noqa: F401
-from .netlist import BitSeq, CamoCircuit, Completion, Evaluator, run_sequence, tile
+from .netlist import (
+    BitSeq, CamoCircuit, Completion, Evaluator, observable_cone, run_sequence, tile,
+)
 from .oracle import QuerySet
 from .sat import SolverTimeoutError
 
@@ -71,7 +77,7 @@ class AttackConfig:
     max_bound: int = 120
     solver_budget: float | None = None  # seconds per solver call
     umc_mode: str = "explicit"  # explicit | skip (the enumeration-based check)
-    umc_enum_cap: int = 4096
+    umc_enum_cap: int = 4096  # most completions of the observable cells UMC lists
 
     def __post_init__(self):
         if self.bmc_inc < 1:
@@ -106,6 +112,9 @@ class AttackReport:
     bound_reached: int
     wall: float
     partial: dict[str, int | None] | None = None
+    # cells outside the outputs' cone of influence, by gate output net; a
+    # partial still gives them None and a certified attack counts them fixed
+    unobservable: tuple[str, ...] = ()
 
     @property
     def success(self) -> bool:
@@ -373,26 +382,32 @@ def _out_of_lockstep(
 def check_umc(inst: AttackInstance, cfg: AttackConfig | None = None) -> bool:
     """True iff `inst.qs` is discriminating; raises InconclusiveError at the caps.
 
-    Lists the consistent completions in one resumed SAT search (see
-    `AttackInstance.enumerate_consistent`) and checks each one for
-    sequential equivalence with the first (see `_first_inequivalent`).
-    More than `cfg.umc_enum_cap` completions, a solver call over its budget
-    or a product cap (ProductCapError) leaves the check inconclusive, with
-    the reason in the error.  Every solver call is a query of `inst`, so the
+    Asked on the outputs' cone of influence (`observable_cone`): it lists
+    the consistent completions projected onto the observable cells in one
+    resumed SAT search (see `AttackInstance.enumerate_consistent`) and
+    checks each projection for sequential equivalence with the first on the
+    reduced circuit (see `_first_inequivalent`).  This is exact: the
+    consistent completions are the consistent projections times every
+    choice of the other cells, and two completions are equivalent exactly
+    when their projections are equivalent on the reduced circuit.  More
+    than `cfg.umc_enum_cap` projections, a solver call over its budget or a
+    product cap (ProductCapError) leaves the check inconclusive, with the
+    reason in the error.  Every solver call is a query of `inst`, so the
     work of the check is the change in `inst.stats`.
     """
     cfg = cfg or AttackConfig()
     if cfg.umc_mode == "skip":
         raise InconclusiveError("unbounded check disabled (umc_mode=skip)")
+    reduced, kept = observable_cone(inst.camo)
     try:
-        comps = inst.enumerate_consistent(cfg.umc_enum_cap, cfg.solver_budget)
+        comps = inst.enumerate_consistent(cfg.umc_enum_cap, cfg.solver_budget, kept)
     except SolverTimeoutError as exc:
         raise InconclusiveError(str(exc)) from exc
     if comps is None:
         raise InconclusiveError(f"more than {cfg.umc_enum_cap} consistent completions")
     if not comps:
         raise OracleInconsistentError("no completion is consistent with the observations")
-    return _first_inequivalent(inst.camo, comps, PRODUCT_STATE_CAP, PRODUCT_EXPAND_CAP) is None
+    return _first_inequivalent(reduced, comps, PRODUCT_STATE_CAP, PRODUCT_EXPAND_CAP) is None
 
 
 def brute_force_disc(
@@ -582,6 +597,7 @@ def run_attack(camo: CamoCircuit, oracle, cfg: AttackConfig | None = None) -> At
             termination = TIMEOUT_TAG
     if termination in (EXHAUSTED, TIMEOUT_TAG):
         partial = partial_completion(inst, cfg.solver_budget)
+    _, kept = observable_cone(camo)
 
     return AttackReport(
         disc_set=inst.qs,
@@ -593,4 +609,5 @@ def run_attack(camo: CamoCircuit, oracle, cfg: AttackConfig | None = None) -> At
         bound_reached=bound,
         wall=round(time.monotonic() - t_start, 6),
         partial=partial,
+        unobservable=tuple(c.gate_out for i, c in enumerate(camo.cells) if i not in kept),
     )

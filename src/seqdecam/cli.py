@@ -45,6 +45,7 @@ class RunRecord:
     termination: str
     gates_fixed: int
     success: bool
+    unobservable: tuple[str, ...] = ()  # cells outside the outputs' cone
 
 
 def _load_circuit(path: str) -> nl.Circuit:
@@ -120,6 +121,7 @@ def _attack_one(bench: str, sidecar: str, secret: str | None, oracle_cmd: str | 
         termination=report.termination,
         gates_fixed=report.gates_fixed,
         success=report.success,
+        unobservable=report.unobservable,
     )
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -158,6 +160,7 @@ def _report_json(camo: nl.CamoCircuit, report: atk.AttackReport) -> dict:
         "bound_reached": report.bound_reached,
         "wall_s": round(report.wall, 3),
         "partial": report.partial,
+        "unobservable": list(report.unobservable),
     }
 
 
@@ -197,6 +200,7 @@ def cmd_attack(args) -> int:
             f"{rec.benchmark} k={rec.k}: termination={rec.termination} "
             f"disc={rec.disc_size} max_steps={rec.max_steps} "
             f"fixed={rec.gates_fixed}/{rec.k} time={rec.time_s}s"
+            + (f" unobservable={','.join(rec.unobservable)}" if rec.unobservable else "")
         )
     return 0 if ok else 1
 

@@ -52,10 +52,13 @@ class KeyVector:
             v |= result.lit_value(lit) << i
         return v
 
-    def decode(self, result: "satmod.SolveResult") -> Completion:
+    def decode(
+        self, result: "satmod.SolveResult", cells: Sequence[int] | None = None
+    ) -> Completion:
+        """The completion a SAT result gives, or its projection onto `cells`."""
         # `value` inlined: enumeration decodes every model it lists
         choices = []
-        for bits in self.cells:
+        for bits in self.cells if cells is None else [self.cells[c] for c in cells]:
             v = 0
             for i, lit in enumerate(bits):
                 v |= result.lit_value(lit) << i
@@ -386,31 +389,34 @@ class AttackInstance:
         return self._solve(list(pin), budget)
 
     def enumerate_consistent(
-        self, cap: int, budget: float | None = None
+        self, cap: int, budget: float | None = None, cells: Sequence[int] | None = None
     ) -> list[Completion] | None:
-        """The distinct consistent completions, in the order found; None once
-        there are more than `cap`.
+        """The distinct consistent completions projected onto `cells` (cell
+        indices, all cells by default), in the order found; None once there
+        are more than `cap`.  A projection lists its cells' choices in the
+        order of `cells`.
 
         One resumed search: each model is excluded by a blocking clause (the
-        negated key bits of k1) from which the solver backjumps and searches
-        on, instead of starting again from level 0.  The solver decides k1's
-        bits after every other variable (`SatContext.decide_last`), so they
-        sit at the top of the trail and a blocking clause backjumps over
-        them alone: the rest of the model (k2, the frames, k2's consistency)
-        stays assigned for the next search.  Every model is still verified
-        against every clause, blocking clauses included.  The blocking
-        clauses are guarded by a one-shot epoch literal, assumed by every
-        model search of this call, so they do not constrain later queries on
-        this instance.  Raises SolverTimeoutError when one model search
-        exceeds `budget` seconds.  The counters of its solver calls are read
-        off `stats`, like those of every other query.  On every exit the
-        solver's trail is back at level 0 and its decision order is as
-        before the call.
+        negated k1 key bits of `cells`) from which the solver backjumps and
+        searches on, instead of starting again from level 0.  The solver
+        decides those bits after every other variable
+        (`SatContext.decide_last`), so they sit at the top of the trail and a
+        blocking clause backjumps over them alone: the rest of the model (k2,
+        the other cells' bits, the frames) stays assigned for the next
+        search.  Every model is still verified against every clause,
+        blocking clauses included.  The blocking clauses are guarded by a
+        one-shot epoch literal, assumed by every model search of this call,
+        so they do not constrain later queries on this instance.  Raises
+        SolverTimeoutError when one model search exceeds `budget` seconds.
+        The counters of its solver calls are read off `stats`, like those of
+        every other query.  On every exit the solver's trail is back at
+        level 0 and its decision order is as before the call.
         """
         epoch = self.bld.new_var()
         self._sync()
         ctx = self._ctx
-        key = self.k1.all_vars()
+        kv = self.k1
+        key = kv.all_vars() if cells is None else [v for c in cells for v in kv.cells[c]]
         found: list[Completion] = []
         ctx.decide_last(key)
         try:
@@ -420,7 +426,7 @@ class AttackInstance:
                     raise satmod.SolverTimeoutError("solver budget exhausted during enumeration")
                 if res.status == satmod.UNSAT:
                     return found
-                found.append(self.k1.decode(res))
+                found.append(kv.decode(res, cells))
                 if len(found) > cap:
                     return None
                 model = res.raw_model

@@ -192,6 +192,41 @@ class CamoCircuit:
         yield from rec((), self.cells)
 
 
+def observable_cone(camo: CamoCircuit) -> tuple[CamoCircuit, tuple[int, ...]]:
+    """The outputs' sequential cone of influence: (reduced circuit, kept cells).
+
+    Walks back from the outputs through gate inputs and flip-flop data nets.
+    The reduced circuit keeps every input and output, the flops, gates and
+    cells the walk reaches (flops and gates in their order, reset bits
+    remapped); the second item holds the indices of the kept cells.  Nothing
+    outside the cone can reach an output at any time, so the reduced circuit
+    under a completion's kept choices gives the same outputs as the full one
+    on every sequence.  Returns `camo` itself when nothing is outside.
+    """
+    base = camo.base
+    data = dict(base.flops)
+    by_out = {g.out: g for g in base.gates}  # not `gate_by_out`, which stays cached
+    live: set[str] = set()
+    todo = list(base.outputs)
+    while todo:
+        net = todo.pop()
+        if net in live:
+            continue
+        live.add(net)
+        if net in data:
+            todo.append(data[net])
+        elif net in by_out:
+            todo.extend(by_out[net].ins)
+    flops = [(i, f) for i, f in enumerate(base.flops) if f[0] in live]
+    gates = tuple(g for g in base.gates if g.out in live)
+    if len(flops) == base.num_flops and len(gates) == len(base.gates):
+        return camo, tuple(range(camo.k))
+    kept = tuple(i for i, c in enumerate(camo.cells) if c.gate_out in live)
+    reset = sum(((camo.reset_state >> i) & 1) << j for j, (i, _) in enumerate(flops))
+    reduced = Circuit(base.name, base.inputs, base.outputs, tuple(f for _, f in flops), gates)
+    return CamoCircuit(reduced, tuple(camo.cells[i] for i in kept), reset), kept
+
+
 @dataclass(frozen=True)
 class Completion:
     """Assignment of one candidate index to each camouflaged cell."""

@@ -188,20 +188,25 @@ def test_umc_skip_raises(s27_camo):
 
 
 # the flop of AND(a, s) never leaves reset while that of OR(a, s) latches the
-# first a=1, but no output reads it: equivalent completions, not in lock-step
-DEAD_FLOP = """
+# first a=1; the output reads it only through AND(s, NOT(s)), which is 0
+# either way: equivalent completions, not in lock-step, and the flop lies in
+# the outputs' cone of influence, so the cell is observable
+UNREAD_FLOP = """
 INPUT(a)
 OUTPUT(y)
-y = BUF(a)
 s = DFF(g)
 g = AND(a, s)
+ns = NOT(s)
+zero = AND(s, ns)
+y = OR(a, zero)
 """
 
 
 def test_umc_product_search_only_for_survivors_out_of_lockstep(monkeypatch):
-    from seqdecam.netlist import camouflage, parse_bench
+    from seqdecam.netlist import camouflage, observable_cone, parse_bench
 
-    camo = camouflage(parse_bench(DEAD_FLOP, "dead_flop"), ["g"], ["AND", "OR"])
+    camo = camouflage(parse_bench(UNREAD_FLOP, "unread_flop"), ["g"], ["AND", "OR"])
+    assert observable_cone(camo) == (camo, (0,))
     calls = []
     orig = atk.product_equiv
 
@@ -225,18 +230,89 @@ def test_umc_lockstep_survivors_need_no_product_search(monkeypatch, identical_ca
 
 
 def test_umc_finds_an_inequivalent_survivor_past_the_second(monkeypatch):
-    # cell 0 is the dead-flop AND/OR (equivalent either way), cell 1 drives
+    # cell 0 is the unread-flop AND/OR (equivalent either way), cell 1 drives
     # the output; only the last survivor differs from the reference
-    from seqdecam.netlist import camouflage, parse_bench
+    from seqdecam.netlist import camouflage, observable_cone, parse_bench
 
-    src = DEAD_FLOP.replace("y = BUF(a)", "INPUT(b)\ny = AND(a, b)")
-    camo = camouflage(parse_bench(src, "dead_flop2"), ["g", "y"], ["AND", "OR"])
+    src = UNREAD_FLOP.replace("y = OR(a, zero)", "INPUT(b)\nt = OR(a, zero)\ny = AND(t, b)")
+    camo = camouflage(parse_bench(src, "unread_flop2"), ["g", "y"], ["AND", "OR"])
+    # both cells are observable, so the projections are the completions
+    assert observable_cone(camo) == (camo, (0, 1))
     comps = [Completion((0, 0)), Completion((1, 0)), Completion((0, 1))]
     w = atk._first_inequivalent(camo, comps, 1 << 10, 1 << 10)
     assert w is not None
     assert run_sequence(camo, comps[0], w) != run_sequence(camo, comps[2], w)
-    monkeypatch.setattr(AttackInstance, "enumerate_consistent", lambda *args: comps)
+    asked = []
+
+    def enumerate_consistent(self, cap, budget=None, cells=None):
+        asked.append(tuple(cells))
+        return comps
+
+    monkeypatch.setattr(AttackInstance, "enumerate_consistent", enumerate_consistent)
     assert atk.check_umc(AttackInstance(camo), atk.AttackConfig()) is False
+    assert asked == [(0, 1)]
+
+
+def test_umc_counts_only_observable_cells_against_the_cap():
+    # seeded circuit: cells g7 and g0 reach the output, g1 does not; after
+    # the attack's query set its observable cells have one consistent
+    # projection, which the cap of 1 admits, while the two choices of g1
+    # made the full completions exceed it
+    from seqdecam.netlist import observable_cone
+
+    rng = random.Random(9)
+    camo, secret = random_camo(rng, random_circuit(rng, num_flops=2), k=3)
+    rep = atk.run_attack(camo, BlackBox(camo, secret), atk.AttackConfig(bmc_inc=1, max_bound=4))
+    _, kept = observable_cone(camo)
+    assert kept == (0, 1) and rep.unobservable == ("g1",)
+    inst = AttackInstance.from_queries(camo, rep.disc_set)
+    assert len(inst.enumerate_consistent(4)) == 2
+    assert inst.enumerate_consistent(4, None, kept) == [Completion(secret.choices[:2])]
+    assert atk.check_umc(inst, atk.AttackConfig(umc_enum_cap=1)) is True
+    assert atk.brute_force_disc(camo, rep.disc_set) is True
+
+
+# no output reads the flop: cell g is outside the outputs' cone of influence
+DEAD_FLOP = """
+INPUT(a)
+OUTPUT(y)
+y = BUF(a)
+s = DFF(g)
+g = AND(a, s)
+"""
+
+
+def test_umc_certifies_with_every_cell_unobservable():
+    from seqdecam.netlist import camouflage, observable_cone, parse_bench
+
+    camo = camouflage(parse_bench(DEAD_FLOP, "dead_flop"), ["g"], ["AND", "OR"])
+    reduced, kept = observable_cone(camo)
+    assert kept == () and reduced.cells == () and reduced.num_flops == 0
+    inst = AttackInstance(camo)
+    assert inst.enumerate_consistent(1, None, kept) == [Completion(())]
+    assert inst.enumerate_consistent(1) is None  # both choices of g
+    assert atk.check_umc(inst, atk.AttackConfig(umc_enum_cap=1)) is True
+
+
+def test_report_names_unobservable_cells(s27_camo):
+    from seqdecam.netlist import camouflage, parse_bench
+
+    src = DEAD_FLOP.replace("y = BUF(a)", "INPUT(b)\ny = AND(a, b)")
+    camo = camouflage(parse_bench(src, "dead_flop2"), ["g", "y"], ["AND", "OR"])
+    secret = Completion((1, 0))
+    # certified: every cell counts as fixed, the unobservable one included
+    rep = atk.run_attack(camo, BlackBox(camo, secret), atk.AttackConfig(bmc_inc=1, max_bound=8))
+    assert rep.termination == atk.UMC and rep.unobservable == ("g",)
+    assert [i.status for i in rep.iterations if i.event == "umc"] == [atk.UMC]
+    assert rep.gates_fixed == 2
+    assert atk.product_equiv(camo, rep.completions[0], secret) is None
+    # exhausted: the unobservable cell stays None in the partial completion
+    cfg = atk.AttackConfig(bmc_inc=1, max_bound=2, umc_mode="skip")
+    rep = atk.run_attack(camo, BlackBox(camo, secret), cfg)
+    assert rep.termination == atk.EXHAUSTED and rep.unobservable == ("g",)
+    assert rep.partial == {"g": None, "y": 0} and rep.gates_fixed == 1
+    box = BlackBox(s27_camo, S27_SECRET)
+    assert atk.run_attack(s27_camo, box, atk.AttackConfig(bmc_inc=2, max_bound=16)).unobservable == ()
 
 
 def test_first_inequivalent_agrees_with_pairwise_search():

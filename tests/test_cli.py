@@ -122,6 +122,25 @@ def test_attack_rejects_a_bad_schedule_or_umc_mode(workdir, capsys):
     assert not list(workdir.glob("*.runrecord.json"))
 
 
+def test_attack_names_unobservable_cells(tmp_path, capsys):
+    # cell g latches into a flop that no output reads
+    bench = tmp_path / "dead.bench"
+    bench.write_text("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a, b)\ns = DFF(g)\ng = AND(a, s)\n")
+    sidecar = tmp_path / "dead.sidecar"
+    sidecar.write_text("candidates: AND OR\nreset: 0\ng\ny\n")
+    secret = tmp_path / "dead.secret"
+    secret.write_text("g 1\ny 0\n")
+    rc = run_cli("attack", "--bench", bench, "--sidecar", sidecar, "--secret", secret,
+                 "--bmc-inc", "1", "--max-bound", "8", "--out", tmp_path / "out")
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "termination=UMC" in out and "fixed=2/2" in out and "unobservable=g" in out
+    report = json.loads(next((tmp_path / "out").glob("*.report.json")).read_text())
+    assert report["unobservable"] == ["g"]
+    rec = json.loads(next((tmp_path / "out").glob("*.runrecord.json")).read_text())
+    assert rec["unobservable"] == ["g"]
+
+
 def test_verify_flags_wrong_completion(workdir):
     wrong = workdir / "wrong.completion"
     text = _secret(workdir).read_text()

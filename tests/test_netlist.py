@@ -316,3 +316,76 @@ def test_bitseq_helpers():
     assert seq.to_strings() == ["0110", "1000"]
     with pytest.raises(ValueError):
         nl.BitSeq(2, (4,))
+
+
+# ------------------------------------------------------- cone of influence
+
+def _random_camo_with_reset(rng):
+    """A random camouflaged circuit with a random non-zero reset state."""
+    c = random_circuit(rng)
+    reset = rng.randrange(1, 1 << c.num_flops) if c.num_flops else 0
+    try:
+        return random_camo(rng, c, candidates=("NAND", "NOR", "AND", "XOR"), reset_state=reset)[0]
+    except ValueError:  # no gate takes two inputs
+        return None
+
+
+@hypothesis.seed(18)
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**9))
+def test_observable_cone_gives_the_same_outputs(seed):
+    rng = random.Random(seed)
+    camo = _random_camo_with_reset(rng)
+    hypothesis.assume(camo is not None)
+    reduced, kept = nl.observable_cone(camo)
+    assert reduced.cells == tuple(camo.cells[i] for i in kept)
+    m = camo.num_inputs
+    for _ in range(8):
+        x = nl.Completion(tuple(rng.randrange(c.t) for c in camo.cells))
+        seq = nl.BitSeq(m, tuple(rng.randrange(1 << m) for _ in range(rng.randint(1, 8))))
+        projected = nl.Completion(tuple(x.choices[i] for i in kept))
+        assert nl.run_sequence(reduced, projected, seq) == nl.run_sequence(camo, x, seq)
+
+
+def _reaches_an_output(circuit):
+    """The nets some output depends on, as a forward fixed point: a net
+    reaches an output when it is one, or feeds a gate or flop whose own
+    net does."""
+    reach = set(circuit.outputs)
+    changed = True
+    while changed:
+        changed = False
+        for g in circuit.gates:
+            if g.out in reach and not reach.issuperset(g.ins):
+                reach.update(g.ins)
+                changed = True
+        for s, d in circuit.flops:
+            if s in reach and d not in reach:
+                reach.add(d)
+                changed = True
+    return reach
+
+
+def test_observable_cone_keeps_exactly_what_reaches_an_output(s27_camo):
+    rng = random.Random(18)
+    dropped = 0
+    for _ in range(200):
+        camo = _random_camo_with_reset(rng)
+        if camo is None:
+            continue
+        reduced, kept = nl.observable_cone(camo)
+        base = camo.base
+        reach = _reaches_an_output(base)
+        assert reduced.base.gates == tuple(g for g in base.gates if g.out in reach)
+        assert reduced.base.flops == tuple(f for f in base.flops if f[0] in reach)
+        assert kept == tuple(i for i, c in enumerate(camo.cells) if c.gate_out in reach)
+        assert (reduced.base.inputs, reduced.base.outputs) == (base.inputs, base.outputs)
+        live = [i for i, (s, _) in enumerate(base.flops) if s in reach]
+        assert reduced.reset_state == sum(
+            ((camo.reset_state >> i) & 1) << j for j, i in enumerate(live))
+        reduced.base.validate()
+        dropped += reduced is not camo
+    assert dropped > 50  # the generator leaves much of a circuit outside the cone
+    # every gate and flop of s27 reaches its output
+    assert nl.observable_cone(s27_camo) == (s27_camo, (0, 1))
+    assert nl.observable_cone(s27_camo)[0] is s27_camo

@@ -5,25 +5,32 @@ The main loop grows a set of input sequences: a bounded search
 observed so far yet disagree within the current bound, the oracle
 arbitrates, and the loser is eliminated.  After every new record the two
 sufficient conditions are asked: unique completion (UC), then combinational
-equivalence (CE); either one ends the attack.  When no bounded distinguisher
-remains and neither holds, an unbounded check (UMC) runs before the bound
-grows.  It works on the outputs' sequential cone of influence
-(`netlist.observable_cone`): a cell outside it cannot reach an output, so
-every choice for it is equivalent to every other.  The check lists the
-surviving completions projected onto the observable cells in one resumed
-SAT search and checks each one for sequential equivalence with the first on
-the reduced circuit, in lock-step over the states the first reaches from
-reset and by explicit product-machine reachability for any survivor that
-leaves lock-step.  A bound that closes at the product diameter 2^(2l)
-certifies on its own.  The lock-step walk runs the survivors as the lanes
-of one bit-parallel pass, each lane one completion over the same (state,
-input) scenarios, as parallel fault simulation runs faulty machines.  Every
-check takes the attack's one incremental `AttackInstance`, which holds the
+equivalence (CE); either one ends the attack.  When no bounded
+distinguisher remains and neither holds, an unbounded check (UMC) runs
+before the bound grows.  Several answers come from the outputs' sequential
+cone of influence (`netlist.observable_cone`, held once as
+`AttackInstance.cone`): a cell outside it cannot reach an output, so every
+choice for it is equivalent to every other and consistent once any
+completion is.  So UC, which such a cell with two or more candidates makes
+SAT by construction, is not asked next to one; a partial completion calls
+such a cell ambiguous without pinning it; and UMC lists the surviving
+completions projected onto the observable cells in one resumed SAT search
+and checks each one for sequential equivalence with the first on the
+reduced circuit, in lock-step over the states the first reaches from reset
+and by explicit product-machine reachability for any survivor that leaves
+lock-step.  A bound that closes at the product diameter 2^(2l) certifies on
+its own.  The lock-step walk runs the survivors as the lanes of one
+bit-parallel pass, each lane one completion over the same (state, input)
+scenarios, as parallel fault simulation runs faulty machines.  Every check
+takes the attack's one incremental `AttackInstance`, which holds the
 records (`inst.qs`) and answers every solver question about them on the
 full circuit.  Each check the loop runs becomes one `IterationRecord`: its
 solver work is the change in the instance's running `stats` and its wall
 time spans the whole check (encoding, oracle round trip and re-simulation
-included).  The report names the cells outside the cone as unobservable.
+included).  A certified attack returns the bounded-search witness that
+survived the last record, which the progress check has re-simulated against
+every record; only without one is a completion solved for.  The report
+names the cells outside the cone as unobservable.
 Small-instance ground truth comes from an exhaustive pairwise-equivalence
 procedure over the whole completion space.
 """
@@ -40,9 +47,7 @@ from . import sat as satmod
 from .encode import AttackInstance
 # perfbench/tracing.py patches these four names here, so they stay importable
 from .encode import encode_bmc_disagreement, encode_ce, encode_consistency, encode_uc  # noqa: F401
-from .netlist import (
-    BitSeq, CamoCircuit, Completion, Evaluator, observable_cone, run_sequence, tile,
-)
+from .netlist import BitSeq, CamoCircuit, Completion, Evaluator, run_sequence, tile
 from .oracle import QuerySet
 from .sat import SolverTimeoutError
 
@@ -91,7 +96,9 @@ class AttackConfig:
 @dataclass(frozen=True)
 class IterationRecord:
     bound: int
-    event: str  # sequence | bound | uc | ce | umc
+    # sequence | bound | uc | ce | umc; no uc while a cell with two or more
+    # candidates lies outside the outputs' cone (UC is SAT by construction)
+    event: str
     seq_len: int | None
     conflicts: int
     decisions: int
@@ -398,7 +405,7 @@ def check_umc(inst: AttackInstance, cfg: AttackConfig | None = None) -> bool:
     cfg = cfg or AttackConfig()
     if cfg.umc_mode == "skip":
         raise InconclusiveError("unbounded check disabled (umc_mode=skip)")
-    reduced, kept = observable_cone(inst.camo)
+    reduced, kept = inst.cone
     try:
         comps = inst.enumerate_consistent(cfg.umc_enum_cap, cfg.solver_budget, kept)
     except SolverTimeoutError as exc:
@@ -440,7 +447,11 @@ def brute_force_disc(
 # ------------------------------------------------------------- completion
 
 def recover_completion(inst: AttackInstance, budget: float | None = None) -> Completion:
-    """Any completion consistent with `inst.qs` (correct when it is discriminating)."""
+    """Any completion consistent with `inst.qs` (correct when it is discriminating).
+
+    `run_attack` solves for it only when no bounded-search witness survived
+    the last record, for example when the attack certifies with no record.
+    """
     res = inst.solve_consistent(budget=budget)
     if res.status == satmod.UNSAT:
         raise OracleInconsistentError(
@@ -460,15 +471,36 @@ def partial_completion(inst: AttackInstance, budget: float | None = None) -> dic
     with `inst.qs` agrees on that cell, None when the cell is still
     ambiguous (or a sub-query timed out).
 
-    Each cell's candidates are pinned one at a time, but every SAT answer is
-    a verified consistent completion and shows a feasible value for every
-    cell at once: a value already shown is not asked again, and a cell with
-    two feasible values is settled as ambiguous.
+    One unpinned solve comes first: UNSAT raises OracleInconsistentError,
+    even when no cell is pinned after it.  A cell outside the outputs' cone
+    of influence (`inst.cone`) is never pinned: every choice for it is
+    consistent once any completion is, so with two or more candidates it is
+    ambiguous, and with one it is fixed at 0 once a solve has shown a
+    consistent completion.  The other cells' candidates are pinned one at a
+    time, but every SAT answer is a verified consistent completion and
+    shows a feasible value for every cell at once: a value already shown is
+    not asked again, and a cell with two feasible values is settled as
+    ambiguous.
     """
     cells = inst.camo.cells
+    kept = set(inst.cone[1])
     seen: list[set[int]] = [set() for _ in cells]
+
+    def show(res: satmod.SolveResult, first: int) -> None:
+        for cj in range(first, len(cells)):  # the cells not yet settled
+            if len(seen[cj]) < 2:
+                seen[cj].add(inst.k1.value(res, cj))
+
+    res = inst.solve_consistent(budget=budget)
+    if res.status == satmod.UNSAT:
+        raise OracleInconsistentError("no completion is consistent with the observations")
+    if res.status == satmod.SAT:
+        show(res, 0)
     verdicts: dict[str, int | None] = {}
     for ci, cell in enumerate(cells):
+        if ci not in kept:
+            verdicts[cell.gate_out] = 0 if cell.t == 1 and seen[ci] else None
+            continue
         timed_out = False
         for v in range(cell.t):
             if len(seen[ci]) > 1:
@@ -480,9 +512,7 @@ def partial_completion(inst: AttackInstance, budget: float | None = None) -> dic
                 timed_out = True
                 break
             if res.status == satmod.SAT:
-                for cj in range(ci, len(cells)):  # the cells not yet settled
-                    if len(seen[cj]) < 2:
-                        seen[cj].add(inst.k1.value(res, cj))
+                show(res, ci)
         if timed_out:
             verdicts[cell.gate_out] = None
         elif not seen[ci]:
@@ -500,14 +530,27 @@ def run_attack(camo: CamoCircuit, oracle, cfg: AttackConfig | None = None) -> At
     """The complete attack: grow a discriminating set, then read off a completion.
 
     `oracle` is anything with query(BitSeq) -> BitSeq plus query_count /
-    step_count attributes (BlackBox or PipeOracle).
+    step_count attributes (BlackBox or PipeOracle).  UC is asked only while
+    every cell with two or more candidates lies in the outputs' cone of
+    influence: outside it, two completions that differ in that cell alone
+    are both consistent, so UC is SAT by construction and CE is asked
+    alone.  A certified attack's completion is the bounded-search witness
+    that survived the last record, which the progress check has already
+    re-simulated against every record; only when there is none (no record,
+    or neither witness survived) is it solved for (`recover_completion`).
     """
     cfg = cfg or AttackConfig()
     t_start = time.monotonic()
     inst = AttackInstance(camo)
+    kept = set(inst.cone[1])
+    hidden = [i for i in range(camo.k) if i not in kept]
+    ask_uc = all(camo.cells[i].t < 2 for i in hidden)  # else UC is SAT by construction
     iterations: list[IterationRecord] = []
     bound = 0
     termination: str | None = None
+    # the bounded-search witness that survived the latest record, if one did;
+    # the progress check re-simulated it against every record of inst.qs
+    survivor: Completion | None = None
 
     def log(check) -> str:
         """Run check() -> (event, status, seq_len), record it, return the status.
@@ -527,6 +570,7 @@ def run_attack(camo: CamoCircuit, oracle, cfg: AttackConfig | None = None) -> At
         return status
 
     def grow():
+        nonlocal survivor
         found = find_distinguishing(inst, bound, cfg.solver_budget)
         if found is None:
             return "bound", satmod.UNSAT, None
@@ -535,8 +579,10 @@ def run_attack(camo: CamoCircuit, oracle, cfg: AttackConfig | None = None) -> At
             raise EncodingBugError("bounded search returned an already-recorded sequence")
         # progress: the two witnesses disagree on seq, so at most one of
         # them survives the new record
-        if consistent(camo, x1, inst.qs) and consistent(camo, x2, inst.qs):
+        alive = [x for x in (x1, x2) if consistent(camo, x, inst.qs)]
+        if len(alive) == 2:
             raise EncodingBugError("neither counterexample completion was eliminated")
+        survivor = alive[0] if alive else None
         return "sequence", satmod.SAT, len(seq)
 
     def umc():
@@ -547,7 +593,8 @@ def run_attack(camo: CamoCircuit, oracle, cfg: AttackConfig | None = None) -> At
 
     def sufficient() -> str | None:
         # UC before CE: UC is the stronger verdict and keeps its label
-        if log(lambda: ("uc", inst.solve_uc(cfg.solver_budget).status, None)) == satmod.UNSAT:
+        uc = ask_uc and log(lambda: ("uc", inst.solve_uc(cfg.solver_budget).status, None))
+        if uc == satmod.UNSAT:
             return UC
         ce = log(lambda: ("ce", inst.solve_ce(cfg.solver_budget).status, None))
         return CE if ce == satmod.UNSAT else None
@@ -592,12 +639,13 @@ def run_attack(camo: CamoCircuit, oracle, cfg: AttackConfig | None = None) -> At
     partial: dict[str, int | None] | None = None
     if termination in (UC, CE, UMC):
         try:
-            completions = (recover_completion(inst, cfg.solver_budget),)
+            if survivor is None:
+                survivor = recover_completion(inst, cfg.solver_budget)
+            completions = (survivor,)
         except SolverTimeoutError:
             termination = TIMEOUT_TAG
     if termination in (EXHAUSTED, TIMEOUT_TAG):
         partial = partial_completion(inst, cfg.solver_budget)
-    _, kept = observable_cone(camo)
 
     return AttackReport(
         disc_set=inst.qs,
@@ -609,5 +657,5 @@ def run_attack(camo: CamoCircuit, oracle, cfg: AttackConfig | None = None) -> At
         bound_reached=bound,
         wall=round(time.monotonic() - t_start, 6),
         partial=partial,
-        unobservable=tuple(c.gate_out for i, c in enumerate(camo.cells) if i not in kept),
+        unobservable=tuple(camo.cells[i].gate_out for i in hidden),
     )

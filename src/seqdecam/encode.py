@@ -22,10 +22,11 @@ CNF is checked against simulation with.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .cnf import FALSE, TRUE, CnfBuilder, CnfInstance
-from .netlist import BitSeq, CamoCircuit, Completion
+from .netlist import BitSeq, CamoCircuit, Completion, observable_cone
 from .oracle import QuerySet, record
 from . import sat as satmod
 
@@ -286,6 +287,12 @@ class AttackInstance:
     def _solve(self, assumptions, budget) -> "satmod.SolveResult":
         self._sync()
         return self._ctx.solve(assumptions, time_budget=budget)
+
+    @cached_property
+    def cone(self) -> tuple[CamoCircuit, tuple[int, ...]]:
+        """The outputs' cone of influence of `camo` (`observable_cone`): the
+        reduced circuit and the indices of the kept cells, computed once."""
+        return observable_cone(self.camo)
 
     @property
     def stats(self) -> "satmod.SolveStats":

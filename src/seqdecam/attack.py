@@ -28,9 +28,12 @@ full circuit.  Each check the loop runs becomes one `IterationRecord`: its
 solver work is the change in the instance's running `stats` and its wall
 time spans the whole check (encoding, oracle round trip and re-simulation
 included).  A certified attack returns the bounded-search witness that
-survived the last record, which the progress check has re-simulated against
-every record; only without one is a completion solved for.  The report
-names the cells outside the cone as unobservable.
+survived the last record, which has been re-simulated against every record;
+only without one is a completion solved for.  When no cell lies in the cone
+at all, every completion is sequentially equivalent to every other, so the
+attack certifies UMC before any frame, solver call or oracle query and
+returns the all-zeros completion.  The report names the cells outside the
+cone as unobservable.
 Small-instance ground truth comes from an exhaustive pairwise-equivalence
 procedure over the whole completion space.
 """
@@ -97,7 +100,8 @@ class AttackConfig:
 class IterationRecord:
     bound: int
     # sequence | bound | uc | ce | umc; no uc while a cell with two or more
-    # candidates lies outside the outputs' cone (UC is SAT by construction)
+    # candidates lies outside the outputs' cone (UC is SAT by construction);
+    # with no cell in the cone, one umc at bound 0 and no solver work
     event: str
     seq_len: int | None
     conflicts: int
@@ -142,7 +146,8 @@ class AttackReport:
 
 def consistent(camo: CamoCircuit, x: Completion, qs: QuerySet) -> bool:
     """Does completion x reproduce every recorded observation?"""
-    return all(run_sequence(camo, x, seq) == out for seq, out in qs)
+    ev = Evaluator(camo, x)
+    return all(ev.run(seq) == out for seq, out in qs)
 
 
 # ------------------------------------------------------- bounded search
@@ -534,10 +539,15 @@ def run_attack(camo: CamoCircuit, oracle, cfg: AttackConfig | None = None) -> At
     every cell with two or more candidates lies in the outputs' cone of
     influence: outside it, two completions that differ in that cell alone
     are both consistent, so UC is SAT by construction and CE is asked
-    alone.  A certified attack's completion is the bounded-search witness
-    that survived the last record, which the progress check has already
-    re-simulated against every record; only when there is none (no record,
-    or neither witness survived) is it solved for (`recover_completion`).
+    alone.  The progress check re-simulates both bounded-search witnesses
+    on the new record alone: `find_distinguishing` has just checked them
+    against every older one.  A certified attack's completion is the
+    witness that survived the last record; only when there is none (no
+    record, or neither witness survived) is it solved for
+    (`recover_completion`).  When no cell lies in the cone, the attack ends
+    UMC at once with one `umc` record and the all-zeros completion, which
+    is exact: every completion is then sequentially equivalent, and
+    `check_umc` would say the same of the empty query set.
     """
     cfg = cfg or AttackConfig()
     t_start = time.monotonic()
@@ -549,7 +559,7 @@ def run_attack(camo: CamoCircuit, oracle, cfg: AttackConfig | None = None) -> At
     bound = 0
     termination: str | None = None
     # the bounded-search witness that survived the latest record, if one did;
-    # the progress check re-simulated it against every record of inst.qs
+    # it has been re-simulated against every record of inst.qs
     survivor: Completion | None = None
 
     def log(check) -> str:
@@ -575,11 +585,13 @@ def run_attack(camo: CamoCircuit, oracle, cfg: AttackConfig | None = None) -> At
         if found is None:
             return "bound", satmod.UNSAT, None
         x1, x2, seq = found
-        if not inst.add_record(seq, oracle.query(seq)):
+        out = oracle.query(seq)
+        if not inst.add_record(seq, out):
             raise EncodingBugError("bounded search returned an already-recorded sequence")
         # progress: the two witnesses disagree on seq, so at most one of
-        # them survives the new record
-        alive = [x for x in (x1, x2) if consistent(camo, x, inst.qs)]
+        # them survives the new record; find_distinguishing has re-simulated
+        # both against every older one
+        alive = [x for x in (x1, x2) if run_sequence(camo, x, seq) == out]
         if len(alive) == 2:
             raise EncodingBugError("neither counterexample completion was eliminated")
         survivor = alive[0] if alive else None
@@ -598,6 +610,14 @@ def run_attack(camo: CamoCircuit, oracle, cfg: AttackConfig | None = None) -> At
             return UC
         ce = log(lambda: ("ce", inst.solve_ce(cfg.solver_budget).status, None))
         return CE if ce == satmod.UNSAT else None
+
+    if not kept:
+        # no cell reaches an output, so every completion is sequentially
+        # equivalent to every other: the empty query set is discriminating
+        # (UMC on the cone, whose projections onto no cells have one member)
+        log(lambda: ("umc", UMC, None))
+        termination = UMC
+        survivor = Completion((0,) * camo.k)
 
     # record counts at which UC/CE and UMC last ran; their verdicts depend
     # only on the query set, so an unchanged set is never asked again

@@ -3,6 +3,8 @@
 Variable 1 is reserved as constant true (a unit clause pins it), so the
 literals +1/-1 double as the constants; gate emitters fold constants and
 hash structurally, which keeps time-unrolled circuit encodings compact.
+Once folded, a gate's clauses hold no constant, so the emitters append them
+to the clause list directly; `add` folds the clauses of other callers.
 """
 
 from __future__ import annotations
@@ -95,14 +97,12 @@ class CnfBuilder:
         if hit is not None:
             return hit
         g = self.new_var(implied=True)
+        clauses = self.clauses  # lits holds no constant, so nothing folds
         for l in lits:
-            self.add(-g, l)
-        self.add(g, *(-l for l in lits))
+            clauses.append((-g, l))
+        clauses.append((g, *(-l for l in lits)))
         self._hash[key] = g
         return g
-
-    def emit_or(self, ins: Sequence[int]) -> int:
-        return -self.emit_and([-l for l in ins])
 
     def emit_xor(self, ins: Sequence[int]) -> int:
         flip = False
@@ -133,32 +133,14 @@ class CnfBuilder:
         g = self._hash.get(key)
         if g is None:
             g = self.new_var(implied=True)
-            self.add(-g, a, b)
-            self.add(-g, -a, -b)
-            self.add(g, -a, b)
-            self.add(g, a, -b)
+            clauses = [(-g, a, b), (-g, -a, -b), (g, -a, b), (g, a, -b)]
+            if a == TRUE:  # a constant, left by an earlier pair that cancelled
+                for c in clauses:
+                    self.add(*c)
+            else:
+                self.clauses += clauses
             self._hash[key] = g
         return -g if phase else g
-
-    def emit_fn(self, fn: str, ins: Sequence[int]) -> int:
-        """Output literal of an n-ary gate over input literals."""
-        if fn == "AND":
-            return self.emit_and(ins)
-        if fn == "NAND":
-            return -self.emit_and(ins)
-        if fn == "OR":
-            return self.emit_or(ins)
-        if fn == "NOR":
-            return -self.emit_or(ins)
-        if fn == "XOR":
-            return self.emit_xor(ins)
-        if fn == "XNOR":
-            return -self.emit_xor(ins)
-        if fn == "NOT":
-            return -ins[0]
-        if fn == "BUF":
-            return ins[0]
-        raise ValueError(f"cannot encode function {fn!r}")
 
     def add_guarded_equal(self, guard: Sequence[int], a: int, b: int) -> None:
         """Clauses for (AND guard) -> (a <-> b)."""
@@ -190,6 +172,5 @@ class CnfBuilder:
         if is_const(a):
             return -b if a == TRUE else b
         m = self.new_var()
-        self.add(-m, a, b)
-        self.add(-m, -a, -b)
+        self.clauses += [(-m, a, b), (-m, -a, -b)]
         return m

@@ -16,7 +16,9 @@ Every query is built and solved on one incremental `AttackInstance`.
 `encode_bmc_disagreement`, `encode_uc` and `encode_ce` return its clause
 database with the query's selector asserted; `encode_consistency` and
 `encode_keyed_frame` are standalone single-key encodings, the reference the
-CNF is checked against simulation with.
+CNF is checked against simulation with.  Every frame is emitted along a slot
+plan (`frame_plan`), which an `AttackInstance` works out once for all of
+its frames.
 """
 
 from __future__ import annotations
@@ -45,6 +47,15 @@ class KeyVector:
         """Literals asserting that cell's key bits equal `value`."""
         bits = self.cells[cell]
         return [bits[i] if (value >> i) & 1 else -bits[i] for i in range(len(bits))]
+
+    @cached_property
+    def off_lits(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Per cell, per candidate j: the negations of `value_lits(cell, j)`,
+        a clause's guard "unless the cell selects candidate j"."""
+        return tuple(
+            tuple(tuple(-l for l in self.value_lits(ci, j)) for j in range(t))
+            for ci, t in enumerate(self.ts)
+        )
 
     def value(self, result: "satmod.SolveResult", cell: int) -> int:
         """The candidate index a SAT result gives one cell."""
@@ -81,60 +92,140 @@ def new_key_vector(bld: CnfBuilder, camo: CamoCircuit, name: str) -> KeyVector:
     return kv
 
 
+# gate function -> (AND or XOR or wire, negate the inputs, negate the
+# output); OR is the negated AND of the negated inputs
+_AND, _XOR, _WIRE = 0, 1, 2
+_FN_CODES = {
+    "AND": (_AND, False, False), "NAND": (_AND, False, True),
+    "OR": (_AND, True, True), "NOR": (_AND, True, False),
+    "XOR": (_XOR, False, False), "XNOR": (_XOR, False, True),
+    "BUF": (_WIRE, False, False), "NOT": (_WIRE, False, True),
+}
+
+
+@dataclass(frozen=True)
+class FramePlan:
+    """The walk `emit_keyed_frame` makes over one circuit, worked out once.
+
+    Every net is a slot: the inputs, then the flops' present-state nets,
+    then each gate's output in topological order, so one frame's literals
+    are a list that grows by one per gate.  A gate is (cell index, or -1
+    for a plain gate; function codes, one per candidate of a cell and one
+    for a plain gate; input slots).
+    """
+
+    gates: tuple[tuple[int, tuple[tuple[int, bool, bool], ...], tuple[int, ...]], ...]
+    outputs: tuple[int, ...]
+    nexts: tuple[int, ...]
+
+
+def _fn_code(fn: str) -> tuple[int, bool, bool]:
+    code = _FN_CODES.get(fn)
+    if code is None:
+        raise ValueError(f"cannot encode function {fn!r}")
+    return code
+
+
+def frame_plan(camo: CamoCircuit) -> FramePlan:
+    """The slot plan of `camo`; raises ValueError for a function it cannot encode."""
+    base = camo.base
+    slot = {n: i for i, n in enumerate(base.inputs)}
+    for s, _ in base.flops:
+        slot[s] = len(slot)
+    gates = []
+    for g in base.gates:  # in topological order, so every input has its slot
+        ci = camo.cell_index.get(g.out, -1)
+        fns = camo.cells[ci].candidates if ci >= 0 else (g.fn,)
+        gates.append((ci, tuple(map(_fn_code, fns)), tuple(slot[n] for n in g.ins)))
+        slot[g.out] = len(slot)
+    return FramePlan(
+        tuple(gates), tuple(slot[n] for n in base.outputs), tuple(slot[d] for _, d in base.flops)
+    )
+
+
+def _emit_gate(bld: CnfBuilder, code: tuple[int, bool, bool], ins: list[int]) -> int:
+    kind, neg_in, neg_out = code
+    if kind == _AND:
+        out = bld.emit_and([-l for l in ins] if neg_in else ins)
+    elif kind == _XOR:
+        out = bld.emit_xor(ins)
+    else:
+        out = ins[0]
+    return -out if neg_out else out
+
+
 def emit_keyed_frame(
     bld: CnfBuilder,
     camo: CamoCircuit,
     key: KeyVector,
     state_lits: Sequence[int],
     input_lits: Sequence[int],
+    plan: FramePlan | None = None,
 ) -> tuple[list[int], list[int]]:
     """One clock cycle of the keyed circuit; returns (output, next-state) literals.
 
     Any satisfying assignment makes the returned literals equal to
     step(camo, decode(key), state, input).  Camouflaged gates are encoded by
     guarding each candidate's definition with that candidate's key value.
+    `plan` is `frame_plan(camo)`, which a caller emitting many frames builds
+    once.  Raises ValueError unless there is one state literal per flop and
+    one input literal per input.
     """
-    base = camo.base
-    cidx = camo.cell_index
-    vals: dict[str, int] = {}
-    for n, lit in zip(base.inputs, input_lits):
-        vals[n] = lit
-    for (s, _), lit in zip(base.flops, state_lits):
-        vals[s] = lit
-    for g in base.gates:
-        ins = [vals[n] for n in g.ins]
-        ci = cidx.get(g.out)
-        if ci is None:
-            vals[g.out] = bld.emit_fn(g.fn, ins)
-        else:
-            out = bld.new_var(implied=True)
-            for j, cand in enumerate(camo.cells[ci].candidates):
-                vj = bld.emit_fn(cand, ins)
-                bld.add_guarded_equal(key.value_lits(ci, j), out, vj)
-            vals[g.out] = out
-    outs = [vals[n] for n in base.outputs]
-    nxt = [vals[d] for _, d in base.flops]
-    return outs, nxt
+    if len(state_lits) != camo.num_flops or len(input_lits) != camo.num_inputs:
+        raise ValueError(
+            f"{len(state_lits)} state and {len(input_lits)} input literals for "
+            f"{camo.num_flops} flops and {camo.num_inputs} inputs"
+        )
+    if plan is None:
+        plan = frame_plan(camo)
+    clauses = bld.clauses
+    off_lits = key.off_lits
+    vals = [*input_lits, *state_lits]
+    for ci, codes, slots in plan.gates:
+        ins = [vals[s] for s in slots]
+        if ci < 0:
+            vals.append(_emit_gate(bld, codes[0], ins))
+            continue
+        out = bld.new_var(implied=True)
+        for off, code in zip(off_lits[ci], codes):
+            # (cell selects this candidate) -> (out <-> its output); key bits
+            # and out are never constants, so nothing folds but the output
+            v = _emit_gate(bld, code, ins)
+            if v == TRUE:
+                clauses.append((*off, out))
+            elif v == FALSE:
+                clauses.append((*off, -out))
+            else:
+                clauses.append((*off, -out, v))
+                clauses.append((*off, out, -v))
+        vals.append(out)
+    return [vals[s] for s in plan.outputs], [vals[s] for s in plan.nexts]
 
 
 def _const_bits(mask: int, width: int) -> list[int]:
     return [TRUE if (mask >> i) & 1 else FALSE for i in range(width)]
 
 
-def emit_consistency(bld: CnfBuilder, camo: CamoCircuit, key: KeyVector, qs: QuerySet) -> None:
+def emit_consistency(
+    bld: CnfBuilder, camo: CamoCircuit, key: KeyVector, qs: QuerySet,
+    plan: FramePlan | None = None,
+) -> None:
     """Constrain `key` to completions reproducing every recorded query.
 
     Each record chains keyed frames from reset over its input steps, as
     constants, and pins every frame's outputs to the recorded ones.  Raises
-    ValueError when a record's output and input lengths differ.
+    ValueError when a record's output and input lengths differ.  `plan` is
+    as for `emit_keyed_frame`.
     """
+    if plan is None:
+        plan = frame_plan(camo)
     for seq, out in qs:
         if len(out) != len(seq):
             raise ValueError(f"output has {len(out)} steps for {len(seq)} input steps")
         state = _const_bits(camo.reset_state, camo.num_flops)
         for step, want in zip(seq.steps, out.steps):
             ins = _const_bits(step, camo.num_inputs)
-            outs, state = emit_keyed_frame(bld, camo, key, state, ins)
+            outs, state = emit_keyed_frame(bld, camo, key, state, ins, plan)
             for i, ol in enumerate(outs):
                 bld.add_guarded_equal((), ol, TRUE if (want >> i) & 1 else FALSE)
 
@@ -289,6 +380,11 @@ class AttackInstance:
         return self._ctx.solve(assumptions, time_budget=budget)
 
     @cached_property
+    def _plan(self) -> FramePlan:
+        """`frame_plan(camo)`, for every frame this instance emits."""
+        return frame_plan(self.camo)
+
+    @cached_property
     def cone(self) -> tuple[CamoCircuit, tuple[int, ...]]:
         """The outputs' cone of influence of `camo` (`observable_cone`): the
         reduced circuit and the indices of the kept cells, computed once."""
@@ -303,14 +399,15 @@ class AttackInstance:
     # ------------------------------------------------------------- building
 
     def ensure_frames(self, bound: int) -> None:
+        bld, camo, plan = self.bld, self.camo, self._plan
         while len(self.frame_inputs) < bound:
             f = len(self.frame_inputs)
-            ins = self.bld.new_vars(self.camo.num_inputs)
-            self.bld.group(f"in{f}", ins)
-            o1, self._s1 = emit_keyed_frame(self.bld, self.camo, self.k1, self._s1, ins)
-            o2, self._s2 = emit_keyed_frame(self.bld, self.camo, self.k2, self._s2, ins)
-            _bridge_equal_keys(self.bld, self._keys_eq, o1 + self._s1, o2 + self._s2)
-            flag = _emit_any_mismatch(self.bld, o1, o2)
+            ins = bld.new_vars(camo.num_inputs)
+            bld.group(f"in{f}", ins)
+            o1, self._s1 = emit_keyed_frame(bld, camo, self.k1, self._s1, ins, plan)
+            o2, self._s2 = emit_keyed_frame(bld, camo, self.k2, self._s2, ins, plan)
+            _bridge_equal_keys(bld, self._keys_eq, o1 + self._s1, o2 + self._s2)
+            flag = _emit_any_mismatch(bld, o1, o2)
             self.frame_inputs.append(ins)
             self._frame_flags.append(flag if flag is not None else FALSE)
 
@@ -339,8 +436,8 @@ class AttackInstance:
             inputs = self.bld.new_vars(self.camo.num_inputs)
             self.bld.group("ce_state", state)
             self.bld.group("ce_input", inputs)
-            o1, n1 = emit_keyed_frame(self.bld, self.camo, self.k1, state, inputs)
-            o2, n2 = emit_keyed_frame(self.bld, self.camo, self.k2, state, inputs)
+            o1, n1 = emit_keyed_frame(self.bld, self.camo, self.k1, state, inputs, self._plan)
+            o2, n2 = emit_keyed_frame(self.bld, self.camo, self.k2, state, inputs, self._plan)
             _bridge_equal_keys(self.bld, self._keys_eq, o1 + n1, o2 + n2)
             flag = _emit_any_mismatch(self.bld, o1 + n1, o2 + n2)
             self.bld.add(-self._ce_sel, *( [flag] if flag is not None else [] ))
@@ -357,7 +454,7 @@ class AttackInstance:
         if len(grown) == len(self.qs):
             return False
         for key in (self.k1, self.k2):
-            emit_consistency(self.bld, self.camo, key, QuerySet(((seq, out),)))
+            emit_consistency(self.bld, self.camo, key, QuerySet(((seq, out),)), self._plan)
         self.qs = grown
         return True
 

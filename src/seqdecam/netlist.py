@@ -721,6 +721,27 @@ class Evaluator:
         nxt = [vals[d] for _, d in base.flops]
         return outs, nxt
 
+    def run(self, seq: BitSeq) -> BitSeq:
+        """Apply an input sequence from reset under the one completion of a
+        one-lane evaluator; one output step per input step."""
+        camo = self.camo
+        if self.lanes != 1:
+            raise ValueError(f"a sequence runs on one lane, not {self.lanes}")
+        if seq.width != camo.num_inputs:
+            raise ValueError(f"sequence width {seq.width} != {camo.num_inputs} inputs")
+        m, l = camo.num_inputs, camo.num_flops
+        state = camo.reset_state
+        outs: list[int] = []
+        for inp in seq.steps:
+            o, nxt = self.eval(
+                [(state >> i) & 1 for i in range(l)],
+                [(inp >> i) & 1 for i in range(m)],
+                width=1,
+            )
+            outs.append(sum(b << i for i, b in enumerate(o)))
+            state = sum(b << i for i, b in enumerate(nxt))
+        return BitSeq(camo.num_outputs, tuple(outs))
+
 
 def step(
     camo: CamoCircuit, completion: Completion, state: int, inp: int
@@ -748,18 +769,4 @@ def step(
 
 def run_sequence(camo: CamoCircuit, completion: Completion, seq: BitSeq) -> BitSeq:
     """Apply an input sequence from reset; one output step per input step."""
-    if seq.width != camo.num_inputs:
-        raise ValueError(f"sequence width {seq.width} != {camo.num_inputs} inputs")
-    ev = Evaluator(camo, completion)
-    m, l = camo.num_inputs, camo.num_flops
-    state = camo.reset_state
-    outs: list[int] = []
-    for inp in seq.steps:
-        o, nxt = ev.eval(
-            [(state >> i) & 1 for i in range(l)],
-            [(inp >> i) & 1 for i in range(m)],
-            width=1,
-        )
-        outs.append(sum(b << i for i, b in enumerate(o)))
-        state = sum(b << i for i, b in enumerate(nxt))
-    return BitSeq(camo.num_outputs, tuple(outs))
+    return Evaluator(camo, completion).run(seq)

@@ -220,16 +220,40 @@ class Cdcl:
         Every variable must exist (`ensure_vars`) and the trail must be at
         level 0.  Literals false at level 0 and repeated literals are
         dropped; a clause true at level 0 or a tautology is skipped; a unit
-        clause is assigned and propagated at once.
+        clause is assigned and propagated at once.  The 2- and 3-literal
+        clauses of a circuit encoding mostly have open literals over
+        distinct variables, which none of that touches: they are watched
+        at once.
         """
         assert not self.trail_lim, "clauses can only be added at decision level 0"
         val = self.val
         watches = self.watches
         bwatch = self.bwatch
+        if not self.ok:
+            return
         i = 0
         for n in lens:
-            if not self.ok:
-                return
+            if n == 2:
+                a = lits[i]
+                b = lits[i + 1]
+                if not val[a] and not val[b] and a >> 1 != b >> 1:
+                    i += 2
+                    bwatch[a].append(b)
+                    bwatch[b].append(a)
+                    self.num_clauses += 1
+                    continue
+            elif n == 3:
+                a = lits[i]
+                b = lits[i + 1]
+                c = lits[i + 2]
+                if (not val[a] and not val[b] and not val[c]
+                        and a >> 1 != b >> 1 and a >> 1 != c >> 1 and b >> 1 != c >> 1):
+                    i += 3
+                    clause = [a, b, c]
+                    watches[a].append(clause)
+                    watches[b].append(clause)
+                    self.num_clauses += 1
+                    continue
             clause = lits[i : i + n]
             i += n
             out: list[int] = []
@@ -255,6 +279,7 @@ class Cdcl:
                     self._assign(out[0], None)
                     if self._propagate() is not None:
                         self.ok = False
+                        return
                     continue
                 else:
                     self.ok = False

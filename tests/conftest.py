@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from seqdecam.netlist import CamoCircuit, Completion, camouflage, parse_bench
+from seqdecam.gen import random_camo, random_circuit
+from seqdecam.netlist import Circuit, CamoCircuit, Completion, camouflage, parse_bench
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH_DIR = ROOT / "benchmarks"
@@ -73,6 +74,32 @@ def unreachable_divergence_camo() -> tuple[CamoCircuit, Completion]:
         "dead_state",
     )
     return camouflage(c, ["y"], ["XOR", "OR"]), Completion((0,))
+
+
+def cone_only_cases() -> list[tuple[str, Circuit, CamoCircuit, Completion]]:
+    """(name, plain circuit, camouflaged circuit, secret) for circuits whose
+    every cell lies outside the outputs' cone of influence: a hand-built one,
+    whose two cells feed only flops that no output reads, and seeded `gen`
+    circuits of the default shapes."""
+    dead = parse_bench(
+        """
+        INPUT(a)
+        INPUT(b)
+        OUTPUT(y)
+        y = OR(a, b)
+        s = DFF(g)
+        t = DFF(h)
+        g = AND(a, t)
+        h = NAND(s, b)
+        """,
+        "dead_cells",
+    )
+    cases = [("dead_cells", dead, camouflage(dead, ["g", "h"], ["AND", "NAND"]), Completion((1, 0)))]
+    for seed in (22, 29, 41, 49):
+        rng = random.Random(seed)
+        circuit = random_circuit(rng, name=f"cone_only{seed}")
+        cases.append((circuit.name, circuit, *random_camo(rng, circuit)))
+    return cases
 
 
 @pytest.fixture

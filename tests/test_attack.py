@@ -12,7 +12,7 @@ from seqdecam.gen import random_camo, random_circuit
 from seqdecam.netlist import BitSeq, Completion, run_sequence
 from seqdecam.oracle import BlackBox, QuerySet, record
 
-from conftest import ROOT, S27_SECRET
+from conftest import ROOT, S27_SECRET, cone_only_cases
 
 
 def _observe(camo, secret, steps_list):
@@ -313,6 +313,37 @@ def test_report_names_unobservable_cells(s27_camo):
     assert rep.partial == {"g": None, "y": 0} and rep.gates_fixed == 1
     box = BlackBox(s27_camo, S27_SECRET)
     assert atk.run_attack(s27_camo, box, atk.AttackConfig(bmc_inc=2, max_bound=16)).unobservable == ()
+
+
+def test_attack_with_no_observable_cell_certifies_before_any_query(monkeypatch):
+    # no cell reaches an output, so every completion is sequentially
+    # equivalent to every other: the attack ends UMC with no frame, solver
+    # call or oracle query, and returns the all-zeros completion
+    from seqdecam.netlist import observable_cone
+
+    solves = []
+    orig_solve = sm.SatContext.solve
+
+    def spy(self, *args, **kwargs):
+        solves.append(args)
+        return orig_solve(self, *args, **kwargs)
+
+    monkeypatch.setattr(sm.SatContext, "solve", spy)
+    for name, _, camo, secret in cone_only_cases():
+        assert observable_cone(camo)[1] == (), name
+        box = BlackBox(camo, secret)
+        rep = atk.run_attack(camo, box, atk.AttackConfig(bmc_inc=1, max_bound=8))
+        assert not solves and box.query_count == 0 and not rep.disc_set, name
+        assert rep.termination == atk.UMC and rep.bound_reached == 0
+        records = [(i.bound, i.event, i.seq_len, i.conflicts, i.decisions, i.status)
+                   for i in rep.iterations]
+        assert records == [(0, "umc", None, 0, 0, atk.UMC)]
+        assert rep.unobservable == tuple(c.gate_out for c in camo.cells)
+        assert rep.completions == (Completion((0,) * camo.k),) and rep.gates_fixed == camo.k
+        assert atk.product_equiv(camo, rep.completions[0], secret) is None
+        # what the unbounded check answers on the empty query set
+        assert atk.check_umc(AttackInstance(camo)) is True
+        solves.clear()
 
 
 def test_uc_is_not_asked_next_to_an_unobservable_cell():
@@ -682,6 +713,16 @@ def test_certified_attack_returns_the_surviving_witness(monkeypatch):
         assert rep.completions[0] in (x1, x2)
         assert all(run_sequence(camo, rep.completions[0], seq) == out for seq, out in rep.disc_set)
         assert atk.product_equiv(camo, rep.completions[0], secret) is None
+
+
+def test_progress_check_raises_when_no_witness_is_eliminated(monkeypatch, s27_camo):
+    # both witnesses reproduce the secret's answer to the sequence, so the
+    # new record eliminates neither: the bounded search was wrong
+    seq = BitSeq(4, (8, 9))
+    monkeypatch.setattr(atk, "find_distinguishing",
+                        lambda inst, bound, budget=None: (S27_SECRET, S27_SECRET, seq))
+    with pytest.raises(atk.EncodingBugError, match="neither counterexample"):
+        atk.run_attack(s27_camo, BlackBox(s27_camo, S27_SECRET), atk.AttackConfig(bmc_inc=2))
 
 
 def test_certified_attack_without_records_recovers_its_completion(

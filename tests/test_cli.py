@@ -7,9 +7,10 @@ from pathlib import Path
 import pytest
 
 from seqdecam import cli, oracle
+from seqdecam import netlist as nl
 from seqdecam.cli import main
 
-from conftest import bench_path
+from conftest import bench_path, cone_only_cases
 
 S27 = str(bench_path("s27"))
 
@@ -139,6 +140,33 @@ def test_attack_names_unobservable_cells(tmp_path, capsys):
     assert report["unobservable"] == ["g"]
     rec = json.loads(next((tmp_path / "out").glob("*.runrecord.json")).read_text())
     assert rec["unobservable"] == ["g"]
+
+
+@pytest.mark.parametrize("case", cone_only_cases(), ids=lambda case: case[0])
+def test_attack_with_no_observable_cell_reports_the_cone_certificate(tmp_path, case):
+    name, circuit, camo, secret = case
+    bench, sidecar, secret_path = (tmp_path / f"{name}.{ext}" for ext in ("bench", "sidecar", "secret"))
+    bench.write_text(nl.serialize_bench(circuit))
+    sidecar.write_text(nl.format_sidecar(camo))
+    secret_path.write_text(nl.format_completion_file(camo, secret))
+    out = tmp_path / "out"
+    rc = run_cli("attack", "--bench", bench, "--sidecar", sidecar, "--secret", secret_path,
+                 "--bmc-inc", "1", "--max-bound", "8", "--out", out)
+    assert rc == 0
+    report = json.loads((out / f"{name}.report.json").read_text())
+    cells = [c.gate_out for c in camo.cells]
+    assert report["termination"] == "UMC" and report["unobservable"] == cells
+    assert (report["query_count"], report["step_count"], report["disc_set"]) == (0, 0, [])
+    assert report["bound_reached"] == 0
+    [it] = report["iterations"]
+    assert {k: it[k] for k in ("bound", "event", "seq_len", "conflicts", "decisions", "status")} == {
+        "bound": 0, "event": "umc", "seq_len": None, "conflicts": 0, "decisions": 0, "status": "UMC"
+    }
+    assert report["completions"] == [dict.fromkeys(cells, 0)]
+    # the all-zeros completion is sequentially equivalent to the secret
+    rc = run_cli("verify", "--bench", bench, "--sidecar", sidecar, "--secret", secret_path,
+                 "--completion", out / f"{name}.completion")
+    assert rc == 0
 
 
 def test_verify_flags_wrong_completion(workdir):

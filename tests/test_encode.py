@@ -75,6 +75,50 @@ def test_keyed_frame_forces_step_outputs_random():
             checked += 1
 
 
+def test_keyed_frame_encodes_every_candidate_function():
+    # cells over every binary function (t=6, so two key values are blocked)
+    # and over the unary ones
+    rng = random.Random(7)
+    for candidates in (("AND", "OR", "NAND", "NOR", "XOR", "XNOR"), ("NOT", "BUF")):
+        checked = 0
+        while checked < 20:
+            try:
+                camo, _ = random_camo(rng, random_circuit(rng), candidates=candidates)
+            except ValueError:  # too few gates of the candidates' arity
+                continue
+            checked += 1
+            inst = encode_keyed_frame(camo)
+            ctx = sm.SatContext(inst)
+            m, l = camo.num_inputs, camo.num_flops
+            x = Completion(tuple(rng.randrange(c.t) for c in camo.cells))
+            state, inp = rng.randrange(1 << l), rng.randrange(1 << m)
+            assume = _pin(inst.groups["key"], _key_bits(camo, x))
+            assume += _pin(inst.groups["state"], [(state >> i) & 1 for i in range(l)])
+            assume += _pin(inst.groups["input"], [(inp >> i) & 1 for i in range(m)])
+            res = ctx.solve(assume)
+            got_o = sum(b << i for i, b in enumerate(res.bits(inst.groups["output"])))
+            got_n = sum(b << i for i, b in enumerate(res.bits(inst.groups["next"])))
+            assert (got_o, got_n) == step(camo, x, state, inp)
+
+
+def test_keyed_frame_rejects_literal_vectors_of_the_wrong_length(s27_camo):
+    from seqdecam.cnf import CnfBuilder
+    from seqdecam.encode import emit_keyed_frame, new_key_vector
+
+    bld = CnfBuilder()
+    key = new_key_vector(bld, s27_camo, "key")
+    state, inputs = bld.new_vars(3), bld.new_vars(4)
+    extra = bld.new_var()
+    for st, ins in ((state[:2], inputs), (state + [extra], inputs),
+                    (state, inputs[:3]), (state, inputs + [extra])):
+        emitted = len(bld.clauses)
+        with pytest.raises(ValueError, match="3 flops and 4 inputs"):
+            emit_keyed_frame(bld, s27_camo, key, st, ins)
+        assert len(bld.clauses) == emitted
+    outs, nxt = emit_keyed_frame(bld, s27_camo, key, state, inputs)
+    assert (len(outs), len(nxt)) == (1, 3)
+
+
 def test_keyed_frame_buf_circuit_aliases_input():
     from seqdecam.netlist import camouflage, parse_bench
 

@@ -9,7 +9,7 @@ tracer files any other call under the "oneshot" kind).
 import sys
 
 from seqdecam import attack as atk
-from seqdecam.encode import AttackInstance
+from seqdecam.encode import AttackInstance, encode_consistency
 from seqdecam.netlist import BitSeq, run_sequence
 from seqdecam.oracle import BlackBox, QuerySet, record
 from seqdecam.sat import SAT, UNSAT
@@ -56,3 +56,20 @@ def test_tracer_patches_resolve_and_every_solver_call_is_an_instance_query(s27_c
     assert not [k for k in calls if k.startswith("sat.calls.oneshot.")], calls
     for kind in ("bmc", "uc", "ce", "consistent", "enum"):
         assert any(k.startswith(f"sat.calls.{kind}.") for k in calls), (kind, calls)
+
+
+def test_frame_span_sees_the_bounded_search_ce_and_consistency_frames(s27_camo):
+    # each of the three looks up the module-level encode.emit_keyed_frame,
+    # so encode.frame times every frame an attack emits
+    seq = BitSeq(4, (8, 9))
+    out = run_sequence(s27_camo, S27_SECRET, seq)
+    with tracing.installed(tracing.Tracer()) as tr:
+        inst = AttackInstance(s27_camo)
+        inst.ensure_frames(3)  # bounded search: one frame per key vector and step
+        assert tr.calls["encode.frame"] == 6
+        inst.ce_selector()  # CE: one free frame per key vector
+        assert tr.calls["encode.frame"] == 8
+        inst.add_record(seq, out)  # consistency: each key vector over each step
+        assert tr.calls["encode.frame"] == 12
+        encode_consistency(s27_camo, record(QuerySet(), seq, out))
+        assert tr.calls["encode.frame"] == 14

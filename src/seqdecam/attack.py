@@ -18,10 +18,13 @@ completions projected onto the observable cells in one resumed SAT search
 and checks each one for sequential equivalence with the first on the
 reduced circuit, in lock-step over the states the first reaches from reset
 and by explicit product-machine reachability for any survivor that leaves
-lock-step.  A bound that closes at the product diameter 2^(2l) certifies on
-its own.  The lock-step walk runs the survivors as the lanes of one
-bit-parallel pass, each lane one completion over the same (state, input)
-scenarios, as parallel fault simulation runs faulty machines.  Every check
+lock-step.  It walks the projections while it lists them, in batches of
+doubling size, and stops listing at the first batch that holds one
+inequivalent to the first: one such projection refutes.  A bound that
+closes at the product diameter 2^(2l) certifies on its own.  The
+lock-step walk runs the survivors as the lanes of one bit-parallel pass,
+each lane one completion over the same (state, input) scenarios, as
+parallel fault simulation runs faulty machines.  Every check
 takes the attack's one incremental `AttackInstance`, which holds the
 records (`inst.qs`) and answers every solver question about them on the
 full circuit.  Each check the loop runs becomes one `IterationRecord`: its
@@ -239,7 +242,7 @@ def product_equiv(
                 j = (mism & -mism).bit_length() - 1
                 return witness(chunk[j // p], j % p)
             keys = _scenario_keys([*n2, *n1], w)  # (s1 << l) | s2
-            uniq, first = np.unique(keys, return_index=True)
+            uniq, first = _unique_first(keys)
             for key, j in zip(uniq.tolist(), first.tolist()):
                 if key not in visited:
                     visited.add(key)
@@ -304,6 +307,33 @@ def _scenario_keys(wires: Sequence[int], width: int) -> np.ndarray:
     return keys
 
 
+# np.unique would do for `_unique_first` and `_distinct`, but its first call
+# in a process imports numpy.ma, and without return_index it is several
+# times slower than a sort on the wide key arrays of a walk
+
+def _first_of_run(ordered: np.ndarray) -> np.ndarray:
+    """Mask of the entries of a sorted array that differ from the one before."""
+    first = np.empty(len(ordered), dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    return first
+
+
+def _unique_first(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys in ascending order and the index of each one's first
+    occurrence, as `np.unique(keys, return_index=True)` gives them."""
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    first = _first_of_run(ordered)
+    return ordered[first], order[first]
+
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct keys in ascending order, as `np.unique(keys)` gives them."""
+    ordered = np.sort(keys)
+    return ordered[_first_of_run(ordered)]
+
+
 def _first_inequivalent(
     camo: CamoCircuit, comps: Sequence[Completion], state_cap: int, expand_cap: int
 ) -> BitSeq | None:
@@ -359,7 +389,7 @@ def _first_inequivalent(
                 if not lockstep:
                     return None
                 batches = _lane_batches(camo, lockstep, lanes)
-            for key in np.unique(_scenario_keys(want[1], w)).tolist():
+            for key in _distinct(_scenario_keys(want[1], w)).tolist():
                 if key not in visited:
                     visited.add(key)
                     nxt_frontier.append(key)
@@ -401,25 +431,47 @@ def check_umc(inst: AttackInstance, cfg: AttackConfig | None = None) -> bool:
     reduced circuit (see `_first_inequivalent`).  This is exact: the
     consistent completions are the consistent projections times every
     choice of the other cells, and two completions are equivalent exactly
-    when their projections are equivalent on the reduced circuit.  More
-    than `cfg.umc_enum_cap` projections, a solver call over its budget or a
-    product cap (ProductCapError) leaves the check inconclusive, with the
-    reason in the error.  Every solver call is a query of `inst`, so the
-    work of the check is the change in `inst.stats`.
+    when their projections are equivalent on the reduced circuit.  The
+    projections are walked while they are listed: each time the list
+    reaches 2, 4, 8, ... projections, the ones listed since the last walk
+    are walked with the first, and one inequivalent to the first ends the
+    listing and refutes the check; whatever a complete listing leaves
+    unwalked is walked at its end.  So every projection is walked once, a
+    refuted check lists only up to the batch that refutes it, and a check
+    that certifies lists exactly as without the walks.  More than
+    `cfg.umc_enum_cap` projections (unless the first `cfg.umc_enum_cap` or
+    fewer have already refuted), a solver call over its budget or a product
+    cap (ProductCapError) leaves the check inconclusive, with the reason in
+    the error.  Every solver call is a query of `inst`, so the work of the
+    check is the change in `inst.stats`.
     """
     cfg = cfg or AttackConfig()
     if cfg.umc_mode == "skip":
         raise InconclusiveError("unbounded check disabled (umc_mode=skip)")
     reduced, kept = inst.cone
+    walked = 1  # projections walked so far; the first is the reference
+    refuted = False
+
+    def walk(comps: list[Completion]) -> bool:
+        """Walk the projections listed since the last walk; True refutes."""
+        nonlocal walked, refuted
+        batch = [comps[0], *comps[walked:]]
+        walked = len(comps)
+        witness = _first_inequivalent(reduced, batch, PRODUCT_STATE_CAP, PRODUCT_EXPAND_CAP)
+        refuted = witness is not None
+        return refuted
+
     try:
-        comps = inst.enumerate_consistent(cfg.umc_enum_cap, cfg.solver_budget, kept)
+        comps = inst.enumerate_consistent(cfg.umc_enum_cap, cfg.solver_budget, kept, walk)
     except SolverTimeoutError as exc:
         raise InconclusiveError(str(exc)) from exc
+    if refuted:
+        return False
     if comps is None:
         raise InconclusiveError(f"more than {cfg.umc_enum_cap} consistent completions")
     if not comps:
         raise OracleInconsistentError("no completion is consistent with the observations")
-    return _first_inequivalent(reduced, comps, PRODUCT_STATE_CAP, PRODUCT_EXPAND_CAP) is None
+    return not walk(comps)
 
 
 def brute_force_disc(

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .cnf import FALSE, TRUE, CnfBuilder, CnfInstance
 from .netlist import BitSeq, CamoCircuit, Completion, observable_cone
@@ -493,12 +493,20 @@ class AttackInstance:
         return self._solve(list(pin), budget)
 
     def enumerate_consistent(
-        self, cap: int, budget: float | None = None, cells: Sequence[int] | None = None
+        self,
+        cap: int,
+        budget: float | None = None,
+        cells: Sequence[int] | None = None,
+        stop: Callable[[list[Completion]], bool] | None = None,
     ) -> list[Completion] | None:
         """The distinct consistent completions projected onto `cells` (cell
         indices, all cells by default), in the order found; None once there
         are more than `cap`.  A projection lists its cells' choices in the
         order of `cells`.
+
+        Each time the list reaches 2, 4, 8, ... (at most `cap`) completions,
+        `stop(found)` is called with the list so far; True ends the listing
+        there and returns the list, which may then be incomplete.
 
         One resumed search: each model is excluded by a blocking clause (the
         negated k1 key bits of `cells`) from which the solver backjumps and
@@ -513,8 +521,9 @@ class AttackInstance:
         so they do not constrain later queries on this instance.  Raises
         SolverTimeoutError when one model search exceeds `budget` seconds.
         The counters of its solver calls are read off `stats`, like those of
-        every other query.  On every exit the solver's trail is back at
-        level 0 and its decision order is as before the call.
+        every other query.  On every exit (UNSAT, the cap, a timeout, a True
+        from `stop` or an exception raised inside it) the solver's trail is
+        back at level 0 and its decision order is as before the call.
         """
         epoch = self.bld.new_var()
         self._sync()
@@ -522,6 +531,7 @@ class AttackInstance:
         kv = self.k1
         key = kv.all_vars() if cells is None else [v for c in cells for v in kv.cells[c]]
         found: list[Completion] = []
+        checkpoint = 2
         ctx.decide_last(key)
         try:
             while True:
@@ -533,6 +543,10 @@ class AttackInstance:
                 found.append(kv.decode(res, cells))
                 if len(found) > cap:
                     return None
+                if len(found) == checkpoint:
+                    checkpoint *= 2
+                    if stop is not None and stop(found):
+                        return found
                 model = res.raw_model
                 ctx.block([-epoch] + [-b if model[b] else b for b in key])
         finally:

@@ -3,7 +3,10 @@ import itertools
 import random
 import re
 
+import hypothesis
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from seqdecam import attack as atk
 from seqdecam import sat as sm
@@ -244,13 +247,39 @@ def test_umc_finds_an_inequivalent_survivor_past_the_second(monkeypatch):
     assert run_sequence(camo, comps[0], w) != run_sequence(camo, comps[2], w)
     asked = []
 
-    def enumerate_consistent(self, cap, budget=None, cells=None):
+    def enumerate_consistent(self, cap, budget=None, cells=None, stop=None):
         asked.append(tuple(cells))
         return comps
 
     monkeypatch.setattr(AttackInstance, "enumerate_consistent", enumerate_consistent)
     assert atk.check_umc(AttackInstance(camo), atk.AttackConfig()) is False
     assert asked == [(0, 1)]
+
+
+def test_umc_walks_each_projection_once_in_listing_batches(monkeypatch):
+    # the circuit of the test above; a listing of three projections, the
+    # last one inequivalent, is walked at the checkpoint of 2 and then once
+    # more for the one listed after it
+    from seqdecam.netlist import camouflage, parse_bench
+
+    src = UNREAD_FLOP.replace("y = OR(a, zero)", "INPUT(b)\nt = OR(a, zero)\ny = AND(t, b)")
+    camo = camouflage(parse_bench(src, "unread_flop2"), ["g", "y"], ["AND", "OR"])
+    comps = [Completion((0, 0)), Completion((1, 0)), Completion((0, 1))]
+
+    def enumerate_consistent(self, cap, budget=None, cells=None, stop=None):
+        return comps[:2] if stop(comps[:2]) else comps
+
+    walks = []
+    real = atk._first_inequivalent
+
+    def spy(camo, batch, *caps):
+        walks.append(list(batch))
+        return real(camo, batch, *caps)
+
+    monkeypatch.setattr(AttackInstance, "enumerate_consistent", enumerate_consistent)
+    monkeypatch.setattr(atk, "_first_inequivalent", spy)
+    assert atk.check_umc(AttackInstance(camo), atk.AttackConfig()) is False
+    assert walks == [comps[:2], [comps[0], comps[2]]]
 
 
 def test_umc_counts_only_observable_cells_against_the_cap():
@@ -481,6 +510,103 @@ def test_umc_names_an_enumeration_timeout(s27_camo):
     cfg = atk.AttackConfig(bmc_inc=1, max_bound=4, solver_budget=0.0)
     with pytest.raises(atk.InconclusiveError, match="^solver budget exhausted during enumeration$"):
         atk.check_umc(AttackInstance(s27_camo), cfg)
+
+
+# five observable cells in a chain, each NAND(x, x) or NOR(x, x): both are
+# NOT x, so all 32 completions are consistent with anything and stay in
+# lock-step
+TWIN_CHAIN = """
+INPUT(a)
+OUTPUT(y)
+g0 = NAND(a, a)
+g1 = NAND(g0, g0)
+g2 = NAND(g1, g1)
+g3 = NAND(g2, g2)
+g4 = NAND(g3, g3)
+y = BUF(g4)
+"""
+
+
+def _twin_chain():
+    from seqdecam.netlist import camouflage, parse_bench
+
+    return camouflage(parse_bench(TWIN_CHAIN, "twin_chain"), [f"g{i}" for i in range(5)],
+                      ["NAND", "NOR"])
+
+
+def _solver_calls(monkeypatch):
+    """A list that collects (status, conflicts, decisions, propagations) of
+    every solver call from now on."""
+    calls = []
+    real = sm.SatContext.solve
+
+    def solve(self, *args, **kwargs):
+        res = real(self, *args, **kwargs)
+        calls.append((res.status, res.stats.conflicts, res.stats.decisions, res.stats.propagations))
+        return res
+
+    monkeypatch.setattr(sm.SatContext, "solve", solve)
+    return calls
+
+
+def test_enumeration_calls_stop_at_each_doubling_up_to_the_cap():
+    inst = AttackInstance(_twin_chain())
+    for cap, checkpoints, listed in ((32, [2, 4, 8, 16, 32], 32), (20, [2, 4, 8, 16], None)):
+        seen = []
+        got = inst.enumerate_consistent(cap, None, None, lambda found: seen.append(len(found)))
+        assert seen == checkpoints
+        assert (got if got is None else len(got)) == listed
+
+
+def test_a_certifying_check_lists_as_without_walks(monkeypatch, s27_camo):
+    # the walks between checkpoints touch no solver state: a check that
+    # certifies makes the solver calls, with the same decisions, of the
+    # plain listing it walks
+    calls = _solver_calls(monkeypatch)
+    twin = _twin_chain()
+    for make, n in ((lambda: _observe(s27_camo, S27_SECRET, S27_DISC), 1),
+                    (lambda: AttackInstance(twin), 32)):
+        calls.clear()
+        assert atk.check_umc(make()) is True
+        walked = list(calls)
+        calls.clear()
+        inst = make()
+        assert len(inst.enumerate_consistent(atk.AttackConfig().umc_enum_cap, None,
+                                             inst.cone[1])) == n
+        assert calls == walked and walked[-1][0] == sm.UNSAT
+
+
+@hypothesis.seed(21)
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**9))
+def test_umc_agrees_with_brute_force_on_four_to_six_cells(seed):
+    # enough consistent projections to cross several checkpoints of the
+    # listing, so a survivor that leaves the reference is often listed only
+    # after the first walk
+    rng = random.Random(seed)
+    while True:
+        try:
+            camo, secret = random_camo(rng, random_circuit(rng), k=rng.randint(4, 6))
+            break
+        except ValueError:  # fewer than k two-input gates; draw again
+            continue
+    inst = AttackInstance(camo)
+    m = camo.num_inputs
+    for _ in range(rng.randint(0, 2)):
+        seq = BitSeq(m, tuple(rng.randrange(1 << m) for _ in range(rng.randint(1, 3))))
+        inst.add_record(seq, run_sequence(camo, secret, seq))
+    assert atk.check_umc(inst) == atk.brute_force_disc(camo, inst.qs)
+
+
+def test_sort_based_unique_is_np_unique():
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 5, 64, 1000):
+        for high in (2, 50, 1 << 63):
+            keys = rng.integers(0, high, size=n, dtype=np.uint64)
+            uniq, first = atk._unique_first(keys)
+            want_uniq, want_first = np.unique(keys, return_index=True)
+            assert uniq.tolist() == want_uniq.tolist() == atk._distinct(keys).tolist()
+            assert first.tolist() == want_first.tolist()
 
 
 def test_brute_force_examples(s27_camo, identical_candidates_camo):
@@ -799,10 +925,10 @@ _PINNED_S27 = (
 _PINNED_RANDOM = (
     [(2, "sequence", "SAT", 8, 28), (2, "uc", "SAT", 0, 14), (2, "ce", "SAT", 0, 21),
      (2, "sequence", "SAT", 5, 32), (2, "uc", "SAT", 14, 33), (2, "ce", "SAT", 11, 34),
-     (2, "bound", "UNSAT", 0, 0), (2, "umc", "refuted", 3, 56), (4, "sequence", "SAT", 12, 43),
-     (4, "uc", "SAT", 1, 37), (4, "ce", "SAT", 0, 28), (4, "sequence", "SAT", 0, 30),
-     (4, "uc", "UNSAT", 3, 4)],
-    [((3,), (1,)), ((7, 7), (0, 1)), ((7, 7, 5, 3), (0, 1, 0, 1)), ((7, 7, 3, 3), (0, 1, 0, 0))],
+     (2, "bound", "UNSAT", 0, 0), (2, "umc", "refuted", 2, 56), (4, "sequence", "SAT", 19, 64),
+     (4, "uc", "SAT", 1, 33), (4, "ce", "SAT", 0, 27), (4, "sequence", "SAT", 0, 27),
+     (4, "uc", "UNSAT", 3, 18)],
+    [((3,), (1,)), ((7, 7), (0, 1)), ((7, 5, 6), (0, 0, 1)), ((7, 3, 6), (0, 0, 0))],
 )
 
 
@@ -846,6 +972,34 @@ def test_enumeration_is_pinned():
     assert len(set(found)) == len(found) == 256 and secret in found
     assert (after.decisions - before.decisions, after.propagations - before.propagations) == (
         677, 3451)
+
+
+def _umc_1_k32():
+    """umc344's umc_1_k32 (s344-shaped circuit 1, k=32, one bounded-search
+    frame): its config and an instance holding its 4 bounded-search records."""
+    camo, secret = _s344_shaped(1, 32)
+    cfg = atk.AttackConfig(bmc_inc=1, max_bound=1, umc_mode="explicit", umc_enum_cap=512)
+    rep = atk.run_attack(camo, BlackBox(camo, secret), cfg)
+    assert len(rep.disc_set) == 4
+    return cfg, AttackInstance.from_queries(camo, rep.disc_set)
+
+
+def test_umc_stops_listing_at_the_first_batch_that_refutes(monkeypatch):
+    cfg, inst = _umc_1_k32()
+    calls = _solver_calls(monkeypatch)
+    assert atk.check_umc(inst, cfg) is False
+    assert 2 <= len(calls) <= 4 and {c[0] for c in calls} == {sm.SAT}
+    # the whole listing is 16 times longer
+    assert len(inst.enumerate_consistent(512, None, inst.cone[1])) == 64
+
+
+def test_umc_refutes_within_the_cap_and_is_inconclusive_past_it():
+    cfg, inst = _umc_1_k32()
+    # 64 projections exceed a cap of 8, but the walk of the first 4 refutes
+    assert atk.check_umc(inst, dataclasses.replace(cfg, umc_enum_cap=8)) is False
+    # a cap of 1 reaches no checkpoint, so nothing is walked
+    with pytest.raises(atk.InconclusiveError, match="^more than 1 consistent completions$"):
+        atk.check_umc(inst, dataclasses.replace(cfg, umc_enum_cap=1))
 
 
 def test_progress_invariant_each_iteration(s27_camo):

@@ -14,7 +14,7 @@ from seqdecam.encode import (
 from seqdecam.gen import random_camo, random_circuit
 from seqdecam.netlist import BitSeq, Completion, run_sequence, step
 from seqdecam.oracle import OracleConflictError, QuerySet, record
-from seqdecam.attack import consistent
+from seqdecam.attack import ProductCapError, consistent
 
 from conftest import S27_SECRET
 
@@ -477,6 +477,16 @@ def test_enumeration_leaves_level_0_on_every_exit(monkeypatch, s27_camo):
         inst.enumerate_consistent(cap=10)
     assert trail() == []
     monkeypatch.undo()
+    # `stop` ends the listing at its first checkpoint, or raises there
+    assert len(inst.enumerate_consistent(10, None, None, lambda found: True)) == 2
+    assert trail() == []
+
+    def cap_hit(found):
+        raise ProductCapError("product state cap 1 exceeded")
+
+    with pytest.raises(ProductCapError):
+        inst.enumerate_consistent(10, None, None, cap_hit)
+    assert trail() == []
     # later queries answer as on a fresh instance
     fresh = AttackInstance(s27_camo)
     for bound in (1, 2, 3):

@@ -12,13 +12,14 @@ queries encoded here:
 * CE -- two consistent key vectors differ on output or next-state for some
   free (input, state) pair, unreachable states included.
 
-Every query is built and solved on one incremental `AttackInstance`.
-`encode_bmc_disagreement`, `encode_uc` and `encode_ce` return its clause
-database with the query's selector asserted; `encode_consistency` and
-`encode_keyed_frame` are standalone single-key encodings, the reference the
-CNF is checked against simulation with.  Every frame is emitted along a slot
-plan (`frame_plan`), which an `AttackInstance` works out once for all of
-its frames.
+Every query is built and solved on one incremental `AttackInstance`, BMC,
+UC and CE with the two key vectors assumed distinct (`_emit_keys_equal`).
+`encode_bmc_disagreement` and `encode_ce` return its clause database with
+the query's selector asserted, `encode_uc` with the keys asserted distinct;
+`encode_consistency` and `encode_keyed_frame` are standalone single-key
+encodings, the reference the CNF is checked against simulation with.  Every
+frame is emitted along a slot plan (`frame_plan`), which an
+`AttackInstance` works out once for all of its frames.
 """
 
 from __future__ import annotations
@@ -284,31 +285,23 @@ def _emit_any_mismatch(bld: CnfBuilder, a: Sequence[int], b: Sequence[int]) -> i
 
 
 def _emit_keys_equal(bld: CnfBuilder, k1: KeyVector, k2: KeyVector) -> int:
-    """A literal true exactly when the two key vectors decode identically."""
+    """A literal true exactly when the two key vectors decode identically.
+
+    Defined both ways over raw key bits, which decode one-to-one (indices
+    >= t are blocked), so UC is its negation assumed alone.  BMC and CE
+    assume it false too: that loses them no model, since equal completions
+    give equal outputs and next states.  The solver knows from the start
+    that the keys differ, and once the surviving completion is unique,
+    keys_eq is true at level 0 and all three queries fail at once.
+    """
     eqs = [-bld.emit_xor([a, b]) for a, b in zip(k1.all_vars(), k2.all_vars())]
     return bld.emit_and(eqs)
-
-
-def _bridge_equal_keys(
-    bld: CnfBuilder, keys_eq: int, a: Sequence[int], b: Sequence[int]
-) -> None:
-    """Lemma: identical completions behave identically.
-
-    Both copies compute the same function of the same (shared) inputs and
-    reset state, so every model with the key vectors equal already has the
-    corresponding wire pairs equal, frame by frame; stating it as clauses
-    lets unit propagation refute "some observable differs" instantly once
-    the surviving completion is unique, instead of re-deriving circuit
-    equivalence by search.
-    """
-    for x, y in zip(a, b):
-        bld.add_guarded_equal((keys_eq,), x, y)
 
 
 def encode_uc(camo: CamoCircuit, qs: QuerySet) -> CnfInstance:
     """SAT iff two distinct completions are both consistent with qs."""
     inst = AttackInstance.from_queries(camo, qs)
-    inst.bld.add(inst.uc_selector())
+    inst.bld.add(-inst._keys_eq)
     return inst.bld.build()
 
 
@@ -330,9 +323,10 @@ class AttackInstance:
 
     `qs` holds the records, which only `add_record` grows.  Consistency
     constraints are emitted once per (record, key vector) and shared by all
-    queries; the BMC disagreement OR, the UC distinctness OR and the CE
-    mismatch OR are each guarded by a selector, an assumption literal, so a
-    single incremental solver context answers all of them.
+    queries; the BMC disagreement OR and the CE mismatch OR are each guarded
+    by a selector, an assumption literal, so a single incremental solver
+    context answers all of them.  BMC, CE and UC assume the key vectors
+    distinct (`_emit_keys_equal`).
     """
 
     def __init__(self, camo: CamoCircuit):
@@ -347,7 +341,6 @@ class AttackInstance:
         self._s1 = _const_bits(camo.reset_state, camo.num_flops)
         self._s2 = list(self._s1)
         self._bound_sel: dict[int, int] = {}
-        self._uc_sel: int | None = None
         self._ce_sel: int | None = None
         self._emitted_clauses = 0
         self._emitted_implied = 0
@@ -406,7 +399,6 @@ class AttackInstance:
             bld.group(f"in{f}", ins)
             o1, self._s1 = emit_keyed_frame(bld, camo, self.k1, self._s1, ins, plan)
             o2, self._s2 = emit_keyed_frame(bld, camo, self.k2, self._s2, ins, plan)
-            _bridge_equal_keys(bld, self._keys_eq, o1 + self._s1, o2 + self._s2)
             flag = _emit_any_mismatch(bld, o1, o2)
             self.frame_inputs.append(ins)
             self._frame_flags.append(flag if flag is not None else FALSE)
@@ -422,13 +414,6 @@ class AttackInstance:
             self._bound_sel[bound] = sel
         return sel
 
-    def uc_selector(self) -> int:
-        if self._uc_sel is None:
-            self._uc_sel = self.bld.new_var()
-            diff = _emit_any_mismatch(self.bld, self.k1.all_vars(), self.k2.all_vars())
-            self.bld.add(-self._uc_sel, *( [diff] if diff is not None else [] ))
-        return self._uc_sel
-
     def ce_selector(self) -> int:
         if self._ce_sel is None:
             self._ce_sel = self.bld.new_var()
@@ -438,7 +423,6 @@ class AttackInstance:
             self.bld.group("ce_input", inputs)
             o1, n1 = emit_keyed_frame(self.bld, self.camo, self.k1, state, inputs, self._plan)
             o2, n2 = emit_keyed_frame(self.bld, self.camo, self.k2, state, inputs, self._plan)
-            _bridge_equal_keys(self.bld, self._keys_eq, o1 + n1, o2 + n2)
             flag = _emit_any_mismatch(self.bld, o1 + n1, o2 + n2)
             self.bld.add(-self._ce_sel, *( [flag] if flag is not None else [] ))
         return self._ce_sel
@@ -461,8 +445,7 @@ class AttackInstance:
     # -------------------------------------------------------------- queries
 
     def solve_bmc(self, bound: int, budget: float | None = None) -> "satmod.SolveResult":
-        sel = self.bound_selector(bound)
-        return self._solve([sel], budget)
+        return self._solve([self.bound_selector(bound), -self._keys_eq], budget)
 
     def decode_bmc(self, result: "satmod.SolveResult", bound: int) -> tuple[Completion, Completion, BitSeq]:
         x1 = self.k1.decode(result)
@@ -476,7 +459,7 @@ class AttackInstance:
         return x1, x2, BitSeq(self.camo.num_inputs, tuple(steps))
 
     def solve_uc(self, budget: float | None = None) -> "satmod.SolveResult":
-        return self._solve([self.uc_selector()], budget)
+        return self._solve([-self._keys_eq], budget)
 
     def solve_ce(self, budget: float | None = None) -> "satmod.SolveResult":
         """UNSAT iff all consistent completions are combinationally identical.
@@ -484,7 +467,7 @@ class AttackInstance:
         Sound for termination (UNSAT implies `qs` is discriminating) but
         conservative: disagreement confined to unreachable states is SAT.
         """
-        return self._solve([self.ce_selector()], budget)
+        return self._solve([self.ce_selector(), -self._keys_eq], budget)
 
     def solve_consistent(
         self, pin: Sequence[int] = (), budget: float | None = None

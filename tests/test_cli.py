@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from seqdecam import attack as atk
 from seqdecam import cli, oracle
 from seqdecam import netlist as nl
 from seqdecam.cli import main
@@ -19,14 +20,18 @@ def run_cli(*argv):
     return main([str(a) for a in argv])
 
 
-@pytest.fixture
-def workdir(tmp_path):
+def _camouflage_s27(out: Path, seed: int) -> Path:
     rc = run_cli(
         "camouflage", "--bench", S27, "--k", "2", "--candidates", "NAND,NOR",
-        "--seed", "3", "--out", tmp_path,
+        "--seed", seed, "--out", out,
     )
     assert rc == 0
-    return tmp_path
+    return out
+
+
+@pytest.fixture
+def workdir(tmp_path):
+    return _camouflage_s27(tmp_path, 3)
 
 
 def _sidecar(d: Path) -> Path:
@@ -207,9 +212,18 @@ def test_attack_against_pipe_oracle(workdir, tmp_path):
     assert rec["success"]
 
 
-def test_attack_detects_corrupted_oracle(workdir, tmp_path, capsys):
-    # the served chip is a mutated netlist: no completion of the attacker's
-    # circuit can reproduce it, which must surface as an oracle conflict
+def test_attack_detects_corrupted_oracle(tmp_path, capsys):
+    # the served chip is a mutated netlist that no completion of the
+    # attacker's circuit reproduces on every input: a lie the attack meets
+    # must surface as an oracle conflict.  Whether it meets one depends on
+    # its queries.  Under camouflage seed 3's cells the mutant lies at step 0
+    # only on inputs 8, 9, 12 and 13, and the attack asks one query,
+    # (0, 1) -> (0, 0), which two equivalent completions reproduce, so it
+    # rightly certifies.  Under seed 2's cells it lies on 8 of the 16 inputs
+    # at step 0, and the attack meets a lie.  That the guard fires exactly
+    # when no completion reproduces the answers is
+    # test_oracle_conflict_iff_no_completion_reproduces
+    workdir = _camouflage_s27(tmp_path / "camo", 2)
     mutated = tmp_path / "mutant.bench"
     mutated.write_text(
         bench_path("s27").read_text().replace("G17 = NOT(G11)", "G17 = BUF(G11)")
@@ -225,6 +239,45 @@ def test_attack_detects_corrupted_oracle(workdir, tmp_path, capsys):
     )
     assert rc == 1
     assert "oracle conflict" in capsys.readouterr().err
+
+
+_FLIPPED = {"NOT": "BUF", "BUF": "NOT", "AND": "NAND", "NAND": "AND", "OR": "NOR", "NOR": "OR"}
+
+
+def test_oracle_conflict_iff_no_completion_reproduces(tmp_path):
+    # every single-gate flip of s27 served as the chip, under the cells of
+    # camouflage seeds 1-10: the attack raises an oracle conflict if and only
+    # if no completion reproduces the answers the chip gave it
+    s27 = nl.parse_bench(bench_path("s27").read_text(), "s27")
+    detected = 0
+    for seed in range(1, 11):
+        d = _camouflage_s27(tmp_path / str(seed), seed)
+        camo = nl.parse_sidecar(_sidecar(d).read_text(), s27)
+        secret = nl.parse_completion_file(_secret(d).read_text(), camo)
+        for g in s27.gates:
+            gates = tuple(
+                nl.Gate(h.out, _FLIPPED[h.fn], h.ins) if h is g else h for h in s27.gates
+            )
+            mutant = nl.Circuit(s27.name, s27.inputs, s27.outputs, s27.flops, gates)
+            chip = nl.camouflage(mutant, [c.gate_out for c in camo.cells], ["NAND", "NOR"])
+            box = oracle.BlackBox(chip, secret)
+            answers = []
+
+            def query(seq, ask=box.query):
+                answers.append((seq, ask(seq)))
+                return answers[-1][1]
+
+            box.query = query
+            try:
+                atk.run_attack(camo, box, atk.AttackConfig(bmc_inc=2, max_bound=16))
+                raised = False
+            except (oracle.OracleConflictError, atk.OracleInconsistentError):
+                raised = True
+            qs = oracle.QuerySet(tuple(answers))
+            reproduced = any(atk.consistent(camo, x, qs) for x in camo.all_completions())
+            assert raised != reproduced, (seed, g.out)
+            detected += raised
+    assert detected > 0
 
 
 def test_attack_against_hung_oracle_exits_1(workdir, tmp_path, monkeypatch, capsys):

@@ -322,6 +322,34 @@ def test_attack_instance_matches_stateless_queries():
             assert inst.qs == qs
 
 
+def test_distinct_keys_assumption_removes_no_model():
+    # BMC and CE are asked under "the key vectors decode to distinct
+    # completions", and UC is that assumption alone.  Two equal completions
+    # agree on every output and next state, so BMC and CE lose no model by
+    # it; UC is SAT exactly when two distinct completions are consistent.
+    # Criterion 3's generator, with 0-2 records
+    rng = random.Random(33)
+    for _ in range(60):
+        try:
+            camo, secret = random_camo(
+                rng, random_circuit(rng, num_flops=rng.randint(0, 3)), k=rng.randint(1, 3)
+            )
+        except ValueError:
+            continue
+        m = camo.num_inputs
+        qs = QuerySet()
+        for _ in range(rng.randint(0, 2)):
+            seq = BitSeq(m, tuple(rng.randrange(1 << m) for _ in range(rng.randint(1, 3))))
+            qs = record(qs, seq, run_sequence(camo, secret, seq))
+        inst = AttackInstance.from_queries(camo, qs)
+        for b in (1, 2, 3):
+            unassumed = inst.solve_consistent([inst.bound_selector(b)]).status
+            assert inst.solve_bmc(b).status == unassumed
+        assert inst.solve_ce().status == inst.solve_consistent([inst.ce_selector()]).status
+        distinct = len(_consistent_set_by_simulation(camo, qs)) > 1
+        assert inst.solve_uc().status == (sm.SAT if distinct else sm.UNSAT)
+
+
 def test_add_record_keeps_the_query_set(s27_camo):
     seq = BitSeq(4, (8, 9))
     out = run_sequence(s27_camo, S27_SECRET, seq)

@@ -26,8 +26,9 @@ lock-step walk runs the survivors as the lanes of one bit-parallel pass,
 each lane one completion over the same (state, input) scenarios, as
 parallel fault simulation runs faulty machines.  Every check
 takes the attack's one incremental `AttackInstance`, which holds the
-records (`inst.qs`) and answers every solver question about them on the
-full circuit.  Each check the loop runs becomes one `IterationRecord`: its
+records (`inst.qs`) and answers every solver question about them: the
+bounded search over frames of the reduced circuit, which gives the full
+one's outputs, and CE over the full circuit, whose next state it compares.  Each check the loop runs becomes one `IterationRecord`: its
 solver work is the change in the instance's running `stats` and its wall
 time spans the whole check (encoding, oracle round trip and re-simulation
 included).  A certified attack returns the bounded-search witness that

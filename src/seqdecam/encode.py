@@ -19,7 +19,12 @@ the query's selector asserted, `encode_uc` with the keys asserted distinct;
 `encode_consistency` and `encode_keyed_frame` are standalone single-key
 encodings, the reference the CNF is checked against simulation with.  Every
 frame is emitted along a slot plan (`frame_plan`), which an
-`AttackInstance` works out once for all of its frames.
+`AttackInstance` works out once.  Its BMC and record frames cover only the
+outputs' cone of influence (`observable_cone`): they read nothing but
+outputs, which the reduced circuit gives exactly as the full one does, and
+the dropped logic holds only definitions that any assignment to the rest
+extends, so every query keeps its models over keys and frame inputs.  CE's
+frame covers the full circuit, as it compares every flop's next state.
 """
 
 from __future__ import annotations
@@ -169,8 +174,10 @@ def emit_keyed_frame(
     step(camo, decode(key), state, input).  Camouflaged gates are encoded by
     guarding each candidate's definition with that candidate's key value.
     `plan` is `frame_plan(camo)`, which a caller emitting many frames builds
-    once.  Raises ValueError unless there is one state literal per flop and
-    one input literal per input.
+    once, its cell indices possibly renumbered to index `key`'s cells (a
+    reduced circuit keyed by its full circuit's key vector).  Raises
+    ValueError unless there is one state literal per flop and one input
+    literal per input.
     """
     if len(state_lits) != camo.num_flops or len(input_lits) != camo.num_inputs:
         raise ValueError(
@@ -326,7 +333,9 @@ class AttackInstance:
     queries; the BMC disagreement OR and the CE mismatch OR are each guarded
     by a selector, an assumption literal, so a single incremental solver
     context answers all of them.  BMC, CE and UC assume the key vectors
-    distinct (`_emit_keys_equal`).
+    distinct (`_emit_keys_equal`).  The key vectors cover every cell of
+    `camo`; the BMC and record frames are those of the reduced circuit
+    `cone[0]`, and CE's frame is that of `camo`.
     """
 
     def __init__(self, camo: CamoCircuit):
@@ -338,7 +347,8 @@ class AttackInstance:
         self._keys_eq = _emit_keys_equal(self.bld, self.k1, self.k2)
         self.frame_inputs: list[list[int]] = []
         self._frame_flags: list[int] = []
-        self._s1 = _const_bits(camo.reset_state, camo.num_flops)
+        reduced = self.cone[0]
+        self._s1 = _const_bits(reduced.reset_state, reduced.num_flops)
         self._s2 = list(self._s1)
         self._bound_sel: dict[int, int] = {}
         self._ce_sel: int | None = None
@@ -374,8 +384,20 @@ class AttackInstance:
 
     @cached_property
     def _plan(self) -> FramePlan:
-        """`frame_plan(camo)`, for every frame this instance emits."""
+        """`frame_plan(camo)`, for CE's frame."""
         return frame_plan(self.camo)
+
+    @cached_property
+    def _cone_plan(self) -> FramePlan:
+        """The plan of the reduced circuit `cone[0]`, its cells renumbered
+        through `cone[1]` to index the full key vectors: for every BMC and
+        record frame."""
+        reduced, kept = self.cone
+        if reduced is self.camo:
+            return self._plan
+        plan = frame_plan(reduced)
+        gates = tuple((kept[ci] if ci >= 0 else -1, codes, ins) for ci, codes, ins in plan.gates)
+        return FramePlan(gates, plan.outputs, plan.nexts)
 
     @cached_property
     def cone(self) -> tuple[CamoCircuit, tuple[int, ...]]:
@@ -392,7 +414,7 @@ class AttackInstance:
     # ------------------------------------------------------------- building
 
     def ensure_frames(self, bound: int) -> None:
-        bld, camo, plan = self.bld, self.camo, self._plan
+        bld, camo, plan = self.bld, self.cone[0], self._cone_plan
         while len(self.frame_inputs) < bound:
             f = len(self.frame_inputs)
             ins = bld.new_vars(camo.num_inputs)
@@ -437,8 +459,9 @@ class AttackInstance:
         grown = record(self.qs, seq, out)
         if len(grown) == len(self.qs):
             return False
+        reduced, qs = self.cone[0], QuerySet(((seq, out),))
         for key in (self.k1, self.k2):
-            emit_consistency(self.bld, self.camo, key, QuerySet(((seq, out),)), self._plan)
+            emit_consistency(self.bld, reduced, key, qs, self._cone_plan)
         self.qs = grown
         return True
 

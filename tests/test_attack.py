@@ -961,7 +961,8 @@ def test_enumeration_is_pinned():
     # the resumed model search of explicit UMC on an s344-shaped circuit
     # (perfbench's S344_SHAPE, circuit 3, k=10) after the attack's first
     # query: its key is decided last, so each blocking clause backjumps over
-    # the key alone; values recorded with that decision order
+    # the key alone; values recorded with that decision order, and with the
+    # record frames emitted over the outputs' cone of influence
     camo, secret = _s344_shaped(3, 10)
     inst = AttackInstance(camo)
     _, _, seq = atk.find_distinguishing(inst, 1)
@@ -971,7 +972,7 @@ def test_enumeration_is_pinned():
     after = inst.stats
     assert len(set(found)) == len(found) == 256 and secret in found
     assert (after.decisions - before.decisions, after.propagations - before.propagations) == (
-        677, 3456)
+        553, 1631)
 
 
 def _umc_1_k32():

@@ -12,7 +12,7 @@ from seqdecam.encode import (
     encode_uc,
 )
 from seqdecam.gen import random_camo, random_circuit
-from seqdecam.netlist import BitSeq, Completion, run_sequence, step
+from seqdecam.netlist import BitSeq, Completion, observable_cone, run_sequence, step
 from seqdecam.oracle import OracleConflictError, QuerySet, record
 from seqdecam.attack import ProductCapError, consistent
 
@@ -285,20 +285,27 @@ def test_uc_unsat_implies_ce_unsat():
 
 # ---------------------------------------------------- incremental instance
 
-def _brute_force_verdicts(camo, qs):
-    """BMC at bound 2, UC and CE, each decided by simulating every consistent
+def _brute_force_verdicts(camo, qs, bound=2):
+    """BMC at `bound`, UC and CE, each decided by simulating every consistent
     completion: a query is SAT iff two of them differ where it looks."""
     m, l = camo.num_inputs, camo.num_flops
     comps = [x for x in camo.all_completions() if consistent(camo, x, qs)]
-    runs2 = {
-        tuple(run_sequence(camo, x, BitSeq(m, (a, b))) for a in range(1 << m) for b in range(1 << m))
-        for x in comps
-    }
+
+    def tree(x, state, depth, memo):
+        # the outputs of every input sequence of length `depth` from state
+        if depth == 0:
+            return ()
+        if (state, depth) not in memo:
+            steps = (step(camo, x, state, i) for i in range(1 << m))
+            memo[state, depth] = tuple((o, tree(x, n, depth - 1, memo)) for o, n in steps)
+        return memo[state, depth]
+
+    runs = {tree(x, camo.reset_state, bound, {}) for x in comps}
     frames = {
         tuple(step(camo, x, st, i) for st in range(1 << l) for i in range(1 << m)) for x in comps
     }
     verdict = lambda differ: sm.SAT if differ else sm.UNSAT
-    return verdict(len(runs2) > 1), verdict(len(comps) > 1), verdict(len(frames) > 1)
+    return verdict(len(runs) > 1), verdict(len(comps) > 1), verdict(len(frames) > 1)
 
 
 def test_attack_instance_matches_stateless_queries():
@@ -348,6 +355,58 @@ def test_distinct_keys_assumption_removes_no_model():
         assert inst.solve_ce().status == inst.solve_consistent([inst.ce_selector()]).status
         distinct = len(_consistent_set_by_simulation(camo, qs)) > 1
         assert inst.solve_uc().status == (sm.SAT if distinct else sm.UNSAT)
+
+
+def _circuits_with_dead_logic(seed, count):
+    """Criterion 3's generator, kept to circuits where `observable_cone`
+    drops a gate or a flop, each with a secret and 0-2 records."""
+    rng = random.Random(seed)
+    while count:
+        try:
+            camo, secret = random_camo(
+                rng, random_circuit(rng, num_flops=rng.randint(0, 3)), k=rng.randint(1, 3)
+            )
+        except ValueError:
+            continue
+        if observable_cone(camo)[0] is camo:
+            continue
+        m = camo.num_inputs
+        qs = QuerySet()
+        for _ in range(rng.randint(0, 2)):
+            seq = BitSeq(m, tuple(rng.randrange(1 << m) for _ in range(rng.randint(1, 3))))
+            qs = record(qs, seq, run_sequence(camo, secret, seq))
+        yield camo, secret, qs
+        count -= 1
+
+
+def test_cone_frames_keep_every_verdict():
+    # bounded-search and record frames cover only the outputs' cone of
+    # influence, CE's frame the full circuit: every verdict and the
+    # consistent set still match simulation of the full circuit
+    for camo, _, qs in _circuits_with_dead_logic(33, 100):
+        inst = AttackInstance.from_queries(camo, qs)
+        for b in (1, 2, 3):
+            bmc, uc, ce = _brute_force_verdicts(camo, qs, b)
+            assert inst.solve_bmc(b).status == bmc
+        assert inst.solve_uc().status == uc
+        assert inst.solve_ce().status == ce
+        found = inst.enumerate_consistent(cap=64)
+        assert {x.choices for x in found} == _consistent_set_by_simulation(camo, qs)
+
+
+def test_cone_frames_drop_the_dead_logic():
+    # the frames a full instance emits are those of an instance built on
+    # the reduced circuit: not one variable or clause for the dead logic
+    for camo, secret, _ in _circuits_with_dead_logic(5, 199):
+        seq = BitSeq(camo.num_inputs, (0, (1 << camo.num_inputs) - 1))
+        out = run_sequence(camo, secret, seq)
+        grown = []
+        for inst in (AttackInstance(camo), AttackInstance(observable_cone(camo)[0])):
+            vars0, clauses0 = inst.bld.num_vars, len(inst.bld.clauses)
+            inst.ensure_frames(3)
+            inst.add_record(seq, out)
+            grown.append((inst.bld.num_vars - vars0, len(inst.bld.clauses) - clauses0))
+        assert grown[0] == grown[1]
 
 
 def test_add_record_keeps_the_query_set(s27_camo):

@@ -26,12 +26,12 @@ lock-step walk runs the survivors as the lanes of one bit-parallel pass,
 each lane one completion over the same (state, input) scenarios, as
 parallel fault simulation runs faulty machines.  Every check
 takes the attack's one incremental `AttackInstance`, which holds the
-records (`inst.qs`) and answers every solver question about them: the
-bounded search over frames of the reduced circuit, which gives the full
-one's outputs, and CE over the full circuit, whose next state it compares.  Each check the loop runs becomes one `IterationRecord`: its
-solver work is the change in the instance's running `stats` and its wall
-time spans the whole check (encoding, oracle round trip and re-simulation
-included).  A certified attack returns the bounded-search witness that
+records (`inst.qs`) and answers every solver question about them over
+frames of the reduced circuit, which gives the full one's outputs; so a
+dead cell that feeds a dead flop cannot make CE SAT.  Each check the loop
+runs becomes one `IterationRecord`: its solver work is the change in the
+instance's running `stats` and its wall time spans the whole check
+(encoding, oracle round trip and re-simulation included).  A certified attack returns the bounded-search witness that
 survived the last record, which has been re-simulated against every record;
 only without one is a completion solved for.  When no cell lies in the cone
 at all, every completion is sequentially equivalent to every other, so the

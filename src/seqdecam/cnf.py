@@ -142,21 +142,6 @@ class CnfBuilder:
             self._hash[key] = g
         return -g if phase else g
 
-    def add_guarded_equal(self, guard: Sequence[int], a: int, b: int) -> None:
-        """Clauses for (AND guard) -> (a <-> b)."""
-        gneg = [-g for g in guard]
-        if is_const(a) and is_const(b):
-            if a != b:
-                self.add(*gneg)
-            return
-        if is_const(b):
-            a, b = b, a
-        if is_const(a):
-            self.add(*gneg, b if a == TRUE else -b)
-            return
-        self.add(*gneg, -a, b)
-        self.add(*gneg, a, -b)
-
     def emit_mismatch(self, a: int, b: int) -> int | None:
         """A literal that can only be true when a != b (one-directional).
 

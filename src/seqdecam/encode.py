@@ -9,8 +9,9 @@ queries encoded here:
 * BMC disagreement -- two consistency-constrained copies share b frames of
   free inputs from reset and differ at some observed output;
 * UC -- two *distinct* consistent key vectors exist;
-* CE -- two consistent key vectors differ on output or next-state for some
-  free (input, state) pair, unreachable states included.
+* CE -- two consistent key vectors differ on output or next-state of the
+  outputs' cone of influence for some free (input, state) pair,
+  unreachable states included.
 
 Every query is built and solved on one incremental `AttackInstance`, BMC,
 UC and CE with the two key vectors assumed distinct (`_emit_keys_equal`).
@@ -19,12 +20,16 @@ the query's selector asserted, `encode_uc` with the keys asserted distinct;
 `encode_consistency` and `encode_keyed_frame` are standalone single-key
 encodings, the reference the CNF is checked against simulation with.  Every
 frame is emitted along a slot plan (`frame_plan`), which an
-`AttackInstance` works out once.  Its BMC and record frames cover only the
-outputs' cone of influence (`observable_cone`): they read nothing but
+`AttackInstance` works out once.  Its frames cover only the outputs' cone
+of influence (`observable_cone`).  BMC and record frames read nothing but
 outputs, which the reduced circuit gives exactly as the full one does, and
 the dropped logic holds only definitions that any assignment to the rest
-extends, so every query keeps its models over keys and frame inputs.  CE's
-frame covers the full circuit, as it compares every flop's next state.
+extends, so those queries keep their models over keys and frame inputs.
+CE compares outputs and the kept flops' next states: UNSAT there makes all
+consistent completions run the reduced circuit in lock-step from reset, so
+they give the same outputs.  That certifies every query set CE over the
+full circuit would, and more: there a dead cell that feeds a dead flop
+makes CE SAT by construction.
 """
 
 from __future__ import annotations
@@ -235,7 +240,7 @@ def emit_consistency(
             ins = _const_bits(step, camo.num_inputs)
             outs, state = emit_keyed_frame(bld, camo, key, state, ins, plan)
             for i, ol in enumerate(outs):
-                bld.add_guarded_equal((), ol, TRUE if (want >> i) & 1 else FALSE)
+                bld.add(ol if (want >> i) & 1 else -ol)
 
 
 def encode_keyed_frame(camo: CamoCircuit) -> CnfInstance:
@@ -273,8 +278,9 @@ def encode_bmc_disagreement(camo: CamoCircuit, qs: QuerySet, bound: int) -> CnfI
     return inst.bld.build()
 
 
-def _emit_any_mismatch(bld: CnfBuilder, a: Sequence[int], b: Sequence[int]) -> int | None:
-    """A literal that can only be true when vectors a and b differ somewhere."""
+def _emit_any_mismatch(bld: CnfBuilder, a: Sequence[int], b: Sequence[int]) -> int:
+    """A literal that can only be true when vectors a and b differ somewhere;
+    FALSE when they never can."""
     ms = []
     for x, y in zip(a, b):
         m = bld.emit_mismatch(x, y)
@@ -283,7 +289,7 @@ def _emit_any_mismatch(bld: CnfBuilder, a: Sequence[int], b: Sequence[int]) -> i
         if m is not None:
             ms.append(m)
     if not ms:
-        return None
+        return FALSE
     if len(ms) == 1:
         return ms[0]
     flag = bld.new_var()
@@ -315,9 +321,10 @@ def encode_uc(camo: CamoCircuit, qs: QuerySet) -> CnfInstance:
 def encode_ce(camo: CamoCircuit, qs: QuerySet) -> CnfInstance:
     """SAT iff two consistent completions differ combinationally.
 
-    The shared state variables range over all 2^l values, including
-    unreachable ones, so UNSAT is a sound but conservative certificate that
-    qs is discriminating.  Groups: key1, key2, ce_state, ce_input.
+    The shared state variables range over all 2^l values of the l flops in
+    the outputs' cone of influence, unreachable ones included, so UNSAT is
+    a sound but conservative certificate that qs is discriminating.
+    Groups: key1, key2, ce_state, ce_input.
     """
     inst = AttackInstance.from_queries(camo, qs)
     inst.bld.add(inst.ce_selector())
@@ -334,8 +341,7 @@ class AttackInstance:
     by a selector, an assumption literal, so a single incremental solver
     context answers all of them.  BMC, CE and UC assume the key vectors
     distinct (`_emit_keys_equal`).  The key vectors cover every cell of
-    `camo`; the BMC and record frames are those of the reduced circuit
-    `cone[0]`, and CE's frame is that of `camo`.
+    `camo`; every frame is one of the reduced circuit `cone[0]`.
     """
 
     def __init__(self, camo: CamoCircuit):
@@ -384,17 +390,9 @@ class AttackInstance:
 
     @cached_property
     def _plan(self) -> FramePlan:
-        """`frame_plan(camo)`, for CE's frame."""
-        return frame_plan(self.camo)
-
-    @cached_property
-    def _cone_plan(self) -> FramePlan:
         """The plan of the reduced circuit `cone[0]`, its cells renumbered
-        through `cone[1]` to index the full key vectors: for every BMC and
-        record frame."""
+        through `cone[1]` to index the full key vectors: for every frame."""
         reduced, kept = self.cone
-        if reduced is self.camo:
-            return self._plan
         plan = frame_plan(reduced)
         gates = tuple((kept[ci] if ci >= 0 else -1, codes, ins) for ci, codes, ins in plan.gates)
         return FramePlan(gates, plan.outputs, plan.nexts)
@@ -414,16 +412,15 @@ class AttackInstance:
     # ------------------------------------------------------------- building
 
     def ensure_frames(self, bound: int) -> None:
-        bld, camo, plan = self.bld, self.cone[0], self._cone_plan
+        bld, camo, plan = self.bld, self.cone[0], self._plan
         while len(self.frame_inputs) < bound:
             f = len(self.frame_inputs)
             ins = bld.new_vars(camo.num_inputs)
             bld.group(f"in{f}", ins)
             o1, self._s1 = emit_keyed_frame(bld, camo, self.k1, self._s1, ins, plan)
             o2, self._s2 = emit_keyed_frame(bld, camo, self.k2, self._s2, ins, plan)
-            flag = _emit_any_mismatch(bld, o1, o2)
             self.frame_inputs.append(ins)
-            self._frame_flags.append(flag if flag is not None else FALSE)
+            self._frame_flags.append(_emit_any_mismatch(bld, o1, o2))
 
     def bound_selector(self, bound: int) -> int:
         if bound < 1:
@@ -432,21 +429,21 @@ class AttackInstance:
         sel = self._bound_sel.get(bound)
         if sel is None:
             sel = self.bld.new_var()
-            self.bld.add(-sel, *[f for f in self._frame_flags[:bound] if f != FALSE])
+            self.bld.add(-sel, *self._frame_flags[:bound])
             self._bound_sel[bound] = sel
         return sel
 
     def ce_selector(self) -> int:
         if self._ce_sel is None:
-            self._ce_sel = self.bld.new_var()
-            state = self.bld.new_vars(self.camo.num_flops)
-            inputs = self.bld.new_vars(self.camo.num_inputs)
-            self.bld.group("ce_state", state)
-            self.bld.group("ce_input", inputs)
-            o1, n1 = emit_keyed_frame(self.bld, self.camo, self.k1, state, inputs, self._plan)
-            o2, n2 = emit_keyed_frame(self.bld, self.camo, self.k2, state, inputs, self._plan)
-            flag = _emit_any_mismatch(self.bld, o1 + n1, o2 + n2)
-            self.bld.add(-self._ce_sel, *( [flag] if flag is not None else [] ))
+            bld, camo, plan = self.bld, self.cone[0], self._plan
+            self._ce_sel = bld.new_var()
+            state = bld.new_vars(camo.num_flops)
+            inputs = bld.new_vars(camo.num_inputs)
+            bld.group("ce_state", state)
+            bld.group("ce_input", inputs)
+            o1, n1 = emit_keyed_frame(bld, camo, self.k1, state, inputs, plan)
+            o2, n2 = emit_keyed_frame(bld, camo, self.k2, state, inputs, plan)
+            bld.add(-self._ce_sel, _emit_any_mismatch(bld, o1 + n1, o2 + n2))
         return self._ce_sel
 
     def add_record(self, seq: BitSeq, out: BitSeq) -> bool:
@@ -461,7 +458,7 @@ class AttackInstance:
             return False
         reduced, qs = self.cone[0], QuerySet(((seq, out),))
         for key in (self.k1, self.k2):
-            emit_consistency(self.bld, reduced, key, qs, self._cone_plan)
+            emit_consistency(self.bld, reduced, key, qs, self._plan)
         self.qs = grown
         return True
 
@@ -485,7 +482,8 @@ class AttackInstance:
         return self._solve([-self._keys_eq], budget)
 
     def solve_ce(self, budget: float | None = None) -> "satmod.SolveResult":
-        """UNSAT iff all consistent completions are combinationally identical.
+        """UNSAT iff all consistent completions are combinationally identical
+        on the outputs' cone of influence.
 
         Sound for termination (UNSAT implies `qs` is discriminating) but
         conservative: disagreement confined to unreachable states is SAT.

@@ -329,17 +329,25 @@ def test_report_names_unobservable_cells(s27_camo):
     src = DEAD_FLOP.replace("y = BUF(a)", "INPUT(b)\ny = AND(a, b)")
     camo = camouflage(parse_bench(src, "dead_flop2"), ["g", "y"], ["AND", "OR"])
     secret = Completion((1, 0))
-    # certified: every cell counts as fixed, the unobservable one included
+    # certified: every cell counts as fixed, the unobservable one included.
+    # CE's frame covers only the cone, so g's dead flop cannot make it SAT
     rep = atk.run_attack(camo, BlackBox(camo, secret), atk.AttackConfig(bmc_inc=1, max_bound=8))
-    assert rep.termination == atk.UMC and rep.unobservable == ("g",)
-    assert [i.status for i in rep.iterations if i.event == "umc"] == [atk.UMC]
+    assert rep.termination == atk.CE and rep.unobservable == ("g",)
+    assert [(i.event, i.status) for i in rep.iterations if i.event in ("ce", "umc")] == [
+        ("ce", sm.UNSAT)
+    ]
     assert rep.gates_fixed == 2
     assert atk.product_equiv(camo, rep.completions[0], secret) is None
-    # exhausted: the unobservable cell stays None in the partial completion
+    # exhausted: the unobservable cell stays None in the partial completion.
+    # Cell z's candidates XOR and OR differ only at the unreachable r=1, so
+    # CE stays SAT and, with UMC skipped, the attack runs out of bounds
+    src += "OUTPUT(z)\nna = NOT(a)\nzero = AND(a, na)\nr = DFF(zero)\nz = XOR(r, a)\n"
+    camo = camouflage(parse_bench(src, "dead_flop3"), ["g", "y", "z"], ["XOR", "OR"])
+    secret = Completion((1, 0, 0))
     cfg = atk.AttackConfig(bmc_inc=1, max_bound=2, umc_mode="skip")
     rep = atk.run_attack(camo, BlackBox(camo, secret), cfg)
     assert rep.termination == atk.EXHAUSTED and rep.unobservable == ("g",)
-    assert rep.partial == {"g": None, "y": 0} and rep.gates_fixed == 1
+    assert rep.partial == {"g": None, "y": 0, "z": None} and rep.gates_fixed == 1
     box = BlackBox(s27_camo, S27_SECRET)
     assert atk.run_attack(s27_camo, box, atk.AttackConfig(bmc_inc=2, max_bound=16)).unobservable == ()
 
@@ -813,8 +821,6 @@ def test_certified_attack_returns_the_surviving_witness(monkeypatch):
     # the witness that survived the last record is the completion: the
     # progress check re-simulated it against every record, so no
     # consistency solve runs
-    from seqdecam.netlist import camouflage, parse_bench
-
     found = []
     orig_find = atk.find_distinguishing
 
@@ -827,10 +833,8 @@ def test_certified_attack_returns_the_surviving_witness(monkeypatch):
 
     monkeypatch.setattr(atk, "find_distinguishing", spy_find)
     monkeypatch.setattr(AttackInstance, "solve_consistent", refuse)
-    rng = random.Random(9)
-    ce = random_camo(rng, random_circuit(rng, num_flops=2), k=3)
-    src = DEAD_FLOP.replace("y = BUF(a)", "INPUT(b)\ny = AND(a, b)")
-    umc = camouflage(parse_bench(src, "dead_flop2"), ["g", "y"], ["AND", "OR"]), Completion((1, 0))
+    ce, umc = (random_camo(rng, random_circuit(rng, num_flops=2), k=3)
+               for rng in (random.Random(9), random.Random(2)))
     for (camo, secret), termination in ((ce, atk.CE), (umc, atk.UMC)):
         found.clear()
         rep = atk.run_attack(camo, BlackBox(camo, secret), atk.AttackConfig(bmc_inc=1, max_bound=8))

@@ -140,9 +140,12 @@ def test_attack_names_unobservable_cells(tmp_path, capsys):
                  "--bmc-inc", "1", "--max-bound", "8", "--out", tmp_path / "out")
     assert rc == 0
     out = capsys.readouterr().out
-    assert "termination=UMC" in out and "fixed=2/2" in out and "unobservable=g" in out
+    assert "termination=CE" in out and "fixed=2/2" in out and "unobservable=g" in out
     report = json.loads(next((tmp_path / "out").glob("*.report.json")).read_text())
     assert report["unobservable"] == ["g"]
+    # CE's frame covers only the cone, so the dead flop leaves it UNSAT
+    assert [(it["event"], it["status"]) for it in report["iterations"]
+            if it["event"] in ("ce", "umc")] == [("ce", "UNSAT")]
     rec = json.loads(next((tmp_path / "out").glob("*.runrecord.json")).read_text())
     assert rec["unobservable"] == ["g"]
 

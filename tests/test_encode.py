@@ -14,7 +14,7 @@ from seqdecam.encode import (
 from seqdecam.gen import random_camo, random_circuit
 from seqdecam.netlist import BitSeq, Completion, observable_cone, run_sequence, step
 from seqdecam.oracle import OracleConflictError, QuerySet, record
-from seqdecam.attack import ProductCapError, consistent
+from seqdecam.attack import ProductCapError, brute_force_disc, consistent
 
 from conftest import S27_SECRET
 
@@ -285,10 +285,19 @@ def test_uc_unsat_implies_ce_unsat():
 
 # ---------------------------------------------------- incremental instance
 
+def _step_tables(camo, comps):
+    """The distinct one-step tables of the completions comps: outputs and
+    next state in every state, under every input."""
+    m, l = camo.num_inputs, camo.num_flops
+    return {tuple(step(camo, x, st, i) for st in range(1 << l) for i in range(1 << m)) for x in comps}
+
+
 def _brute_force_verdicts(camo, qs, bound=2):
     """BMC at `bound`, UC and CE, each decided by simulating every consistent
-    completion: a query is SAT iff two of them differ where it looks."""
-    m, l = camo.num_inputs, camo.num_flops
+    completion: a query is SAT iff two of them differ where it looks.  CE
+    looks at the outputs' cone of influence: the step tables of the reduced
+    circuit under each completion's kept choices."""
+    m = camo.num_inputs
     comps = [x for x in camo.all_completions() if consistent(camo, x, qs)]
 
     def tree(x, state, depth, memo):
@@ -301,9 +310,8 @@ def _brute_force_verdicts(camo, qs, bound=2):
         return memo[state, depth]
 
     runs = {tree(x, camo.reset_state, bound, {}) for x in comps}
-    frames = {
-        tuple(step(camo, x, st, i) for st in range(1 << l) for i in range(1 << m)) for x in comps
-    }
+    reduced, kept = observable_cone(camo)
+    frames = _step_tables(reduced, {Completion(tuple(x.choices[c] for c in kept)) for x in comps})
     verdict = lambda differ: sm.SAT if differ else sm.UNSAT
     return verdict(len(runs) > 1), verdict(len(comps) > 1), verdict(len(frames) > 1)
 
@@ -380,9 +388,8 @@ def _circuits_with_dead_logic(seed, count):
 
 
 def test_cone_frames_keep_every_verdict():
-    # bounded-search and record frames cover only the outputs' cone of
-    # influence, CE's frame the full circuit: every verdict and the
-    # consistent set still match simulation of the full circuit
+    # every frame covers only the outputs' cone of influence: every verdict
+    # and the consistent set still match simulation of the full circuit
     for camo, _, qs in _circuits_with_dead_logic(33, 100):
         inst = AttackInstance.from_queries(camo, qs)
         for b in (1, 2, 3):
@@ -394,18 +401,36 @@ def test_cone_frames_keep_every_verdict():
         assert {x.choices for x in found} == _consistent_set_by_simulation(camo, qs)
 
 
+def test_cone_ce_certifies_only_discriminating_sets():
+    # CE on the cone asks less than CE on the full circuit, where a dead
+    # cell that feeds a dead flop makes it SAT by construction; every set
+    # it certifies is still discriminating
+    beyond_full = 0
+    for camo, _, qs in _circuits_with_dead_logic(33, 300):
+        if AttackInstance.from_queries(camo, qs).solve_ce().status == sm.UNSAT:
+            assert brute_force_disc(camo, qs)
+            comps = [x for x in camo.all_completions() if consistent(camo, x, qs)]
+            beyond_full += len(_step_tables(camo, comps)) > 1
+    assert beyond_full
+
+
 def test_cone_frames_drop_the_dead_logic():
-    # the frames a full instance emits are those of an instance built on
-    # the reduced circuit: not one variable or clause for the dead logic
+    # the frames a full instance emits, CE's included, are those of an
+    # instance built on the reduced circuit: not one variable or clause for
+    # the dead logic
     for camo, secret, _ in _circuits_with_dead_logic(5, 199):
         seq = BitSeq(camo.num_inputs, (0, (1 << camo.num_inputs) - 1))
         out = run_sequence(camo, secret, seq)
         grown = []
         for inst in (AttackInstance(camo), AttackInstance(observable_cone(camo)[0])):
-            vars0, clauses0 = inst.bld.num_vars, len(inst.bld.clauses)
+            size = lambda: (inst.bld.num_vars, len(inst.bld.clauses))
+            sizes = [size()]
             inst.ensure_frames(3)
             inst.add_record(seq, out)
-            grown.append((inst.bld.num_vars - vars0, len(inst.bld.clauses) - clauses0))
+            sizes.append(size())
+            inst.ce_selector()
+            sizes.append(size())
+            grown.append([(v1 - v0, c1 - c0) for (v0, c0), (v1, c1) in zip(sizes, sizes[1:])])
         assert grown[0] == grown[1]
 
 

@@ -14,13 +14,14 @@ choice for it is equivalent to every other and consistent once any
 completion is.  So UC, which such a cell with two or more candidates makes
 SAT by construction, is not asked next to one; a partial completion calls
 such a cell ambiguous without pinning it; and UMC lists the surviving
-completions projected onto the observable cells in one resumed SAT search
-and checks each one for sequential equivalence with the first on the
-reduced circuit, in lock-step over the states the first reaches from reset
-and by explicit product-machine reachability for any survivor that leaves
-lock-step.  It walks the projections while it lists them, in batches of
-doubling size, and stops listing at the first batch that holds one
-inequivalent to the first: one such projection refutes.  A bound that
+completions projected onto the observable cells, one plain solver call per
+projection with a blocking clause after each, and checks each one for
+sequential equivalence with the first on the reduced circuit, in
+lock-step over the states the first reaches from reset and by explicit
+product-machine reachability for any survivor that leaves lock-step.  It
+walks the projections while it lists them, in batches of doubling size,
+and stops listing at the first batch that holds one inequivalent to the
+first: one such projection refutes.  A bound that
 closes at the product diameter 2^(2l) certifies on its own.  The
 lock-step walk runs the survivors as the lanes of one bit-parallel pass,
 each lane one completion over the same (state, input) scenarios, as
@@ -96,6 +97,9 @@ class AttackConfig:
             raise ValueError("bmc_inc must be >= 1")
         if self.max_bound < self.bmc_inc:
             raise ValueError("max_bound must be >= bmc_inc")
+        # NaN fails the comparison too: as a deadline it would never pass
+        if self.solver_budget is not None and not self.solver_budget >= 0:
+            raise ValueError(f"solver_budget must be >= 0, got {self.solver_budget}")
         if self.umc_mode not in ("explicit", "skip"):
             raise ValueError(f"unknown umc_mode {self.umc_mode!r}")
 
@@ -426,10 +430,10 @@ def check_umc(inst: AttackInstance, cfg: AttackConfig | None = None) -> bool:
     """True iff `inst.qs` is discriminating; raises InconclusiveError at the caps.
 
     Asked on the outputs' cone of influence (`observable_cone`): it lists
-    the consistent completions projected onto the observable cells in one
-    resumed SAT search (see `AttackInstance.enumerate_consistent`) and
-    checks each projection for sequential equivalence with the first on the
-    reduced circuit (see `_first_inequivalent`).  This is exact: the
+    the consistent completions projected onto the observable cells, one
+    solver query per projection (see `AttackInstance.enumerate_consistent`),
+    and checks each projection for sequential equivalence with the first
+    on the reduced circuit (see `_first_inequivalent`).  This is exact: the
     consistent completions are the consistent projections times every
     choice of the other cells, and two completions are equivalent exactly
     when their projections are equivalent on the reduced circuit.  The

@@ -512,34 +512,27 @@ class AttackInstance:
         `stop(found)` is called with the list so far; True ends the listing
         there and returns the list, which may then be incomplete.
 
-        One resumed search: each model is excluded by a blocking clause (the
-        negated k1 key bits of `cells`) from which the solver backjumps and
-        searches on, instead of starting again from level 0.  The solver
-        decides those bits after every other variable
-        (`SatContext.decide_last`), so they sit at the top of the trail and a
-        blocking clause backjumps over them alone: the rest of the model (k2,
-        the other cells' bits, the frames) stays assigned for the next
-        search.  Every model is still verified against every clause,
-        blocking clauses included.  The blocking clauses are guarded by a
-        one-shot epoch literal, assumed by every model search of this call,
-        so they do not constrain later queries on this instance.  Raises
-        SolverTimeoutError when one model search exceeds `budget` seconds.
-        The counters of its solver calls are read off `stats`, like those of
-        every other query.  On every exit (UNSAT, the cap, a timeout, a True
-        from `stop` or an exception raised inside it) the solver's trail is
-        back at level 0 and its decision order is as before the call.
+        Each model is found by a plain query of this instance and then
+        excluded by a blocking clause: the negated k1 key bits of `cells`,
+        guarded by a one-shot epoch literal that every model search of this
+        call assumes.  The blocking clauses enter the solver like every
+        other clause, through `bld` and `_sync`, so every model is verified
+        against every clause, blocking clauses included.  On every exit
+        (UNSAT, the cap, a timeout, a True from `stop` or an exception
+        raised inside it) the epoch is retired by the unit clause -epoch,
+        which satisfies the blocking clauses for good, so they do not
+        constrain later queries on this instance.  Raises SolverTimeoutError when one model search
+        exceeds `budget` seconds.  The counters of its solver calls are read
+        off `stats`, like those of every other query.
         """
         epoch = self.bld.new_var()
-        self._sync()
-        ctx = self._ctx
         kv = self.k1
         key = kv.all_vars() if cells is None else [v for c in cells for v in kv.cells[c]]
         found: list[Completion] = []
         checkpoint = 2
-        ctx.decide_last(key)
         try:
             while True:
-                res = ctx.solve([epoch], time_budget=budget, resume=True)
+                res = self._solve([epoch], budget)
                 if res.status == satmod.TIMEOUT:
                     raise satmod.SolverTimeoutError("solver budget exhausted during enumeration")
                 if res.status == satmod.UNSAT:
@@ -552,6 +545,7 @@ class AttackInstance:
                     if stop is not None and stop(found):
                         return found
                 model = res.raw_model
-                ctx.block([-epoch] + [-b if model[b] else b for b in key])
+                self.bld.add(-epoch, *[-b if model[b] else b for b in key])
         finally:
-            ctx.rewind()
+            self.bld.add(-epoch)
+            self._sync()

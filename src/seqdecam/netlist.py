@@ -503,15 +503,19 @@ def format_sidecar(camo: CamoCircuit) -> str:
 
 def parse_sidecar(text: str, circuit: Circuit) -> CamoCircuit:
     candidates: list[str] | None = None
-    reset = 0
+    reset: int | None = None
     gate_ids: list[str] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.lower().startswith("candidates:"):
+            if candidates is not None:
+                raise BenchSyntaxError("repeated candidates: line", lineno)
             candidates = line.split(":", 1)[1].split()
         elif line.lower().startswith("reset:"):
+            if reset is not None:
+                raise BenchSyntaxError("repeated reset: line", lineno)
             bits = line.split(":", 1)[1].strip()
             try:
                 reset = parse_bits(bits, circuit.num_flops)
@@ -523,7 +527,7 @@ def parse_sidecar(text: str, circuit: Circuit) -> CamoCircuit:
             gate_ids.append(line)
     if candidates is None:
         raise CamouflageError("sidecar is missing the candidates: line")
-    return camouflage(circuit, gate_ids, candidates, reset)
+    return camouflage(circuit, gate_ids, candidates, reset or 0)
 
 
 def format_completion_file(camo: CamoCircuit, completion: Completion) -> str:
@@ -543,6 +547,8 @@ def parse_completion_file(text: str, camo: CamoCircuit) -> Completion:
         parts = line.split()
         if len(parts) != 2 or not parts[1].isdigit():
             raise BenchSyntaxError(f"expected '<gate-id> <index>', got {line!r}", lineno)
+        if parts[0] in assigned:
+            raise BenchSyntaxError(f"repeated cell {parts[0]!r}", lineno)
         assigned[parts[0]] = int(parts[1])
     choices = []
     for cell in camo.cells:

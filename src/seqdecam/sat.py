@@ -3,15 +3,10 @@
 An embedded CDCL solver (watched literals, first-UIP learning, VSIDS, phase
 saving, Luby restarts, solve-under-assumptions) behind `SatContext`, which
 verifies every SAT answer against the clause database and the assumptions
-before it is returned.
-
-Models are enumerated by one resumed search: a SAT answer can keep its
-trail, a blocking clause that the model falsifies backjumps the solver to
-the clause's asserting level, and the next model is searched from there
-rather than from level 0 (the blocking scheme of Toda & Soh, "Implementing
-Efficient All Solutions SAT Solvers", ACM JEA 2016).  The enumerated
-variables are decided last (`Cdcl.decide_last`), so that backjump undoes
-little else.
+before it is returned.  Every call starts and ends with the trail at
+level 0, and clauses enter by one path, `SatContext.add_clauses`: models
+are listed by plain calls, each followed by a clause that excludes its
+model.
 """
 
 from __future__ import annotations
@@ -129,13 +124,8 @@ class Cdcl:
 
     A decision picks, in this order: the open variable of highest activity
     from a binary heap of (-activity, v) keys, the lowest index on a tie;
-    then, once the heap holds no open variable, the first open variable of
-    the late list (`decide_last`); then, as a safety net, the lowest open
-    variable.  Late variables popped from the heap are passed over.  Model
-    enumeration puts the enumerated key on the late list: the key is then
-    decided at the top of the trail, so the blocking clause over the key
-    backjumps over the key's own levels alone and the rest of the model
-    stays assigned for the next one.
+    then, once the heap holds no open variable, as a safety net, the lowest
+    open variable.
 
     The heap holds at most one current entry per variable, flagged in
     ``in_heap``: a backjump pushes an unassigned branchable variable only if
@@ -165,7 +155,6 @@ class Cdcl:
         self.qhead = 0
         self.heap: list[tuple[float, int]] = []
         self.in_heap = [0]  # 1 while v has an entry keyed by its current activity
-        self.late: dict[int, None] = {}  # decided last, in this order, until rewind
         self.var_inc = 1.0
         self.num_clauses = 0  # problem clauses; long ones live in the watch lists
         self.learnts: list[list[int]] = []
@@ -285,70 +274,6 @@ class Cdcl:
                     self.ok = False
                     return
                 self.num_clauses += 1
-
-    def block(self, lits: Sequence[int]) -> None:
-        """Add a problem clause that the current full assignment falsifies,
-        and backjump so that search resumes where the clause asserts.
-
-        Used after a SAT answer of ``solve(resume=True)`` to exclude that
-        model.  The top literal (highest decision level) is implied at the
-        second-highest level, with the clause as its reason; when the top two
-        literals share a level, the trail goes back one level below it and
-        both are watched.  Literals false at level 0 are dropped, as
-        add_clauses does.
-        """
-        val = self.val
-        level = self.level
-        out: list[int] = []
-        for l in lits:
-            e = (l << 1) if l > 0 else ((-l << 1) | 1)
-            if abs(l) > self.nvars or val[e] != 2:
-                raise ValueError(f"literal {l} of a blocking clause is not false on the trail")
-            if level[e >> 1] > 0 and e not in out:
-                out.append(e)
-        self.num_clauses += 1
-        if not self.ok:
-            return
-        out.sort(key=lambda e: level[e >> 1], reverse=True)
-        if len(out) < 2:
-            self._cancel_until(0)
-            if not out:
-                self.ok = False
-                return
-            self._assign(out[0], None)
-            if self._propagate() is not None:
-                self.ok = False
-            return
-        top, second = level[out[0] >> 1], level[out[1] >> 1]
-        self._cancel_until(top - 1 if top == second else second)
-        if len(out) == 2:
-            a, b = out
-            self.bwatch[a].append(b)
-            self.bwatch[b].append(a)
-        else:
-            self.watches[out[0]].append(out)
-            self.watches[out[1]].append(out)
-        if top > second:
-            self._assign(out[0], out if len(out) > 2 else out[1])
-
-    def decide_last(self, vars_: Iterable[int]) -> None:
-        """Decide these variables, in this order, only once every other
-        branchable variable is assigned, until `rewind`."""
-        self.late = dict.fromkeys(vars_)
-
-    def rewind(self) -> None:
-        """Undo every decision: the trail goes back to level 0, and the late
-        variables are decided like any other again.
-
-        A late variable popped from the heap while it was passed over has no
-        entry left; each one that is open and branchable gets one back.
-        """
-        self._cancel_until(0)
-        for v in self.late:
-            if self.val[v << 1] == 0 and self.branchable[v] and not self.in_heap[v]:
-                self.in_heap[v] = 1
-                heappush(self.heap, (-self.activity[v], v))
-        self.late = {}
 
     # ------------------------------------------------------------ internals
 
@@ -638,19 +563,15 @@ class Cdcl:
             # drop stale entries, which the loop below would skip anyway
             heap[:] = [kv for kv in heap if kv[0] == -activity[kv[1]]]
             heapify(heap)
-        late = self.late
         while heap:
             key, v = heappop(heap)
             if key != -activity[v]:
                 continue  # stale: v was bumped after this entry was pushed
             in_heap[v] = 0
-            if val[v << 1] == 0 and v not in late:
+            if val[v << 1] == 0:
                 return (v << 1) | (0 if self.polarity[v] else 1)
         if len(self.trail) == self.nvars:
             return -1  # every variable is assigned
-        for v in late:
-            if val[v << 1] == 0:
-                return (v << 1) | (0 if self.polarity[v] else 1)
         # safety net: decide the lowest open variable (implied vars included,
         # in case a one-sided definition left slack); val[2v] is 0 exactly
         # when v is open, and it comes before val[2v + 1]
@@ -664,20 +585,15 @@ class Cdcl:
         assumptions: Sequence[int] = (),
         conflict_budget: int | None = None,
         time_budget: float | None = None,
-        resume: bool = False,
     ) -> str:
         """Returns SAT/UNSAT/TIMEOUT; on SAT, self.model holds the assignment.
 
-        A call starts and ends with the trail at level 0, except that with
-        ``resume=True`` the search goes on from the current trail (as
-        `block` left it) and a SAT answer keeps its trail for the next
-        `block`.  UNSAT and TIMEOUT always end at level 0.
+        A call starts and ends with the trail at level 0.
         """
         t0 = time.monotonic()
         deadline = t0 + time_budget if time_budget is not None else None
-        if not resume:
-            self._cancel_until(0)
-        if not self.ok or (not self.trail_lim and self._propagate() is not None):
+        self._cancel_until(0)
+        if not self.ok or self._propagate() is not None:
             self.ok = False
             self._cancel_until(0)
             return UNSAT
@@ -743,8 +659,7 @@ class Cdcl:
             if e == -1:
                 # val[2v] is 1 exactly when variable v is true
                 self.model = bytes(self.val[::2]).translate(_TRUE_BYTE)
-                if not resume:
-                    self._cancel_until(0)
+                self._cancel_until(0)
                 return SAT
             self.stats.decisions += 1
             if self.stats.decisions % 4096 == 0 and deadline is not None:
@@ -769,7 +684,7 @@ class SatContext:
     both what the verification array stores and what `Cdcl.add_encoded`
     loads.  Literal 0 and variables past the int32 code range are refused
     before anything is stored, so a refused batch leaves the context as it
-    was; a blocking clause is stored only once the solver has accepted it.
+    was.
     """
 
     def __init__(self, inst: CnfInstance):
@@ -819,43 +734,18 @@ class SatContext:
         self._store(lits, lens)
         self._cdcl.add_encoded(lits, lens)
 
-    def block(self, clause: Sequence[int]) -> None:
-        """Add a clause that the model of the last SAT answer falsifies,
-        typically one excluding that model.
-
-        After a ``resume=True`` answer the solver still holds the model's
-        trail; it backjumps to the clause's asserting level, so the next
-        ``resume=True`` call searches on from there.  Later models are
-        verified against this clause too.
-        """
-        clause = tuple(clause)
-        self._cdcl.block(clause)  # raises before anything is stored
-        lits, lens, _ = encode_clauses([clause])
-        self._store(lits, lens)
-
-    def decide_last(self, vars_: Iterable[int]) -> None:
-        """Decide these variables after all others until `rewind` (see
-        `Cdcl.decide_last`)."""
-        self._cdcl.decide_last(vars_)
-
-    def rewind(self) -> None:
-        """Put the solver's trail back at level 0 and clear `decide_last`
-        (ends a resumed search)."""
-        self._cdcl.rewind()
-
     def solve(
         self,
         assumptions: Sequence[int] = (),
         time_budget: float | None = None,
         conflict_budget: int | None = None,
-        resume: bool = False,
     ) -> SolveResult:
-        """One solver call; ``resume`` is passed to `Cdcl.solve`."""
+        """One solver call, its SAT answer verified (`_verify`)."""
         for l in assumptions:
             if l == 0 or abs(l) > self._num_vars:
                 raise MalformedInstanceError(f"assumption {l} references an undeclared variable")
         before = self.stats
-        status = self._cdcl.solve(assumptions, conflict_budget, time_budget, resume)
+        status = self._cdcl.solve(assumptions, conflict_budget, time_budget)
         after = self.stats
         stats = SolveStats(
             after.conflicts - before.conflicts,

@@ -929,7 +929,7 @@ _PINNED_S27 = (
 _PINNED_RANDOM = (
     [(2, "sequence", "SAT", 0, 12), (2, "uc", "SAT", 1, 12), (2, "ce", "SAT", 0, 18),
      (2, "sequence", "SAT", 0, 18), (2, "uc", "SAT", 1, 19), (2, "ce", "SAT", 0, 16),
-     (2, "bound", "UNSAT", 9, 20), (2, "umc", "refuted", 0, 26), (4, "sequence", "SAT", 0, 24),
+     (2, "bound", "UNSAT", 9, 20), (2, "umc", "refuted", 0, 33), (4, "sequence", "SAT", 0, 23),
      (4, "uc", "SAT", 6, 36), (4, "ce", "SAT", 0, 19), (4, "sequence", "SAT", 8, 43),
      (4, "uc", "UNSAT", 0, 0)],
     [((0, 4), (0, 1)), ((0, 0), (0, 1)), ((3, 3, 0), (1, 0, 1)), ((3, 7, 5, 3), (1, 1, 0, 1))],
@@ -962,11 +962,11 @@ def _s344_shaped(circuit_seed, k):
 
 
 def test_enumeration_is_pinned():
-    # the resumed model search of explicit UMC on an s344-shaped circuit
+    # the model listing of explicit UMC on an s344-shaped circuit
     # (perfbench's S344_SHAPE, circuit 3, k=10) after the attack's first
-    # query: its key is decided last, so each blocking clause backjumps over
-    # the key alone; values recorded with that decision order, and with the
-    # record frames emitted over the outputs' cone of influence
+    # query: one plain solver call per model, each from level 0, with a
+    # blocking clause added after it; values recorded with the record frames
+    # emitted over the outputs' cone of influence
     camo, secret = _s344_shaped(3, 10)
     inst = AttackInstance(camo)
     _, _, seq = atk.find_distinguishing(inst, 1)
@@ -976,7 +976,7 @@ def test_enumeration_is_pinned():
     after = inst.stats
     assert len(set(found)) == len(found) == 256 and secret in found
     assert (after.decisions - before.decisions, after.propagations - before.propagations) == (
-        553, 1631)
+        5503, 15599)
 
 
 def _umc_1_k32():
@@ -998,6 +998,16 @@ def test_umc_stops_listing_at_the_first_batch_that_refutes(monkeypatch):
     assert len(inst.enumerate_consistent(512, None, inst.cone[1])) == 64
 
 
+def test_every_clause_reaches_the_solver_through_the_builder():
+    # one clause path: the blocking clauses of UMC's listing and the unit
+    # that retires them are builder clauses like every other, so the
+    # solver's verification store holds exactly the builder's clauses
+    cfg, inst = _umc_1_k32()
+    assert atk.check_umc(inst, cfg) is False
+    assert inst.solve_consistent().status == sm.SAT
+    assert list(inst._ctx._lits) == sm.encode_clauses(inst.bld.clauses)[0]
+
+
 def test_umc_refutes_within_the_cap_and_is_inconclusive_past_it():
     cfg, inst = _umc_1_k32()
     # 64 projections exceed a cap of 8, but the walk of the first 4 refutes
@@ -1017,6 +1027,16 @@ def test_progress_invariant_each_iteration(s27_camo):
         x for x in s27_camo.all_completions() if atk.consistent(s27_camo, x, rep.disc_set)
     ]
     assert len(survivors) == 1 and survivors[0] == S27_SECRET
+
+
+def test_solver_budget_must_be_a_non_negative_number():
+    # NaN would never pass as a deadline and a negative budget times out
+    # every call; 0.0 is valid and forces timeouts
+    for bad in (float("nan"), -3.0, float("-inf")):
+        with pytest.raises(ValueError, match="solver_budget must be >= 0"):
+            atk.AttackConfig(solver_budget=bad)
+    for good in (None, 0.0, 2.5, float("inf")):
+        assert atk.AttackConfig(solver_budget=good).solver_budget == good
 
 
 def test_run_attack_solver_timeout(s27_camo):

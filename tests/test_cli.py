@@ -119,7 +119,8 @@ def test_attack_requires_one_oracle_source(workdir):
 def test_attack_rejects_a_bad_schedule_or_umc_mode(workdir, capsys):
     base = ("attack", "--bench", S27, "--sidecar", _sidecar(workdir),
             "--secret", _secret(workdir), "--out", workdir)
-    for flags in (("--bmc-inc", "0"), ("--max-bound", "5", "--bmc-inc", "10")):
+    for flags in (("--bmc-inc", "0"), ("--max-bound", "5", "--bmc-inc", "10"),
+                  ("--solver-timeout", "nan"), ("--solver-timeout", "-1")):
         assert run_cli(*base, *flags) == 2
         assert capsys.readouterr().err.startswith("error: ")
     with pytest.raises(SystemExit) as exc:  # argparse's own usage error
@@ -317,6 +318,31 @@ def test_attack_against_broken_oracle_exits_1(workdir, tmp_path, capsys, script)
     assert rc == 1
     assert time.monotonic() - t0 < 5
     assert "oracle error" in capsys.readouterr().err
+
+
+def test_files_that_repeat_a_line_are_usage_errors(workdir, capsys):
+    # verify, attack and serve-oracle all read the sidecar, and verify and
+    # attack the completion files
+    sidecar = _sidecar(workdir).read_text()
+    twice_sidecar = workdir / "twice.sidecar.txt"
+    twice_sidecar.write_text(sidecar + "candidates: NAND NOR\n")
+    secret = _secret(workdir).read_text()
+    twice_secret = workdir / "twice.secret"
+    twice_secret.write_text(secret + secret.splitlines()[0] + "\n")
+    for sidecar_path, secret_path in ((twice_sidecar, _secret(workdir)),
+                                      (_sidecar(workdir), twice_secret)):
+        common = ("--bench", S27, "--sidecar", sidecar_path, "--secret", secret_path)
+        for argv in (("verify", *common, "--completion", _secret(workdir)),
+                     ("attack", *common, "--out", workdir / "out")):
+            assert run_cli(*argv) == 2
+            assert "repeated" in capsys.readouterr().err
+    assert run_cli("verify", "--bench", S27, "--sidecar", _sidecar(workdir),
+                   "--secret", _secret(workdir), "--completion", twice_secret) == 2
+    assert "repeated cell" in capsys.readouterr().err
+    assert run_cli("serve-oracle", "--bench", S27, "--sidecar", twice_sidecar,
+                   "--secret", _secret(workdir)) == 2
+    assert "repeated candidates: line" in capsys.readouterr().err
+    assert not (workdir / "out").exists()
 
 
 def test_verify_rejects_malformed_sidecar_and_completion(workdir, capsys):

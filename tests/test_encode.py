@@ -553,57 +553,64 @@ def test_enumeration_matches_brute_force_sweep(s27_camo):
 
 
 def test_enumeration_leaves_level_0_on_every_exit(monkeypatch, s27_camo):
+    # every exit retires the listing's epoch by a unit clause: the solver
+    # ends at level 0 with the epoch false there, so its blocking clauses
+    # hold for good and bind no later query
     inst = AttackInstance(s27_camo)
     solver = inst._ctx._cdcl
 
-    def trail():
-        assert not solver.late  # the key is decided like any variable again
-        return solver.trail_lim
+    def listing(*args, **kwargs):
+        """Run one listing and check how it left the solver."""
+        epoch = inst.bld.num_vars + 1  # the listing's first new variable
+        try:
+            return inst.enumerate_consistent(*args, **kwargs)
+        finally:
+            assert solver.trail_lim == []
+            assert solver.val[epoch << 1] == 2 and solver.level[epoch] == 0
 
-    assert len(inst.enumerate_consistent(cap=10)) == 4  # ends UNSAT
-    assert trail() == []
-    assert inst.enumerate_consistent(cap=2) is None  # ends at the cap
-    assert trail() == []
-    # the third model search resumes from a kept trail and times out
+    assert len(listing(cap=10)) == 4  # ends UNSAT
+    assert listing(cap=2) is None  # ends at the cap
+    # the third model search times out
     real = sm.Cdcl.solve
-    resumed_at = []
+    calls = []
 
-    def third_times_out(self, assumptions=(), conflict_budget=None, time_budget=None,
-                        resume=False):
-        resumed_at.append(len(self.trail_lim))
-        if len(resumed_at) == 3:
-            time_budget = 0.0
-        return real(self, assumptions, conflict_budget, time_budget, resume)
+    def third_times_out(self, assumptions=(), conflict_budget=None, time_budget=None):
+        calls.append(assumptions)
+        return real(self, assumptions, conflict_budget, 0.0 if len(calls) == 3 else time_budget)
 
     monkeypatch.setattr(sm.Cdcl, "solve", third_times_out)
     with pytest.raises(sm.SolverTimeoutError):
-        inst.enumerate_consistent(cap=10)
-    assert resumed_at[2] > 0 and trail() == []
+        listing(cap=10)
+    assert len(calls) == 3
     monkeypatch.undo()
+    # the sync of the second blocking clause fails
+    real_sync = AttackInstance._sync
+    syncs = []
 
-    def fail(self, clause):
-        raise RuntimeError("blocking failed")
+    def third_sync_fails(self):
+        syncs.append(self)
+        if len(syncs) == 3:
+            raise RuntimeError("sync failed")
+        real_sync(self)
 
-    monkeypatch.setattr(sm.SatContext, "block", fail)
-    with pytest.raises(RuntimeError, match="blocking failed"):
-        inst.enumerate_consistent(cap=10)
-    assert trail() == []
+    monkeypatch.setattr(AttackInstance, "_sync", third_sync_fails)
+    with pytest.raises(RuntimeError, match="sync failed"):
+        listing(cap=10)
+    assert len(syncs) == 4  # the failed one, then the one that retires the epoch
     monkeypatch.undo()
     # `stop` ends the listing at its first checkpoint, or raises there
-    assert len(inst.enumerate_consistent(10, None, None, lambda found: True)) == 2
-    assert trail() == []
+    assert len(listing(10, None, None, lambda found: True)) == 2
 
     def cap_hit(found):
         raise ProductCapError("product state cap 1 exceeded")
 
     with pytest.raises(ProductCapError):
-        inst.enumerate_consistent(10, None, None, cap_hit)
-    assert trail() == []
+        listing(10, None, None, cap_hit)
     # later queries answer as on a fresh instance
     fresh = AttackInstance(s27_camo)
     for bound in (1, 2, 3):
         assert inst.solve_bmc(bound).status == fresh.solve_bmc(bound).status
-        assert trail() == []
+        assert solver.trail_lim == []
     for ci, cell in enumerate(s27_camo.cells):
         for v in range(cell.t):
             pin = inst.k1.value_lits(ci, v)

@@ -155,6 +155,18 @@ def test_sidecar_bad_reset_is_a_syntax_error(s27):
         nl.parse_sidecar("candidates: NAND NOR\nreset: 01\nG13\n", s27)  # s27 has 3 flops
 
 
+def test_sidecar_repeated_line_is_a_syntax_error(s27):
+    # a second candidates: or reset: line would silently replace the first
+    for text, lineno in (
+        ("candidates: NAND NOR\nG13\ncandidates: NOR NAND\n", 3),
+        ("# s27\ncandidates: NAND NOR\nreset: 000\n\nreset: 010\n", 5),
+        ("reset: 000\ncandidates: NAND NOR\nRESET: 000\n", 3),
+    ):
+        with pytest.raises(nl.BenchSyntaxError, match="repeated") as exc:
+            nl.parse_sidecar(text, s27)
+        assert exc.value.line == lineno
+
+
 def test_completion_file_roundtrip(s27_camo):
     x = nl.Completion((1, 0))
     text = nl.format_completion_file(s27_camo, x)
@@ -163,6 +175,11 @@ def test_completion_file_roundtrip(s27_camo):
         nl.parse_completion_file("G13 0\n", s27_camo)  # missing cell
     with pytest.raises(nl.CamouflageError, match="'G13' index 2"):
         nl.parse_completion_file("G13 2\nG10 0\n", s27_camo)  # index out of range
+    # a repeated cell would silently keep its last index
+    for text in ("G13 0\nG10 0\nG13 1\n", "G13 0\nG10 1\n\nG13 0\n"):
+        with pytest.raises(nl.BenchSyntaxError, match="repeated cell 'G13'") as exc:
+            nl.parse_completion_file(text, s27_camo)
+        assert exc.value.line == len(text.splitlines())
 
 
 # -------------------------------------------------------------- simulation

@@ -75,15 +75,6 @@ def test_out_of_range_variable_is_refused_before_anything_is_stored():
     assert ctx.solve([-1]).status == sm.SAT
 
 
-def test_refused_blocking_clause_is_not_verified_against():
-    ctx = sm.SatContext(_inst(3, [(1,), (2, 3)]))
-    assert ctx.solve([2], resume=True).status == sm.SAT
-    with pytest.raises(ValueError):
-        ctx.block([2])  # true in the model, so it blocks nothing
-    ctx.rewind()
-    assert ctx.solve([-2]).status == sm.SAT
-
-
 def _state(ctx):
     return (ctx._cdcl.ok, ctx.num_vars, list(ctx._lits), list(ctx._starts), ctx._nempty,
             ctx._cdcl.nvars, ctx._cdcl.num_clauses, list(ctx._cdcl.trail), ctx.stats)
@@ -210,10 +201,9 @@ def _random_clauses(rng, nv, count, widths):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(0, 10**9), st.lists(st.sampled_from("asrbw"), max_size=25))
+@given(st.integers(0, 10**9), st.lists(st.sampled_from("as"), max_size=25))
 def test_heap_keeps_one_current_entry_per_variable(seed, ops):
-    # a = add clauses, s = solve, r = resumed solve, b = block the model of
-    # the last resumed SAT answer, w = rewind
+    # a = add clauses, s = solve
     rng = random.Random(seed)
     s = sm.Cdcl()
     if rng.random() < 0.3:
@@ -222,25 +212,14 @@ def test_heap_keeps_one_current_entry_per_variable(seed, ops):
     s.ensure_vars(nv)
     s.add_clauses(_random_clauses(rng, nv, rng.randint(nv, 4 * nv), (2, min(3, nv))))
     _check_heap(s)
-    kept = False
     for op in ops:
         if op == "a":
-            s.rewind()
             nv += rng.randint(0, 2)
             s.ensure_vars(nv)
             s.add_clauses(_random_clauses(rng, nv, rng.randint(1, 4), (1, 3)))
-            kept = False
-        elif op in "sr":
+        else:
             assumptions = [rng.choice([1, -1]) * v for v in rng.sample(range(1, nv + 1), rng.randint(0, 2))]
-            status = s.solve(assumptions, resume=op == "r")
-            kept = op == "r" and status == sm.SAT
-        elif op == "b" and kept:
-            proj = rng.sample(range(1, nv + 1), rng.randint(1, nv))
-            s.block([-v if s.model[v] else v for v in proj])
-            kept = False
-        elif op == "w":
-            s.rewind()
-            kept = False
+            s.solve(assumptions)
         _check_heap(s)
 
 
@@ -315,117 +294,6 @@ def test_solver_is_deterministic():
     assert first.stats.decisions > 0
 
 
-def _brute_projections(num_vars, clauses, assumptions, proj):
-    found = set()
-    for bits in itertools.product([False, True], repeat=num_vars):
-        model = [False] + list(bits)
-        holds = lambda l: model[l] if l > 0 else not model[-l]
-        if all(holds(l) for l in assumptions) and all(any(holds(l) for l in c) for c in clauses):
-            found.add(tuple(model[v] for v in proj))
-    return found
-
-
-def _enumerate_resumed(ctx, assumptions, proj, guard=None):
-    """All projections of the models of ctx, by resumed search and blocking."""
-    seen = []
-    assume = list(assumptions) + ([guard] if guard else [])
-    try:
-        while True:
-            res = ctx.solve(assume, resume=True)
-            if res.status == sm.UNSAT:
-                return seen
-            key = tuple(res.raw_model[v] for v in proj)
-            seen.append(key)
-            block = [-v if b else v for v, b in zip(proj, key)]
-            ctx.block(block + ([-guard] if guard else []))
-    finally:
-        ctx.rewind()
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.integers(0, 10**9))
-def test_resumed_enumeration_agrees_with_brute_force(seed):
-    # projected all-solutions by blocking clauses that backjump instead of
-    # restarting; a guard literal makes them inert for later plain solves
-    rng = random.Random(seed)
-    nv = rng.randint(1, 8)
-    clauses = [
-        tuple(rng.choice([1, -1]) * rng.randint(1, nv) for _ in range(rng.randint(1, 3)))
-        for _ in range(rng.randint(0, 14))
-    ]
-    proj = sorted(rng.sample(range(1, nv + 1), rng.randint(1, nv)))
-    assumed = rng.sample(range(1, nv + 1), min(nv, rng.randint(0, 2)))
-    assumptions = [rng.choice([1, -1]) * v for v in assumed]
-    guarded = rng.random() < 0.5
-    ctx = sm.SatContext(_inst(nv + 1 if guarded else nv, clauses))
-    want = _brute_projections(nv, clauses, assumptions, proj)
-    got = _enumerate_resumed(ctx, assumptions, proj, guard=nv + 1 if guarded else None)
-    assert len(got) == len(set(got)) and set(got) == want
-    assert ctx._cdcl.trail_lim == []
-    if guarded:  # the blocking clauses only bind under the guard
-        assert (ctx.solve(assumptions).status == sm.SAT) == bool(want)
-        assert set(_enumerate_resumed(ctx, assumptions, proj, guard=nv + 1)) == set()
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.integers(0, 10**9))
-def test_late_variables_are_decided_last(seed):
-    # the decision order of model enumeration: the late variables go last,
-    # the models are those found without the list, and the rewind that
-    # clears it leaves a heap entry for every open branchable variable,
-    # late ones passed over and never decided again included
-    rng = random.Random(seed)
-    nv = rng.randint(2, 10)
-    clauses = _random_clauses(rng, nv, rng.randint(nv, 4 * nv), (1, min(3, nv)))
-    late = rng.sample(range(1, nv + 1), rng.randint(1, nv))
-    proj = late if rng.random() < 0.5 else rng.sample(range(1, nv + 1), rng.randint(1, nv))
-    want = _enumerate_resumed(sm.SatContext(_inst(nv, clauses)), [], proj)
-    ctx = sm.SatContext(_inst(nv, clauses))
-    s = ctx._cdcl
-    if rng.random() < 0.5:
-        # a search that runs out of budget with late variables passed over
-        ctx.decide_last(late)
-        ctx.solve(conflict_budget=1)
-        ctx.rewind()
-        _check_heap(s)
-    real_pick = s._pick_branch
-
-    def pick():
-        e = real_pick()
-        if e != -1 and e >> 1 in late:
-            assert all(s.val[v << 1] for v in range(1, nv + 1) if s.branchable[v] and v not in late)
-        return e
-
-    s._pick_branch = pick
-    ctx.decide_last(late)
-    got = _enumerate_resumed(ctx, [], proj)
-    assert len(got) == len(set(got)) and set(got) == set(want)
-    assert not s.late
-    del s._pick_branch
-    _check_heap(s)
-
-
-def test_rewind_gives_a_passed_over_late_variable_its_heap_entry():
-    # variable 1 tops the heap, is passed over as late, and the search ends
-    # UNSAT on 2 and 3 before it is decided: only the clearing rewind can
-    # give it an entry again
-    ctx = sm.SatContext(_inst(3, [(2, 3), (2, -3), (-2, 3), (-2, -3)]))
-    ctx.decide_last([1])
-    assert ctx.solve().status == sm.UNSAT
-    assert not ctx._cdcl.in_heap[1]
-    ctx.rewind()
-    _check_heap(ctx._cdcl)
-
-
-def test_plain_solve_after_a_kept_trail_starts_from_level_0():
-    ctx = sm.SatContext(_inst(3, [(1, 2, 3)]))
-    assert ctx.solve(resume=True).status == sm.SAT
-    assert ctx._cdcl.trail_lim  # the model's trail is kept for a block
-    res = ctx.solve([-1, -2])
-    assert res.status == sm.SAT and ctx._cdcl.trail_lim == []
-    assert res.raw_model[3]
-
-
 _REAL_SOLVE = sm.Cdcl.solve
 
 
@@ -451,15 +319,14 @@ def test_verifier_refuses_bad_models(monkeypatch):
     monkeypatch.setattr(sm.Cdcl, "solve", _corrupting_solve([1]))
     with pytest.raises(sm.ModelVerificationError, match=r"clause \(1,\)"):
         sm.SatContext(_inst(2, [(1,), (1, 2), (-2,)])).solve()
-    # a violated blocking clause added after a kept trail
+    # a violated clause added after a SAT answer: the one blocking its model
     monkeypatch.setattr(sm.Cdcl, "solve", _corrupting_solve([]))
     ctx = sm.SatContext(_inst(2, [(1, 2)]))
-    res = ctx.solve(resume=True)
-    ctx.block([-v if res.raw_model[v] else v for v in (1, 2)])
+    res = ctx.solve()
+    ctx.add_clauses([[-v if res.raw_model[v] else v for v in (1, 2)]])
     monkeypatch.setattr(sm.Cdcl, "solve", lambda self, *a, **k: sm.SAT)  # same model again
     with pytest.raises(sm.ModelVerificationError, match="does not satisfy clause"):
-        ctx.solve(resume=True)
-    ctx.rewind()
+        ctx.solve()
     # an empty clause, which no model satisfies (reduceat alone would read
     # the next clause's first literal in its place)
     monkeypatch.setattr(sm.Cdcl, "solve", _corrupting_solve([]))

@@ -102,6 +102,8 @@ class AttackConfig:
             raise ValueError(f"solver_budget must be >= 0, got {self.solver_budget}")
         if self.umc_mode not in ("explicit", "skip"):
             raise ValueError(f"unknown umc_mode {self.umc_mode!r}")
+        if self.umc_enum_cap < 1:
+            raise ValueError(f"umc_enum_cap must be >= 1, got {self.umc_enum_cap}")
 
 
 @dataclass(frozen=True)
@@ -551,7 +553,7 @@ def partial_completion(inst: AttackInstance, budget: float | None = None) -> dic
     def show(res: satmod.SolveResult, first: int) -> None:
         for cj in range(first, len(cells)):  # the cells not yet settled
             if len(seen[cj]) < 2:
-                seen[cj].add(inst.k1.value(res, cj))
+                seen[cj].add(res.word(inst.k1.cells[cj]))
 
     res = inst.solve_consistent(budget=budget)
     if res.status == satmod.UNSAT:

@@ -48,13 +48,25 @@ class RunRecord:
     unobservable: tuple[str, ...] = ()  # cells outside the outputs' cone
 
 
+def _read_text(path) -> str:
+    """The text of an input file; a file that cannot be read as UTF-8 text (a
+    directory, say) is a usage error."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read {path}: {exc}") from None
+
+
 def _load_circuit(path: str) -> nl.Circuit:
-    p = Path(path)
-    return nl.parse_bench(p.read_text(), p.stem)
+    return nl.parse_bench(_read_text(path), Path(path).stem)
 
 
 def _load_camo(bench: str, sidecar: str) -> nl.CamoCircuit:
-    return nl.parse_sidecar(Path(sidecar).read_text(), _load_circuit(bench))
+    return nl.parse_sidecar(_read_text(sidecar), _load_circuit(bench))
+
+
+def _load_completion(path: str, camo: nl.CamoCircuit) -> nl.Completion:
+    return nl.parse_completion_file(_read_text(path), camo)
 
 
 def cmd_camouflage(args) -> int:
@@ -103,7 +115,7 @@ def _attack_one(bench: str, sidecar: str, secret: str | None, oracle_cmd: str | 
         oracle = PipeOracle(oracle_cmd, camo.num_inputs, camo.num_outputs)
     else:
         # the secret is read here and nowhere else: it only seeds the oracle
-        secret_x = nl.parse_completion_file(Path(secret).read_text(), camo)
+        secret_x = _load_completion(secret, camo)
         oracle = BlackBox(camo, secret_x)
     try:
         report = atk.run_attack(camo, oracle, cfg)
@@ -172,6 +184,9 @@ def cmd_attack(args) -> int:
     cfg = _make_config(args)
     sidecar = Path(args.sidecar)
     if sidecar.is_dir():
+        if args.secret or args.oracle_cmd:
+            raise UsageError("a sidecar directory takes the .secret file next to each sidecar, "
+                             "not --secret or --oracle-cmd")
         sidecars = sorted(sidecar.glob("*.sidecar"))
         if not sidecars:
             raise UsageError(f"no *.sidecar files under {sidecar}")
@@ -207,8 +222,8 @@ def cmd_attack(args) -> int:
 
 def cmd_verify(args) -> int:
     camo = _load_camo(args.bench, args.sidecar)
-    secret = nl.parse_completion_file(Path(args.secret).read_text(), camo)
-    claimed = nl.parse_completion_file(Path(args.completion).read_text(), camo)
+    secret = _load_completion(args.secret, camo)
+    claimed = _load_completion(args.completion, camo)
     try:
         witness = atk.product_equiv(camo, claimed, secret)
     except atk.ProductCapError as exc:
@@ -221,10 +236,21 @@ def cmd_verify(args) -> int:
     return 1
 
 
+# the keys of a run record that `report` reads
+_REPORT_KEYS = ("benchmark", "success", "termination", "disc_size", "max_steps", "time_s",
+                "gates_fixed")
+
+
 def cmd_report(args) -> int:
     records = []
     for path in sorted(Path(args.dir).glob("*.runrecord.json")):
-        records.append(json.loads(path.read_text()))
+        try:
+            rec = json.loads(_read_text(path))
+        except json.JSONDecodeError as exc:
+            raise UsageError(f"{path} is not JSON: {exc}") from None
+        if not isinstance(rec, dict) or not all(k in rec for k in _REPORT_KEYS):
+            raise UsageError(f"{path} is not a run record with keys {', '.join(_REPORT_KEYS)}")
+        records.append(rec)
     if not records:
         raise UsageError(f"no *.runrecord.json files under {args.dir}")
     rows = _aggregate(records)
@@ -284,7 +310,7 @@ def _aggregate(records: list[dict]) -> list[dict]:
 
 def cmd_serve_oracle(args) -> int:
     camo = _load_camo(args.bench, args.sidecar)
-    secret = nl.parse_completion_file(Path(args.secret).read_text(), camo)
+    secret = _load_completion(args.secret, camo)
     serve_pipe_oracle(BlackBox(camo, secret), sys.stdin, sys.stdout)
     return 0
 

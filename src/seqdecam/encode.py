@@ -19,12 +19,13 @@ UC and CE with the two key vectors assumed distinct (`_emit_keys_equal`).
 the query's selector asserted, `encode_uc` with the keys asserted distinct;
 `encode_consistency` and `encode_keyed_frame` are standalone single-key
 encodings, the reference the CNF is checked against simulation with.  Every
-frame is emitted along a slot plan (`frame_plan`), which an
-`AttackInstance` works out once.  Its frames cover only the outputs' cone
-of influence (`observable_cone`).  BMC and record frames read nothing but
-outputs, which the reduced circuit gives exactly as the full one does, and
-the dropped logic holds only definitions that any assignment to the rest
-extends, so those queries keep their models over keys and frame inputs.
+frame is emitted along the circuit's slot plan (`CamoCircuit.plan`), the
+walk the simulator takes too.  An `AttackInstance`'s frames cover only the
+outputs' cone of influence (`observable_cone`).  BMC and record frames read
+nothing but outputs, which the reduced circuit gives exactly as the full
+one does, and the dropped logic holds only definitions that any assignment
+to the rest extends, so those queries keep their models over keys and
+frame inputs.
 CE compares outputs and the kept flops' next states: UNSAT there makes all
 consistent completions run the reduced circuit in lock-step from reset, so
 they give the same outputs.  That certifies every query set CE over the
@@ -39,7 +40,7 @@ from functools import cached_property
 from typing import Callable, Sequence
 
 from .cnf import FALSE, TRUE, CnfBuilder, CnfInstance
-from .netlist import BitSeq, CamoCircuit, Completion, observable_cone
+from .netlist import BitSeq, CamoCircuit, Completion, SlotPlan, observable_cone
 from .oracle import QuerySet, record
 from . import sat as satmod
 
@@ -68,25 +69,12 @@ class KeyVector:
             for ci, t in enumerate(self.ts)
         )
 
-    def value(self, result: "satmod.SolveResult", cell: int) -> int:
-        """The candidate index a SAT result gives one cell."""
-        v = 0
-        for i, lit in enumerate(self.cells[cell]):
-            v |= result.lit_value(lit) << i
-        return v
-
     def decode(
         self, result: "satmod.SolveResult", cells: Sequence[int] | None = None
     ) -> Completion:
         """The completion a SAT result gives, or its projection onto `cells`."""
-        # `value` inlined: enumeration decodes every model it lists
-        choices = []
-        for bits in self.cells if cells is None else [self.cells[c] for c in cells]:
-            v = 0
-            for i, lit in enumerate(bits):
-                v |= result.lit_value(lit) << i
-            choices.append(v)
-        return Completion(tuple(choices))
+        groups = self.cells if cells is None else [self.cells[c] for c in cells]
+        return Completion(tuple(map(result.word, groups)))
 
 
 def new_key_vector(bld: CnfBuilder, camo: CamoCircuit, name: str) -> KeyVector:
@@ -114,48 +102,8 @@ _FN_CODES = {
 }
 
 
-@dataclass(frozen=True)
-class FramePlan:
-    """The walk `emit_keyed_frame` makes over one circuit, worked out once.
-
-    Every net is a slot: the inputs, then the flops' present-state nets,
-    then each gate's output in topological order, so one frame's literals
-    are a list that grows by one per gate.  A gate is (cell index, or -1
-    for a plain gate; function codes, one per candidate of a cell and one
-    for a plain gate; input slots).
-    """
-
-    gates: tuple[tuple[int, tuple[tuple[int, bool, bool], ...], tuple[int, ...]], ...]
-    outputs: tuple[int, ...]
-    nexts: tuple[int, ...]
-
-
-def _fn_code(fn: str) -> tuple[int, bool, bool]:
-    code = _FN_CODES.get(fn)
-    if code is None:
-        raise ValueError(f"cannot encode function {fn!r}")
-    return code
-
-
-def frame_plan(camo: CamoCircuit) -> FramePlan:
-    """The slot plan of `camo`; raises ValueError for a function it cannot encode."""
-    base = camo.base
-    slot = {n: i for i, n in enumerate(base.inputs)}
-    for s, _ in base.flops:
-        slot[s] = len(slot)
-    gates = []
-    for g in base.gates:  # in topological order, so every input has its slot
-        ci = camo.cell_index.get(g.out, -1)
-        fns = camo.cells[ci].candidates if ci >= 0 else (g.fn,)
-        gates.append((ci, tuple(map(_fn_code, fns)), tuple(slot[n] for n in g.ins)))
-        slot[g.out] = len(slot)
-    return FramePlan(
-        tuple(gates), tuple(slot[n] for n in base.outputs), tuple(slot[d] for _, d in base.flops)
-    )
-
-
-def _emit_gate(bld: CnfBuilder, code: tuple[int, bool, bool], ins: list[int]) -> int:
-    kind, neg_in, neg_out = code
+def _emit_gate(bld: CnfBuilder, fn: str, ins: list[int]) -> int:
+    kind, neg_in, neg_out = _FN_CODES[fn]
     if kind == _AND:
         out = bld.emit_and([-l for l in ins] if neg_in else ins)
     elif kind == _XOR:
@@ -171,18 +119,18 @@ def emit_keyed_frame(
     key: KeyVector,
     state_lits: Sequence[int],
     input_lits: Sequence[int],
-    plan: FramePlan | None = None,
+    plan: SlotPlan | None = None,
 ) -> tuple[list[int], list[int]]:
     """One clock cycle of the keyed circuit; returns (output, next-state) literals.
 
     Any satisfying assignment makes the returned literals equal to
     step(camo, decode(key), state, input).  Camouflaged gates are encoded by
     guarding each candidate's definition with that candidate's key value.
-    `plan` is `frame_plan(camo)`, which a caller emitting many frames builds
-    once, its cell indices possibly renumbered to index `key`'s cells (a
-    reduced circuit keyed by its full circuit's key vector).  Raises
-    ValueError unless there is one state literal per flop and one input
-    literal per input.
+    `plan` defaults to `camo.plan`; a caller may pass it with its cell
+    indices renumbered to index `key`'s cells (a reduced circuit keyed by
+    its full circuit's key vector).  Raises ValueError unless there is one
+    state literal per flop and one input literal per input, and, through
+    `camo.plan`, for a gate the plan cannot take.
     """
     if len(state_lits) != camo.num_flops or len(input_lits) != camo.num_inputs:
         raise ValueError(
@@ -190,20 +138,20 @@ def emit_keyed_frame(
             f"{camo.num_flops} flops and {camo.num_inputs} inputs"
         )
     if plan is None:
-        plan = frame_plan(camo)
+        plan = camo.plan
     clauses = bld.clauses
     off_lits = key.off_lits
     vals = [*input_lits, *state_lits]
-    for ci, codes, slots in plan.gates:
+    for ci, fns, slots in plan.gates:
         ins = [vals[s] for s in slots]
         if ci < 0:
-            vals.append(_emit_gate(bld, codes[0], ins))
+            vals.append(_emit_gate(bld, fns[0], ins))
             continue
         out = bld.new_var(implied=True)
-        for off, code in zip(off_lits[ci], codes):
+        for off, fn in zip(off_lits[ci], fns):
             # (cell selects this candidate) -> (out <-> its output); key bits
             # and out are never constants, so nothing folds but the output
-            v = _emit_gate(bld, code, ins)
+            v = _emit_gate(bld, fn, ins)
             if v == TRUE:
                 clauses.append((*off, out))
             elif v == FALSE:
@@ -221,7 +169,7 @@ def _const_bits(mask: int, width: int) -> list[int]:
 
 def emit_consistency(
     bld: CnfBuilder, camo: CamoCircuit, key: KeyVector, qs: QuerySet,
-    plan: FramePlan | None = None,
+    plan: SlotPlan | None = None,
 ) -> None:
     """Constrain `key` to completions reproducing every recorded query.
 
@@ -231,7 +179,7 @@ def emit_consistency(
     as for `emit_keyed_frame`.
     """
     if plan is None:
-        plan = frame_plan(camo)
+        plan = camo.plan
     for seq, out in qs:
         if len(out) != len(seq):
             raise ValueError(f"output has {len(out)} steps for {len(seq)} input steps")
@@ -389,13 +337,13 @@ class AttackInstance:
         return self._ctx.solve(assumptions, time_budget=budget)
 
     @cached_property
-    def _plan(self) -> FramePlan:
+    def _plan(self) -> SlotPlan:
         """The plan of the reduced circuit `cone[0]`, its cells renumbered
         through `cone[1]` to index the full key vectors: for every frame."""
         reduced, kept = self.cone
-        plan = frame_plan(reduced)
-        gates = tuple((kept[ci] if ci >= 0 else -1, codes, ins) for ci, codes, ins in plan.gates)
-        return FramePlan(gates, plan.outputs, plan.nexts)
+        plan = reduced.plan
+        gates = tuple((kept[ci] if ci >= 0 else -1, fns, ins) for ci, fns, ins in plan.gates)
+        return SlotPlan(gates, plan.outputs, plan.nexts)
 
     @cached_property
     def cone(self) -> tuple[CamoCircuit, tuple[int, ...]]:
@@ -470,13 +418,8 @@ class AttackInstance:
     def decode_bmc(self, result: "satmod.SolveResult", bound: int) -> tuple[Completion, Completion, BitSeq]:
         x1 = self.k1.decode(result)
         x2 = self.k2.decode(result)
-        steps = []
-        for f in range(bound):
-            mask = 0
-            for i, lit in enumerate(self.frame_inputs[f]):
-                mask |= result.lit_value(lit) << i
-            steps.append(mask)
-        return x1, x2, BitSeq(self.camo.num_inputs, tuple(steps))
+        steps = tuple(result.word(self.frame_inputs[f]) for f in range(bound))
+        return x1, x2, BitSeq(self.camo.num_inputs, steps)
 
     def solve_uc(self, budget: float | None = None) -> "satmod.SolveResult":
         return self._solve([-self._keys_eq], budget)

@@ -141,6 +141,26 @@ class CamoCell:
 
 
 @dataclass(frozen=True)
+class SlotPlan:
+    """The walk over one circuit's gates that simulation and CNF frames share.
+
+    Every net is a slot: the inputs, then the flops' present-state nets,
+    then each gate's output in topological order, so one cycle's values are
+    a list that grows by one per gate.  A gate is (cell index, or -1 for a
+    plain gate; its function names, a cell's candidates or a plain gate's
+    one tag; input slots).
+    """
+
+    gates: tuple[tuple[int, tuple[str, ...], tuple[int, ...]], ...]
+    outputs: tuple[int, ...]
+    nexts: tuple[int, ...]
+
+
+# plain gates share one function tuple per tag: every live circuit caches its plan
+_PLAIN_FNS = {fn: (fn,) for fn in GATE_FUNCTIONS}
+
+
+@dataclass(frozen=True)
 class CamoCircuit:
     """A circuit with k camouflaged cells and a fixed reset state.
 
@@ -173,6 +193,34 @@ class CamoCircuit:
     @cached_property
     def cell_index(self) -> dict[str, int]:
         return {c.gate_out: i for i, c in enumerate(self.cells)}
+
+    @cached_property
+    def plan(self) -> SlotPlan:
+        """The slot plan of the circuit, built once.  Raises ValueError for a
+        camouflaged gate that is not a cell and for a function outside
+        `GATE_FUNCTIONS`."""
+        base = self.base
+        slot = {n: i for i, n in enumerate(base.inputs)}
+        for s, _ in base.flops:
+            slot[s] = len(slot)
+        cidx = self.cell_index
+        gates = []
+        for g in base.gates:  # in topological order, so every input has its slot
+            ci = cidx.get(g.out, -1)
+            if ci >= 0:
+                fns = self.cells[ci].candidates
+            elif g.fn == CAMO_TAG:
+                raise ValueError(f"gate {g.out!r} is camouflaged but not listed as a cell")
+            else:
+                fns = _PLAIN_FNS.get(g.fn, (g.fn,))
+            for fn in fns:
+                if fn not in GATE_FUNCTIONS:
+                    raise ValueError(f"gate {g.out!r} has unknown function {fn!r}")
+            gates.append((ci, fns, tuple(slot[n] for n in g.ins)))
+            slot[g.out] = len(slot)
+        return SlotPlan(
+            tuple(gates), tuple(slot[n] for n in base.outputs), tuple(slot[d] for _, d in base.flops)
+        )
 
     def completion_count(self) -> int:
         n = 1
@@ -545,7 +593,7 @@ def parse_completion_file(text: str, camo: CamoCircuit) -> Completion:
         if not line:
             continue
         parts = line.split()
-        if len(parts) != 2 or not parts[1].isdigit():
+        if len(parts) != 2 or not parts[1].isdecimal():
             raise BenchSyntaxError(f"expected '<gate-id> <index>', got {line!r}", lineno)
         if parts[0] in assigned:
             raise BenchSyntaxError(f"repeated cell {parts[0]!r}", lineno)
@@ -639,15 +687,16 @@ def _lane_select(first, rest: Sequence[tuple[object, int]]):
 class Evaluator:
     """Bit-parallel evaluator of a CamoCircuit under one or more completions.
 
-    Net values are Python ints holding one scenario per bit, so a single
-    pass evaluates arbitrarily many (state, input) scenarios at once.  With
-    L completions a value holds L lanes of the same scenarios, lane i for
-    completions[i] (parallel fault simulation, with completions in place of
-    faulty machines).  A plain gate runs once over all lanes.  A camouflaged
-    cell runs each candidate that some lane picks once over all lanes, and
-    lane masks built from the completions' choices put each result in the
-    lanes that pick it; a cell on which every lane agrees is a plain gate.
-    One completion is one lane.
+    Wire values are Python ints holding one scenario per bit, kept in a list
+    indexed by the slots of `CamoCircuit.plan`, so a single pass evaluates
+    arbitrarily many (state, input) scenarios at once.  With L completions
+    a value holds L lanes of the same scenarios, lane i for completions[i]
+    (parallel fault simulation, with completions in place of faulty
+    machines).  A plain gate runs once over all lanes.  A camouflaged cell
+    runs each candidate that some lane picks once over all lanes, and lane
+    masks built from the completions' choices put each result in the lanes
+    that pick it; a cell on which every lane agrees is a plain gate.  One
+    completion is one lane.
     """
 
     def __init__(self, camo: CamoCircuit, *completions: Completion):
@@ -655,45 +704,44 @@ class Evaluator:
             raise ValueError("an evaluator needs at least one completion")
         for x in completions:
             x.check(camo)
+        plan = camo.plan
         self.camo = camo
         self.completions = completions
         self.lanes = len(completions)
-        base = camo.base
-        cidx = camo.cell_index
+        # read once: eval and step run once per cycle
+        self._num_inputs = camo.num_inputs
+        self._num_flops = camo.num_flops
+        self._outputs = plan.outputs
+        self._nexts = plan.nexts
         lead = completions[0].choices
         picks = list(zip(*(x.choices for x in completions)))  # per cell, per lane
-        plan = []
-        # split cells: plan index, then (candidate op, lanes that pick it)
+        ops = []
+        # split cells: op index, then (candidate op, lanes that pick it)
         # for every candidate some lane picks in place of lane 0's
         cells = []
-        for g in base.gates:
-            if g.out in cidx:
-                ci = cidx[g.out]
-                cands = camo.cells[ci].candidates
-                v0 = lead[ci]
-                picked = picks[ci]
-                if picked.count(v0) < len(picked):
-                    cells.append((len(plan), [(_OPS[cands[v]], [p == v for p in picked])
-                                              for v in sorted(set(picked) - {v0})]))
-                plan.append((g.out, _OPS[cands[v0]], g.ins))
-            elif g.fn == CAMO_TAG:
-                raise ValueError(f"gate {g.out!r} is camouflaged but not listed as a cell")
-            else:
-                plan.append((g.out, _OPS[g.fn], g.ins))
-        self._plan = plan
+        for ci, fns, ins in plan.gates:
+            if ci < 0:
+                ops.append((_OPS[fns[0]], ins))
+                continue
+            v0 = lead[ci]
+            picked = picks[ci]
+            if picked.count(v0) < len(picked):
+                cells.append((len(ops), [(_OPS[fns[v]], [p == v for p in picked])
+                                         for v in sorted(set(picked) - {v0})]))
+            ops.append((_OPS[fns[v0]], ins))
+        self._ops = ops
         self._split_cells = cells
-        self._masked: tuple[int, list] | None = None  # (width, plan with lane masks)
-        self._base = base
+        self._masked: tuple[int, list] | None = None  # (width, ops with lane masks)
 
-    def _masked_plan(self, width: int) -> list:
-        """The plan, with every split cell's lane masks built for `width`."""
+    def _masked_ops(self, width: int) -> list:
+        """The ops, with every split cell's lane masks built for `width`."""
         if self._masked is None or self._masked[0] != width:
-            plan = list(self._plan)
+            ops = list(self._ops)
             for i, choices in self._split_cells:
-                out, first, ins = plan[i]
+                first, ins = ops[i]
                 masks = [(fn, _lane_mask(picks, width)) for fn, picks in choices]
-                plan[i] = (out, _lane_select(first, masks), ins)
-            self._masked = (width, plan)
+                ops[i] = (_lane_select(first, masks), ins)
+            self._masked = (width, ops)
         return self._masked[1]
 
     def eval(
@@ -704,48 +752,52 @@ class Evaluator:
         ``state_bits[i]`` / ``input_bits[i]`` carry the value of state/input
         wire i across the `width` scenarios; every lane sees the same ones.
         Returns (output_bits, next_state_bits), each `lanes * width` bits
-        wide with lane i in bits [i*width, (i+1)*width).
+        wide with lane i in bits [i*width, (i+1)*width).  Raises ValueError
+        unless there is one state wire per flop and one input wire per input.
         """
-        base = self._base
+        if len(state_bits) != self._num_flops or len(input_bits) != self._num_inputs:
+            raise ValueError(
+                f"{len(state_bits)} state and {len(input_bits)} input wires for "
+                f"{self._num_flops} flops and {self._num_inputs} inputs"
+            )
         lanes = self.lanes
         mask = (1 << width) - 1
-        vals: dict[str, int] = {}
-        for n, v in zip(base.inputs, input_bits):
-            vals[n] = v & mask
-        for (s, _), v in zip(base.flops, state_bits):
-            vals[s] = v & mask
-        plan = self._plan
+        vals = [v & mask for v in input_bits]
+        vals += [v & mask for v in state_bits]
+        ops = self._ops
         if lanes > 1:
-            for n in vals:
-                vals[n] = tile(vals[n], width, lanes)
+            vals = [tile(v, width, lanes) for v in vals]
             mask = (1 << (width * lanes)) - 1
             if self._split_cells:
-                plan = self._masked_plan(width)
-        for out, op, ins in plan:
-            vals[out] = op([vals[n] for n in ins], mask)
-        outs = [vals[n] for n in base.outputs]
-        nxt = [vals[d] for _, d in base.flops]
-        return outs, nxt
+                ops = self._masked_ops(width)
+        append = vals.append
+        for op, ins in ops:
+            append(op([vals[s] for s in ins], mask))
+        return [vals[s] for s in self._outputs], [vals[s] for s in self._nexts]
+
+    def step(self, state: int, inp: int) -> tuple[int, int]:
+        """One clock cycle of a one-lane evaluator on bit masks (bit i =
+        wire i): returns (output mask, next-state mask)."""
+        if self.lanes != 1:
+            raise ValueError(f"a cycle runs on one lane, not {self.lanes}")
+        outs, nxt = self.eval(
+            [(state >> i) & 1 for i in range(self._num_flops)],
+            [(inp >> i) & 1 for i in range(self._num_inputs)],
+            1,
+        )
+        return sum(b << i for i, b in enumerate(outs)), sum(b << i for i, b in enumerate(nxt))
 
     def run(self, seq: BitSeq) -> BitSeq:
         """Apply an input sequence from reset under the one completion of a
         one-lane evaluator; one output step per input step."""
         camo = self.camo
-        if self.lanes != 1:
-            raise ValueError(f"a sequence runs on one lane, not {self.lanes}")
-        if seq.width != camo.num_inputs:
-            raise ValueError(f"sequence width {seq.width} != {camo.num_inputs} inputs")
-        m, l = camo.num_inputs, camo.num_flops
+        if seq.width != self._num_inputs:
+            raise ValueError(f"sequence width {seq.width} != {self._num_inputs} inputs")
         state = camo.reset_state
         outs: list[int] = []
         for inp in seq.steps:
-            o, nxt = self.eval(
-                [(state >> i) & 1 for i in range(l)],
-                [(inp >> i) & 1 for i in range(m)],
-                width=1,
-            )
-            outs.append(sum(b << i for i, b in enumerate(o)))
-            state = sum(b << i for i, b in enumerate(nxt))
+            o, state = self.step(state, inp)
+            outs.append(o)
         return BitSeq(camo.num_outputs, tuple(outs))
 
 
@@ -762,15 +814,7 @@ def step(
         raise ValueError(f"input {inp:#x} does not fit in {m} bits")
     if not 0 <= state < (1 << l):
         raise ValueError(f"state {state:#x} does not fit in {l} bits")
-    ev = Evaluator(camo, completion)
-    outs, nxt = ev.eval(
-        [(state >> i) & 1 for i in range(l)],
-        [(inp >> i) & 1 for i in range(m)],
-        width=1,
-    )
-    out_mask = sum(b << i for i, b in enumerate(outs))
-    next_mask = sum(b << i for i, b in enumerate(nxt))
-    return out_mask, next_mask
+    return Evaluator(camo, completion).step(state, inp)
 
 
 def run_sequence(camo: CamoCircuit, completion: Completion, seq: BitSeq) -> BitSeq:

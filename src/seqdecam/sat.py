@@ -47,7 +47,7 @@ class SolveResult:
 
     ``raw_model`` is present iff status is SAT: byte v is 1 when variable v
     is true and 0 when it is false (byte 0 is unused).  Read literals off it
-    with `lit_value` or `bits`.
+    with `lit_value` or `word`.
     """
 
     status: str
@@ -60,8 +60,13 @@ class SolveResult:
         v = self.raw_model[abs(lit)]
         return v if lit > 0 else v ^ 1
 
-    def bits(self, lits: Sequence[int]) -> tuple[int, ...]:
-        return tuple(self.lit_value(l) for l in lits)
+    def word(self, lits: Sequence[int]) -> int:
+        """The integer whose bit i is the value of lits[i] (LSB first)."""
+        raw = self.raw_model  # `lit_value` inlined: enumeration reads every model
+        w = 0
+        for i, lit in enumerate(lits):
+            w |= (raw[lit] if lit > 0 else raw[-lit] ^ 1) << i
+        return w
 
 
 class MalformedInstanceError(ValueError):

@@ -279,8 +279,8 @@ def test_criterion_8_encoding_correctness():
                 assume.append(lit if (inp >> i) & 1 else -lit)
             res = ctx.solve(assume)
             assert res.status == sm.SAT
-            got_o = sum(b << i for i, b in enumerate(res.bits(inst.groups["output"])))
-            got_n = sum(b << i for i, b in enumerate(res.bits(inst.groups["next"])))
+            got_o = res.word(inst.groups["output"])
+            got_n = res.word(inst.groups["next"])
             assert (got_o, got_n) == step(camo, x, state, inp)
             frames += 1
     # (b) consistency solution sets equal exhaustive enumeration up to k = 10

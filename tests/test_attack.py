@@ -1039,6 +1039,15 @@ def test_solver_budget_must_be_a_non_negative_number():
         assert atk.AttackConfig(solver_budget=good).solver_budget == good
 
 
+def test_umc_enum_cap_must_be_positive():
+    # -5 would report "more than -5 consistent completions" after one model,
+    # and 0 would end a single projection inconclusive
+    for bad in (0, -5):
+        with pytest.raises(ValueError, match="umc_enum_cap must be >= 1"):
+            atk.AttackConfig(umc_enum_cap=bad)
+    assert atk.AttackConfig(umc_enum_cap=1).umc_enum_cap == 1
+
+
 def test_run_attack_solver_timeout(s27_camo):
     box = BlackBox(s27_camo, S27_SECRET)
     rep = atk.run_attack(
@@ -1129,7 +1138,7 @@ def test_three_candidate_cells():
     assert survivors == {(2,)}
     inst = encode_consistency(camo, rep.disc_set)
     res = sm.SatContext(inst).solve()
-    assert res.status == sm.SAT and res.bits(inst.groups["key"]) == (0, 1)  # index 2, LSB first
+    assert res.status == sm.SAT and res.word(inst.groups["key"]) == 2
 
 
 def test_run_attack_at_table_scale_synthetic():

@@ -360,6 +360,55 @@ def test_verify_rejects_malformed_sidecar_and_completion(workdir, capsys):
         assert capsys.readouterr().err.startswith("error:")
 
 
+def _verify_argv(workdir, **files):
+    """verify's argv over the workdir's files, some replaced by `files`."""
+    paths = {"bench": S27, "sidecar": _sidecar(workdir), "secret": _secret(workdir),
+             "completion": _secret(workdir), **files}
+    return ["verify", *(a for k, v in paths.items() for a in (f"--{k}", v))]
+
+
+def test_completion_index_that_is_not_a_decimal_is_usage_error(workdir, capsys):
+    # str.isdigit accepts a superscript two, which int() then refuses
+    cells = [line.split()[0] for line in _secret(workdir).read_text().splitlines()]
+    odd = workdir / "odd.completion"
+    odd.write_text(f"{cells[0]} \u00b2\n{cells[1]} 0\n", encoding="utf-8")
+    assert run_cli(*_verify_argv(workdir, completion=odd)) == 2
+    assert "expected '<gate-id> <index>'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["bench", "sidecar", "secret", "completion"])
+def test_a_directory_given_as_an_input_file_is_usage_error(workdir, capsys, flag):
+    assert run_cli(*_verify_argv(workdir, **{flag: workdir})) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read")
+
+
+@pytest.mark.parametrize("flag", ["bench", "sidecar", "secret", "completion"])
+def test_a_file_that_is_not_utf8_is_usage_error(workdir, capsys, flag):
+    raw = workdir / "latin1.txt"
+    raw.write_bytes(b"# caf\xe9\n")
+    assert run_cli(*_verify_argv(workdir, **{flag: raw})) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read")
+
+
+@pytest.mark.parametrize("text", ["{not json", '{"benchmark": "x"}', "[1, 2]"],
+                         ids=["bad-json", "missing-key", "not-an-object"])
+def test_report_over_a_malformed_run_record_is_usage_error(tmp_path, capsys, text):
+    (tmp_path / "x.runrecord.json").write_text(text)
+    assert run_cli("report", tmp_path) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_attack_over_a_sidecar_directory_takes_no_oracle_source(workdir, capsys):
+    # the directory's own .secret files are the oracles; a --secret or
+    # --oracle-cmd next to it used to be ignored without a word
+    for flag, value in (("--secret", _secret(workdir)), ("--oracle-cmd", "false")):
+        rc = run_cli("attack", "--bench", S27, "--sidecar", workdir, flag, value,
+                     "--out", workdir / "out")
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+    assert not (workdir / "out").exists()
+
+
 def test_attack_directory_mode_with_jobs(tmp_path):
     for seed in (1, 2):
         run_cli("camouflage", "--bench", S27, "--k", "2", "--seed", seed, "--out", tmp_path / "in")

@@ -3,16 +3,22 @@ import random
 import pytest
 
 from seqdecam import sat as sm
+from seqdecam.cnf import CnfBuilder
 from seqdecam.encode import (
     AttackInstance,
+    emit_keyed_frame,
     encode_bmc_disagreement,
     encode_ce,
     encode_consistency,
     encode_keyed_frame,
     encode_uc,
+    new_key_vector,
 )
 from seqdecam.gen import random_camo, random_circuit
-from seqdecam.netlist import BitSeq, Completion, observable_cone, run_sequence, step
+from seqdecam.netlist import (
+    CAMO_TAG, BitSeq, CamoCell, CamoCircuit, Circuit, Completion, Evaluator, Gate,
+    observable_cone, run_sequence, step,
+)
 from seqdecam.oracle import OracleConflictError, QuerySet, record
 from seqdecam.attack import ProductCapError, brute_force_disc, consistent
 
@@ -69,8 +75,8 @@ def test_keyed_frame_forces_step_outputs_random():
             assume += _pin(inst.groups["input"], [(inp >> i) & 1 for i in range(m)])
             res = ctx.solve(assume)
             assert res.status == sm.SAT
-            got_o = sum(b << i for i, b in enumerate(res.bits(inst.groups["output"])))
-            got_n = sum(b << i for i, b in enumerate(res.bits(inst.groups["next"])))
+            got_o = res.word(inst.groups["output"])
+            got_n = res.word(inst.groups["next"])
             assert (got_o, got_n) == step(camo, x, state, inp)
             checked += 1
 
@@ -96,8 +102,8 @@ def test_keyed_frame_encodes_every_candidate_function():
             assume += _pin(inst.groups["state"], [(state >> i) & 1 for i in range(l)])
             assume += _pin(inst.groups["input"], [(inp >> i) & 1 for i in range(m)])
             res = ctx.solve(assume)
-            got_o = sum(b << i for i, b in enumerate(res.bits(inst.groups["output"])))
-            got_n = sum(b << i for i, b in enumerate(res.bits(inst.groups["next"])))
+            got_o = res.word(inst.groups["output"])
+            got_n = res.word(inst.groups["next"])
             assert (got_o, got_n) == step(camo, x, state, inp)
 
 
@@ -129,6 +135,22 @@ def test_keyed_frame_buf_circuit_aliases_input():
     assert inst.groups["output"] == inst.groups["input"]
 
 
+@pytest.mark.parametrize("fn, match", [("FOO", "unknown function 'FOO'"),
+                                       (CAMO_TAG, "camouflaged but not listed as a cell")])
+def test_simulator_and_frames_refuse_the_same_unusable_gate(fn, match):
+    # both walk `CamoCircuit.plan`, so a gate it cannot take fails them alike
+    gates = (Gate("g", CAMO_TAG, ("a", "b")), Gate("y", fn, ("g", "b")))
+    camo = CamoCircuit(Circuit("hand", ("a", "b"), ("y",), (), gates),
+                       (CamoCell("g", ("NAND", "NOR")),))
+    with pytest.raises(ValueError, match=match) as sim:
+        Evaluator(camo, Completion((0,)))
+    bld = CnfBuilder()
+    key = new_key_vector(bld, camo, "key")
+    with pytest.raises(ValueError, match=match) as cnf:
+        emit_keyed_frame(bld, camo, key, [], bld.new_vars(2))
+    assert str(sim.value) == str(cnf.value)
+
+
 def test_keyed_frame_s27_matches_brute_force_table(s27_camo):
     inst = encode_keyed_frame(s27_camo)
     ctx = sm.SatContext(inst)
@@ -139,7 +161,7 @@ def test_keyed_frame_s27_matches_brute_force_table(s27_camo):
             assume += _pin(inst.groups["input"], [(inp >> i) & 1 for i in range(4)])
             res = ctx.solve(assume)
             assert res.status == sm.SAT
-            got = sum(b << i for i, b in enumerate(res.bits(inst.groups["output"])))
+            got = res.word(inst.groups["output"])
             assert got == step(s27_camo, x, 0, inp)[0]
 
 

@@ -175,6 +175,8 @@ def test_completion_file_roundtrip(s27_camo):
         nl.parse_completion_file("G13 0\n", s27_camo)  # missing cell
     with pytest.raises(nl.CamouflageError, match="'G13' index 2"):
         nl.parse_completion_file("G13 2\nG10 0\n", s27_camo)  # index out of range
+    with pytest.raises(nl.BenchSyntaxError, match="expected '<gate-id> <index>'"):
+        nl.parse_completion_file("G13 \u00b2\nG10 0\n", s27_camo)  # isdigit, not a decimal
     # a repeated cell would silently keep its last index
     for text in ("G13 0\nG10 0\nG13 1\n", "G13 0\nG10 1\n\nG13 0\n"):
         with pytest.raises(nl.BenchSyntaxError, match="repeated cell 'G13'") as exc:
@@ -313,6 +315,17 @@ def test_every_lane_equals_a_one_completion_pass(seed, data):
         assert [(w >> (i * width)) & mask for w in outs] == one_outs
         assert [(w >> (i * width)) & mask for w in nxt] == one_nxt
     assert all(w >> (len(comps) * width) == 0 for w in outs + nxt)
+
+
+def test_eval_needs_one_wire_per_input_and_flop(s27_camo):
+    # wires are matched to slots by position, so a miscount must not pass
+    x = nl.Completion((0, 1))
+    ev = nl.Evaluator(s27_camo, x)
+    for states, inputs in (([0] * 3, [0] * 3), ([0] * 3, [0] * 5), ([0] * 2, [0] * 4)):
+        with pytest.raises(ValueError, match="state and .* input wires"):
+            ev.eval(states, inputs, 1)
+    outs, nxt = ev.eval([0] * 3, [0] * 4, 1)
+    assert (outs[0], sum(b << i for i, b in enumerate(nxt))) == nl.step(s27_camo, x, 0, 0)
 
 
 def test_tile_repeats_a_lane():

@@ -39,9 +39,8 @@ def test_sat_model_is_verified_against_all_clauses():
     inst = _inst(3, [(1, 2), (-1, 3), (-2, -3)], {"all": (1, 2, 3)})
     res = sm.SatContext(inst).solve()
     assert res.status == sm.SAT
-    bits = res.bits(inst.groups["all"])
     for c in inst.clauses:
-        assert any(bits[abs(l) - 1] == (1 if l > 0 else 0) for l in c)
+        assert any(res.lit_value(l) for l in c)
 
 
 def test_assumptions():

@@ -6,8 +6,9 @@ verify (product-machine equivalence of a claimed completion against the
 secret), report (aggregates run records into a table), serve-oracle (answers
 the pipe protocol on stdio).  Exit codes: 0 success, 1 attack failure,
 inequivalence, or an oracle conflict, timeout or protocol error, 2 usage
-error (including a malformed netlist, sidecar or completion file), 3
-inconclusive verification.
+error (including a malformed netlist, sidecar or completion file, and an
+output path that is not a directory or file to write), 3 inconclusive
+verification.
 """
 
 from __future__ import annotations
@@ -57,6 +58,28 @@ def _read_text(path) -> str:
         raise UsageError(f"cannot read {path}: {exc}") from None
 
 
+def _out_dir(path) -> Path:
+    """`path` as a directory to write into, created later if missing; a path
+    that is or lies under something other than a directory is a usage
+    error, checked before any work."""
+    out = Path(path)
+    for p in (out, *out.parents):
+        if p.exists():
+            if not p.is_dir():
+                raise UsageError(f"cannot write into {path}: {p} is not a directory")
+            break
+    return out
+
+
+def _out_file(path) -> Path:
+    """`path` as a file to write; a directory, or a path whose parent is not
+    a directory, is a usage error, checked before any work."""
+    out = Path(path)
+    if out.is_dir() or not out.parent.is_dir():
+        raise UsageError(f"cannot write {path}: not a file in an existing directory")
+    return out
+
+
 def _load_circuit(path: str) -> nl.Circuit:
     return nl.parse_bench(_read_text(path), Path(path).stem)
 
@@ -70,6 +93,7 @@ def _load_completion(path: str, camo: nl.CamoCircuit) -> nl.Completion:
 
 
 def cmd_camouflage(args) -> int:
+    out = _out_dir(args.out)
     circuit = _load_circuit(args.bench)
     candidates = [c.strip().upper() for c in args.candidates.split(",")]
     eligible = sorted(g.out for g in circuit.gates if g.fn in candidates)
@@ -84,7 +108,6 @@ def cmd_camouflage(args) -> int:
     camo = nl.camouflage(circuit, chosen, candidates, reset_state=0)
     by_out = circuit.gate_by_out
     secret = nl.Completion(tuple(candidates.index(by_out[g].fn) for g in chosen))
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     stem = f"{Path(args.bench).stem}.k{args.k}.s{args.seed}"
     sidecar = out / f"{stem}.sidecar"
@@ -181,6 +204,7 @@ def _attack_job(job) -> dict:
 
 
 def cmd_attack(args) -> int:
+    _out_dir(args.out)
     cfg = _make_config(args)
     sidecar = Path(args.sidecar)
     if sidecar.is_dir():
@@ -242,6 +266,7 @@ _REPORT_KEYS = ("benchmark", "success", "termination", "disc_size", "max_steps",
 
 
 def cmd_report(args) -> int:
+    csv = _out_file(args.csv) if args.csv else None
     records = []
     for path in sorted(Path(args.dir).glob("*.runrecord.json")):
         try:
@@ -270,10 +295,10 @@ def cmd_report(args) -> int:
         print("\npartial completions on failed runs (gates fixed: runs):")
         for fixed in sorted(hist):
             print(f"  {fixed}: {hist[fixed]}")
-    if args.csv:
+    if csv is not None:
         lines = [",".join(cols)]
         lines += [",".join(str(r[c]) for c in cols) for r in rows]
-        Path(args.csv).write_text("\n".join(lines) + "\n")
+        csv.write_text("\n".join(lines) + "\n")
         print(f"\ncsv: {args.csv}")
     return 0
 

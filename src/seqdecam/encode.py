@@ -343,7 +343,7 @@ class AttackInstance:
         reduced, kept = self.cone
         plan = reduced.plan
         gates = tuple((kept[ci] if ci >= 0 else -1, fns, ins) for ci, fns, ins in plan.gates)
-        return SlotPlan(gates, plan.outputs, plan.nexts)
+        return SlotPlan(gates, plan.outputs, plan.nexts, plan.sources)
 
     @cached_property
     def cone(self) -> tuple[CamoCircuit, tuple[int, ...]]:

@@ -4,6 +4,13 @@ The circuit IR is immutable.  A circuit is a DAG of gates over named nets,
 with D flip-flops acting as cut points between clock cycles.  Camouflaging
 replaces the function tag of selected gates with an opaque cell carrying a
 list of candidate functions; a completion picks one candidate per cell.
+
+Simulation takes one of two paths, chosen by the call.  One completion run
+one scenario per cycle (`Evaluator.step`, `Evaluator.run`, `step`,
+`run_sequence`) walks the circuit's truth tables (`SlotPlan.walk`): one
+table lookup per gate on 0/1 values.  Many scenarios or completions at once
+go through `Evaluator.eval`, which packs one scenario per bit of a Python
+int and runs each gate as a bitwise fold.
 """
 
 from __future__ import annotations
@@ -11,7 +18,7 @@ from __future__ import annotations
 import re
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -148,10 +155,64 @@ class SlotPlan:
     then each gate's output in topological order, so one cycle's values are
     a list that grows by one per gate.  A gate is (cell index, or -1 for a
     plain gate; its function names, a cell's candidates or a plain gate's
-    one tag; input slots).
+    one tag; input slots).  The first `sources` slots are the inputs and
+    the flops.
     """
 
     gates: tuple[tuple[int, tuple[str, ...], tuple[int, ...]], ...]
+    outputs: tuple[int, ...]
+    nexts: tuple[int, ...]
+    sources: int
+
+    @cached_property
+    def walk(self) -> "TableWalk":
+        """The plan as a table walk for one-lane simulation, built on first use.
+
+        A gate of up to three inputs is one step; a wider one is a chain of
+        steps, the first over three inputs and each later one over the
+        previous step's value and up to two more inputs, with the gate's
+        inversion (NAND, NOR, XNOR, NOT) on its last step only.  A step is
+        (table, a, b, c): its value is ``table[v[a] | v[b] << 1 | v[c] << 2]``
+        over the 0/1 values ``v``, each step appending one value after the
+        sources; a step of fewer inputs repeats its last input slot, which
+        its table ignores.  Tables are shared by every gate of the same
+        function and arity.
+        """
+        slot = list(range(self.sources))  # plan slot -> walk slot
+        steps: list[tuple[tuple[int, ...], int, int, int]] = []
+        cells: list[tuple[int, int, tuple[tuple[int, ...], ...]]] = []
+        for ci, fns, ins in self.gates:
+            ins = [slot[s] for s in ins]
+            parts = [ins[:3]] + [ins[i : i + 2] for i in range(3, len(ins), 2)]
+            for j, part in enumerate(parts):
+                if j:  # the previous step's value first
+                    part = [self.sources + len(steps) - 1, *part]
+                last = j == len(parts) - 1
+                tabs = tuple(_truth_table(fn if last else _BASE.get(fn, fn), len(part))
+                             for fn in fns)
+                if ci >= 0 and tabs.count(tabs[0]) < len(tabs):
+                    cells.append((len(steps), ci, tabs))
+                pad = part + [part[-1]] * (3 - len(part))
+                steps.append((tabs[0], pad[0], pad[1], pad[2]))
+            slot.append(self.sources + len(steps) - 1)
+        return TableWalk(
+            tuple(steps), tuple(cells),
+            tuple(slot[s] for s in self.outputs), tuple(slot[s] for s in self.nexts),
+        )
+
+
+@dataclass(frozen=True)
+class TableWalk:
+    """A circuit's truth-table steps (see `SlotPlan.walk`).
+
+    ``steps`` holds every step with a cell's first candidate in place;
+    ``cells`` lists (step index, cell index, one table per candidate) for
+    the steps whose table depends on a cell's choice.  ``outputs`` and
+    ``nexts`` are walk slots.
+    """
+
+    steps: tuple[tuple[tuple[int, ...], int, int, int], ...]
+    cells: tuple[tuple[int, int, tuple[tuple[int, ...], ...]], ...]
     outputs: tuple[int, ...]
     nexts: tuple[int, ...]
 
@@ -219,7 +280,8 @@ class CamoCircuit:
             gates.append((ci, fns, tuple(slot[n] for n in g.ins)))
             slot[g.out] = len(slot)
         return SlotPlan(
-            tuple(gates), tuple(slot[n] for n in base.outputs), tuple(slot[d] for _, d in base.flops)
+            tuple(gates), tuple(slot[n] for n in base.outputs), tuple(slot[d] for _, d in base.flops),
+            len(base.inputs) + len(base.flops),
         )
 
     def completion_count(self) -> int:
@@ -650,6 +712,26 @@ def _fold_xor(vals):
     return r
 
 
+# the function a wide gate's chain folds with before its last step inverts
+_BASE = {"NAND": "AND", "NOR": "OR", "XNOR": "XOR", "NOT": "BUF"}
+
+
+@cache
+def _truth_table(fn: str, arity: int) -> tuple[int, ...]:
+    """`fn` over the low `arity` bits of a 3-bit index (bit j = input j);
+    the higher bits are ignored.  One table per (function, arity)."""
+    op = _OPS[fn]
+    return tuple(op([(i >> j) & 1 for j in range(arity)], 1) for i in range(8))
+
+
+def _walk(steps, vals: list[int]) -> None:
+    """One cycle of a table walk: append each step's 0/1 value to `vals`,
+    which holds the sources' values."""
+    append = vals.append
+    for tab, a, b, c in steps:
+        append(tab[vals[a] | vals[b] << 1 | vals[c] << 2])
+
+
 def tile(x: int, width: int, lanes: int) -> int:
     """`x` (at most `width` bits) repeated in each of `lanes` lanes of
     `width` bits: lane i is bits [i*width, (i+1)*width)."""
@@ -685,18 +767,23 @@ def _lane_select(first, rest: Sequence[tuple[object, int]]):
 
 
 class Evaluator:
-    """Bit-parallel evaluator of a CamoCircuit under one or more completions.
+    """Evaluator of a CamoCircuit under one or more completions.
 
-    Wire values are Python ints holding one scenario per bit, kept in a list
-    indexed by the slots of `CamoCircuit.plan`, so a single pass evaluates
-    arbitrarily many (state, input) scenarios at once.  With L completions
-    a value holds L lanes of the same scenarios, lane i for completions[i]
-    (parallel fault simulation, with completions in place of faulty
-    machines).  A plain gate runs once over all lanes.  A camouflaged cell
-    runs each candidate that some lane picks once over all lanes, and lane
-    masks built from the completions' choices put each result in the lanes
-    that pick it; a cell on which every lane agrees is a plain gate.  One
-    completion is one lane.
+    A one-lane evaluator (one completion) runs clock cycles one scenario at
+    a time (`step`, `run`) along the circuit's table walk
+    (`SlotPlan.walk`), its cells' tables picked once per evaluator.
+
+    `eval` is bit-parallel: wire values are Python ints holding one
+    scenario per bit, kept in a list indexed by the slots of
+    `CamoCircuit.plan`, so a single pass evaluates arbitrarily many (state,
+    input) scenarios at once.  With L completions a value holds L lanes of
+    the same scenarios, lane i for completions[i] (parallel fault
+    simulation, with completions in place of faulty machines).  A plain
+    gate runs once over all lanes.  A camouflaged cell runs each candidate
+    that some lane picks once over all lanes, and lane masks built from the
+    completions' choices put each result in the lanes that pick it; a cell
+    on which every lane agrees is a plain gate.  Its op list is built on
+    the first `eval` call.
     """
 
     def __init__(self, camo: CamoCircuit, *completions: Completion):
@@ -704,17 +791,22 @@ class Evaluator:
             raise ValueError("an evaluator needs at least one completion")
         for x in completions:
             x.check(camo)
-        plan = camo.plan
         self.camo = camo
         self.completions = completions
         self.lanes = len(completions)
+        self._plan = camo.plan  # raises for a gate the plan cannot take
         # read once: eval and step run once per cycle
         self._num_inputs = camo.num_inputs
         self._num_flops = camo.num_flops
-        self._outputs = plan.outputs
-        self._nexts = plan.nexts
-        lead = completions[0].choices
-        picks = list(zip(*(x.choices for x in completions)))  # per cell, per lane
+        self._ops: list | None = None
+        self._split_cells: list = []
+        self._masked: tuple[int, list] | None = None  # (width, ops with lane masks)
+        self._steps: list | None = None  # the table walk's steps, cells resolved
+
+    def _build_ops(self) -> list:
+        plan = self._plan
+        lead = self.completions[0].choices
+        picks = list(zip(*(x.choices for x in self.completions)))  # per cell, per lane
         ops = []
         # split cells: op index, then (candidate op, lanes that pick it)
         # for every candidate some lane picks in place of lane 0's
@@ -731,7 +823,7 @@ class Evaluator:
             ops.append((_OPS[fns[v0]], ins))
         self._ops = ops
         self._split_cells = cells
-        self._masked: tuple[int, list] | None = None  # (width, ops with lane masks)
+        return ops
 
     def _masked_ops(self, width: int) -> list:
         """The ops, with every split cell's lane masks built for `width`."""
@@ -764,7 +856,7 @@ class Evaluator:
         mask = (1 << width) - 1
         vals = [v & mask for v in input_bits]
         vals += [v & mask for v in state_bits]
-        ops = self._ops
+        ops = self._ops if self._ops is not None else self._build_ops()
         if lanes > 1:
             vals = [tile(v, width, lanes) for v in vals]
             mask = (1 << (width * lanes)) - 1
@@ -773,19 +865,33 @@ class Evaluator:
         append = vals.append
         for op, ins in ops:
             append(op([vals[s] for s in ins], mask))
-        return [vals[s] for s in self._outputs], [vals[s] for s in self._nexts]
+        plan = self._plan
+        return [vals[s] for s in plan.outputs], [vals[s] for s in plan.nexts]
+
+    def _walk_steps(self) -> list:
+        """The table walk's steps with this evaluator's cell choices in place."""
+        if self._steps is None:
+            if self.lanes != 1:
+                raise ValueError(f"a cycle runs on one lane, not {self.lanes}")
+            walk = self._plan.walk
+            choices = self.completions[0].choices
+            steps = list(walk.steps)
+            for i, ci, tabs in walk.cells:
+                _, a, b, c = steps[i]
+                steps[i] = (tabs[choices[ci]], a, b, c)
+            self._steps = steps
+        return self._steps
 
     def step(self, state: int, inp: int) -> tuple[int, int]:
         """One clock cycle of a one-lane evaluator on bit masks (bit i =
         wire i): returns (output mask, next-state mask)."""
-        if self.lanes != 1:
-            raise ValueError(f"a cycle runs on one lane, not {self.lanes}")
-        outs, nxt = self.eval(
-            [(state >> i) & 1 for i in range(self._num_flops)],
-            [(inp >> i) & 1 for i in range(self._num_inputs)],
-            1,
-        )
-        return sum(b << i for i, b in enumerate(outs)), sum(b << i for i, b in enumerate(nxt))
+        steps = self._walk_steps()
+        walk = self._plan.walk
+        vals = [(inp >> i) & 1 for i in range(self._num_inputs)]
+        vals += [(state >> i) & 1 for i in range(self._num_flops)]
+        _walk(steps, vals)
+        return (sum(vals[s] << i for i, s in enumerate(walk.outputs)),
+                sum(vals[s] << i for i, s in enumerate(walk.nexts)))
 
     def run(self, seq: BitSeq) -> BitSeq:
         """Apply an input sequence from reset under the one completion of a
@@ -793,11 +899,20 @@ class Evaluator:
         camo = self.camo
         if seq.width != self._num_inputs:
             raise ValueError(f"sequence width {seq.width} != {self._num_inputs} inputs")
-        state = camo.reset_state
+        steps = self._walk_steps()
+        walk = self._plan.walk
+        outputs = tuple(enumerate(walk.outputs))
+        nexts = walk.nexts
+        wires = range(self._num_inputs)
+        reset = camo.reset_state
+        state = [(reset >> i) & 1 for i in range(self._num_flops)]
         outs: list[int] = []
         for inp in seq.steps:
-            o, state = self.step(state, inp)
-            outs.append(o)
+            vals = [(inp >> i) & 1 for i in wires]
+            vals += state
+            _walk(steps, vals)
+            outs.append(sum(vals[s] << i for i, s in outputs))
+            state = [vals[s] for s in nexts]
         return BitSeq(camo.num_outputs, tuple(outs))
 
 

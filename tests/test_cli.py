@@ -409,6 +409,35 @@ def test_attack_over_a_sidecar_directory_takes_no_oracle_source(workdir, capsys)
     assert not (workdir / "out").exists()
 
 
+def test_an_output_path_that_cannot_be_written_is_usage_error(workdir, tmp_path, capsys,
+                                                               monkeypatch):
+    # each is refused before any work: no attack runs, no table is printed
+    def no_attack(*args):
+        raise AssertionError("the attack ran before its --out was checked")
+
+    monkeypatch.setattr(atk, "run_attack", no_attack)
+    taken = tmp_path / "taken"
+    taken.write_text("keep me\n")
+    for out in (taken, taken / "sub"):
+        rc = run_cli("camouflage", "--bench", S27, "--k", "2", "--out", out)
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: cannot write into")
+        rc = run_cli("attack", "--bench", S27, "--sidecar", _sidecar(workdir),
+                     "--secret", _secret(workdir), "--out", out)
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: cannot write into")
+    assert taken.read_text() == "keep me\n"
+    rec = {
+        "benchmark": "x", "k": 2, "seed": 0, "disc_size": 3, "max_steps": 4,
+        "time_s": 1.5, "termination": "UC", "gates_fixed": 2, "success": True,
+    }
+    (tmp_path / "x.runrecord.json").write_text(json.dumps(rec))
+    for csv in (workdir, tmp_path / "missing" / "t.csv", taken / "t.csv"):
+        assert run_cli("report", tmp_path, "--csv", csv) == 2
+        out = capsys.readouterr()
+        assert out.err.startswith("error: cannot write") and out.out == ""
+
+
 def test_attack_directory_mode_with_jobs(tmp_path):
     for seed in (1, 2):
         run_cli("camouflage", "--bench", S27, "--k", "2", "--seed", seed, "--out", tmp_path / "in")

@@ -328,6 +328,122 @@ def test_eval_needs_one_wire_per_input_and_flop(s27_camo):
     assert (outs[0], sum(b << i for i, b in enumerate(nxt))) == nl.step(s27_camo, x, 0, 0)
 
 
+def _by_eval(camo, x, seq):
+    """`seq` stepped through a one-lane `Evaluator.eval` at width 1:
+    the (output, next state) masks of every cycle."""
+    ev = nl.Evaluator(camo, x)
+    m, l = camo.num_inputs, camo.num_flops
+    state, cycles = camo.reset_state, []
+    for inp in seq.steps:
+        outs, nxt = ev.eval([(state >> i) & 1 for i in range(l)],
+                            [(inp >> i) & 1 for i in range(m)], 1)
+        state = sum(b << i for i, b in enumerate(nxt))
+        cycles.append((sum(b << i for i, b in enumerate(outs)), state))
+    return cycles
+
+
+def _by_fixed_point(camo, x, seq):
+    state, cycles = camo.reset_state, []
+    for inp in seq.steps:
+        out, state = _naive_fixed_point(camo, x, state, inp)
+        cycles.append((out, state))
+    return cycles
+
+
+def _check_walk(camo, x, seq):
+    """The table walk (`run_sequence`, `step`) against `eval` and the fixed point."""
+    want = _by_fixed_point(camo, x, seq)
+    assert _by_eval(camo, x, seq) == want
+    assert nl.run_sequence(camo, x, seq).steps == tuple(o for o, _ in want)
+    states = [camo.reset_state] + [s for _, s in want]
+    assert [nl.step(camo, x, s, i) for s, i in zip(states, seq.steps)] == want
+
+
+@hypothesis.seed(28)
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**9), st.data())
+def test_table_walk_equals_eval_and_the_fixed_point(seed, data):
+    rng = random.Random(seed)
+    try:
+        camo, x = random_camo(rng, random_circuit(rng), candidates=("NAND", "NOR", "AND", "XOR"))
+    except ValueError:  # no gate takes two inputs
+        hypothesis.assume(False)
+    m = camo.num_inputs
+    steps = data.draw(st.lists(st.integers(0, (1 << m) - 1), max_size=8))
+    _check_walk(camo, x, nl.BitSeq(m, tuple(steps)))
+
+
+WIDE_GATES = """
+INPUT(a)
+INPUT(b)
+INPUT(c)
+INPUT(d)
+INPUT(e)
+OUTPUT(y0)
+OUTPUT(y1)
+OUTPUT(w6)
+s0 = DFF(w1)
+s1 = DFF(w4)
+w0 = AND(a, b, c, d)
+w1 = NAND(a, b, c, d, e)
+w2 = OR(b, c, d, s0)
+w3 = NOR(a, c, e, s1, d)
+w4 = XOR(a, b, c, d, s0)
+w5 = XNOR(w0, w2, e, s1)
+w6 = XNOR(a, w3, c, d, w4, s0, s1)
+w7 = AND(b, w2, w1, s1, e)
+w8 = NOR(w0, b, s0, w5)
+y0 = XOR(w3, w5, w7)
+y1 = OR(w8, w1)
+"""
+
+
+def test_table_walk_on_wide_gates():
+    # parse_bench takes any arity; the walk chains the tables of a wide gate
+    six = ("AND", "OR", "NAND", "NOR", "XOR", "XNOR")
+    camo = nl.camouflage(nl.parse_bench(WIDE_GATES, "wide"), ["w2", "w4", "w6", "w8"], six)
+    arities = [len(g.ins) for g in camo.base.gates]
+    walk = camo.plan.walk
+    assert len(walk.steps) == sum(1 + max(0, (n - 2) // 2) for n in arities)
+    rng = random.Random(5)
+    completions = rng.sample(list(camo.all_completions()), 40)
+    for x in completions:
+        for state in range(4):
+            for inp in range(32):
+                assert nl.step(camo, x, state, inp) == _naive_fixed_point(camo, x, state, inp)
+        seq = nl.BitSeq(5, tuple(rng.randrange(32) for _ in range(6)))
+        _check_walk(camo, x, seq)
+
+
+def test_table_walk_shares_tables_between_circuits(s27_camo):
+    # one table per (function, arity), whichever circuit a gate is in
+    other = nl.camouflage(nl.parse_bench(WIDE_GATES, "wide"), ["w2"], ["NAND", "NOR"])
+    walks = (s27_camo.plan.walk, other.plan.walk)
+    tables = [t for w in walks for t, *_ in w.steps]
+    tables += [t for w in walks for *_, tabs in w.cells for t in tabs]
+    assert len({id(t) for t in tables}) == len(set(tables)) < len(tables)
+
+
+def test_one_lane_runs_never_call_eval(monkeypatch, s27_camo):
+    x = nl.Completion((1, 0))
+    seq = nl.BitSeq(4, (3, 9, 14, 8))
+    want = nl.run_sequence(s27_camo, x, seq)
+    cycle = nl.step(s27_camo, x, 5, 9)
+
+    def refuse(*args):
+        raise AssertionError("a one-lane run called Evaluator.eval")
+
+    monkeypatch.setattr(nl.Evaluator, "eval", refuse)
+    assert nl.run_sequence(s27_camo, x, seq) == want
+    assert nl.Evaluator(s27_camo, x).run(seq) == want
+    assert nl.step(s27_camo, x, 5, 9) == cycle
+    two = nl.Evaluator(s27_camo, x, nl.Completion((0, 1)))
+    with pytest.raises(ValueError, match="one lane, not 2"):
+        two.step(0, 0)
+    with pytest.raises(ValueError, match="one lane, not 2"):
+        two.run(seq)
+
+
 def test_tile_repeats_a_lane():
     assert nl.tile(0b101, 3, 1) == 0b101
     assert nl.tile(0b101, 3, 5) == int("101" * 5, 2)

@@ -13,15 +13,16 @@ cone of influence (`netlist.observable_cone`, held once as
 choice for it is equivalent to every other and consistent once any
 completion is.  So UC, which such a cell with two or more candidates makes
 SAT by construction, is not asked next to one; a partial completion calls
-such a cell ambiguous without pinning it; and UMC lists the surviving
-completions projected onto the observable cells, one plain solver call per
-projection with a blocking clause after each, and checks each one for
-sequential equivalence with the first on the reduced circuit, in
+such a cell ambiguous without pinning it; and UMC lists one surviving
+completion per consistent choice of the observable cells, one plain solver
+call each with a blocking clause on those cells after it, and checks each
+one for sequential equivalence with the first on the reduced circuit
+(which keeps every cell, so a completion runs on it as it is), in
 lock-step over the states the first reaches from reset and by explicit
 product-machine reachability for any survivor that leaves lock-step.  It
-walks the projections while it lists them, in batches of doubling size,
+walks the completions while it lists them, in batches of doubling size,
 and stops listing at the first batch that holds one inequivalent to the
-first: one such projection refutes.  A bound that
+first: one such completion refutes.  A bound that
 closes at the product diameter 2^(2l) certifies on its own.  The
 lock-step walk runs the survivors as the lanes of one bit-parallel pass,
 each lane one completion over the same (state, input) scenarios, as
@@ -432,35 +433,36 @@ def check_umc(inst: AttackInstance, cfg: AttackConfig | None = None) -> bool:
     """True iff `inst.qs` is discriminating; raises InconclusiveError at the caps.
 
     Asked on the outputs' cone of influence (`observable_cone`): it lists
-    the consistent completions projected onto the observable cells, one
-    solver query per projection (see `AttackInstance.enumerate_consistent`),
-    and checks each projection for sequential equivalence with the first
-    on the reduced circuit (see `_first_inequivalent`).  This is exact: the
-    consistent completions are the consistent projections times every
+    one consistent completion per consistent choice of the observable
+    cells, one solver query each (see `AttackInstance.enumerate_consistent`),
+    and checks each one for sequential equivalence with the first on the
+    reduced circuit (see `_first_inequivalent`), which keeps every cell and
+    ignores those outside the cone.  This is exact: the consistent
+    completions are the listed choices of the observable cells times every
     choice of the other cells, and two completions are equivalent exactly
-    when their projections are equivalent on the reduced circuit.  The
-    projections are walked while they are listed: each time the list
-    reaches 2, 4, 8, ... projections, the ones listed since the last walk
-    are walked with the first, and one inequivalent to the first ends the
-    listing and refutes the check; whatever a complete listing leaves
-    unwalked is walked at its end.  So every projection is walked once, a
-    refuted check lists only up to the batch that refutes it, and a check
-    that certifies lists exactly as without the walks.  More than
-    `cfg.umc_enum_cap` projections (unless the first `cfg.umc_enum_cap` or
-    fewer have already refuted), a solver call over its budget or a product
-    cap (ProductCapError) leaves the check inconclusive, with the reason in
-    the error.  Every solver call is a query of `inst`, so the work of the
-    check is the change in `inst.stats`.
+    when they are equivalent on the reduced circuit.  The completions are
+    walked while they are listed: each time the list reaches 2, 4, 8, ...
+    completions, the ones listed since the last walk are walked with the
+    first, and one inequivalent to the first ends the listing and refutes
+    the check; whatever a complete listing leaves unwalked is walked at its
+    end.  So every completion is walked once, a refuted check lists only up
+    to the batch that refutes it, and a check that certifies lists exactly
+    as without the walks.  More than `cfg.umc_enum_cap` completions (unless
+    the first `cfg.umc_enum_cap` or fewer have already refuted), a solver
+    call over its budget or a product cap (ProductCapError) leaves the
+    check inconclusive, with the reason in the error.  Every solver call is
+    a query of `inst`, so the work of the check is the change in
+    `inst.stats`.
     """
     cfg = cfg or AttackConfig()
     if cfg.umc_mode == "skip":
         raise InconclusiveError("unbounded check disabled (umc_mode=skip)")
-    reduced, kept = inst.cone
-    walked = 1  # projections walked so far; the first is the reference
+    reduced = inst.cone[0]
+    walked = 1  # completions walked so far; the first is the reference
     refuted = False
 
     def walk(comps: list[Completion]) -> bool:
-        """Walk the projections listed since the last walk; True refutes."""
+        """Walk the completions listed since the last walk; True refutes."""
         nonlocal walked, refuted
         batch = [comps[0], *comps[walked:]]
         walked = len(comps)
@@ -469,7 +471,7 @@ def check_umc(inst: AttackInstance, cfg: AttackConfig | None = None) -> bool:
         return refuted
 
     try:
-        comps = inst.enumerate_consistent(cfg.umc_enum_cap, cfg.solver_budget, kept, walk)
+        comps = inst.enumerate_consistent(cfg.umc_enum_cap, cfg.solver_budget, walk)
     except SolverTimeoutError as exc:
         raise InconclusiveError(str(exc)) from exc
     if refuted:
@@ -673,7 +675,7 @@ def run_attack(camo: CamoCircuit, oracle, cfg: AttackConfig | None = None) -> At
     if not kept:
         # no cell reaches an output, so every completion is sequentially
         # equivalent to every other: the empty query set is discriminating
-        # (UMC on the cone, whose projections onto no cells have one member)
+        # (UMC on the cone, which lists one completion for the empty choice)
         log(lambda: ("umc", UMC, None))
         termination = UMC
         survivor = Completion((0,) * camo.k)

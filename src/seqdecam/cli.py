@@ -6,9 +6,9 @@ verify (product-machine equivalence of a claimed completion against the
 secret), report (aggregates run records into a table), serve-oracle (answers
 the pipe protocol on stdio).  Exit codes: 0 success, 1 attack failure,
 inequivalence, or an oracle conflict, timeout or protocol error, 2 usage
-error (including a malformed netlist, sidecar or completion file, and an
-output path that is not a directory or file to write), 3 inconclusive
-verification.
+error (including a malformed netlist, sidecar, completion or run-record
+file, an output path that is not a directory or file to write, and an
+oracle command that cannot be started), 3 inconclusive verification.
 """
 
 from __future__ import annotations
@@ -135,7 +135,10 @@ def _attack_one(bench: str, sidecar: str, secret: str | None, oracle_cmd: str | 
                 cfg: atk.AttackConfig, seed: int, out_dir: str) -> RunRecord:
     camo = _load_camo(bench, sidecar)
     if oracle_cmd:
-        oracle = PipeOracle(oracle_cmd, camo.num_inputs, camo.num_outputs)
+        try:
+            oracle = PipeOracle(oracle_cmd, camo.num_inputs, camo.num_outputs)
+        except (ValueError, OSError) as exc:
+            raise UsageError(f"cannot start --oracle-cmd {oracle_cmd!r}: {exc}") from None
     else:
         # the secret is read here and nowhere else: it only seeds the oracle
         secret_x = _load_completion(secret, camo)
@@ -260,9 +263,24 @@ def cmd_verify(args) -> int:
     return 1
 
 
-# the keys of a run record that `report` reads
-_REPORT_KEYS = ("benchmark", "success", "termination", "disc_size", "max_steps", "time_s",
-                "gates_fixed")
+# the keys of a run record that `report` reads, with the types each may hold;
+# a bool is not taken for a number
+_REPORT_KEYS = {
+    "benchmark": (str,), "termination": (str,), "success": (bool,),
+    "disc_size": (int,), "max_steps": (int,), "gates_fixed": (int,), "time_s": (int, float),
+}
+
+
+def _record_error(rec) -> str | None:
+    """Why `rec` is not a run record that `report` can read, or None."""
+    if not isinstance(rec, dict) or not all(k in rec for k in _REPORT_KEYS):
+        return f"is not a run record with keys {', '.join(_REPORT_KEYS)}"
+    for key, types in _REPORT_KEYS.items():
+        v = rec[key]
+        if not isinstance(v, types) or (isinstance(v, bool) and bool not in types):
+            names = " or ".join(t.__name__ for t in types)
+            return f"has {key} {v!r}, not of type {names}"
+    return None
 
 
 def cmd_report(args) -> int:
@@ -273,8 +291,9 @@ def cmd_report(args) -> int:
             rec = json.loads(_read_text(path))
         except json.JSONDecodeError as exc:
             raise UsageError(f"{path} is not JSON: {exc}") from None
-        if not isinstance(rec, dict) or not all(k in rec for k in _REPORT_KEYS):
-            raise UsageError(f"{path} is not a run record with keys {', '.join(_REPORT_KEYS)}")
+        why = _record_error(rec)
+        if why is not None:
+            raise UsageError(f"{path} {why}")
         records.append(rec)
     if not records:
         raise UsageError(f"no *.runrecord.json files under {args.dir}")

@@ -40,7 +40,7 @@ from functools import cached_property
 from typing import Callable, Sequence
 
 from .cnf import FALSE, TRUE, CnfBuilder, CnfInstance
-from .netlist import BitSeq, CamoCircuit, Completion, SlotPlan, observable_cone
+from .netlist import GATES, BitSeq, CamoCircuit, Completion, observable_cone
 from .oracle import QuerySet, record
 from . import sat as satmod
 
@@ -69,12 +69,9 @@ class KeyVector:
             for ci, t in enumerate(self.ts)
         )
 
-    def decode(
-        self, result: "satmod.SolveResult", cells: Sequence[int] | None = None
-    ) -> Completion:
-        """The completion a SAT result gives, or its projection onto `cells`."""
-        groups = self.cells if cells is None else [self.cells[c] for c in cells]
-        return Completion(tuple(map(result.word, groups)))
+    def decode(self, result: "satmod.SolveResult") -> Completion:
+        """The completion a SAT result gives."""
+        return Completion(tuple(map(result.word, self.cells)))
 
 
 def new_key_vector(bld: CnfBuilder, camo: CamoCircuit, name: str) -> KeyVector:
@@ -91,26 +88,17 @@ def new_key_vector(bld: CnfBuilder, camo: CamoCircuit, name: str) -> KeyVector:
     return kv
 
 
-# gate function -> (AND or XOR or wire, negate the inputs, negate the
-# output); OR is the negated AND of the negated inputs
-_AND, _XOR, _WIRE = 0, 1, 2
-_FN_CODES = {
-    "AND": (_AND, False, False), "NAND": (_AND, False, True),
-    "OR": (_AND, True, True), "NOR": (_AND, True, False),
-    "XOR": (_XOR, False, False), "XNOR": (_XOR, False, True),
-    "BUF": (_WIRE, False, False), "NOT": (_WIRE, False, True),
-}
-
-
 def _emit_gate(bld: CnfBuilder, fn: str, ins: list[int]) -> int:
-    kind, neg_in, neg_out = _FN_CODES[fn]
-    if kind == _AND:
-        out = bld.emit_and([-l for l in ins] if neg_in else ins)
-    elif kind == _XOR:
+    fold, inverted = GATES[fn]
+    if fold == "AND":
+        out = bld.emit_and(ins)
+    elif fold == "OR":  # the negated AND of the negated inputs
+        out = -bld.emit_and([-l for l in ins])
+    elif fold == "XOR":
         out = bld.emit_xor(ins)
     else:
         out = ins[0]
-    return -out if neg_out else out
+    return -out if inverted else out
 
 
 def emit_keyed_frame(
@@ -119,26 +107,24 @@ def emit_keyed_frame(
     key: KeyVector,
     state_lits: Sequence[int],
     input_lits: Sequence[int],
-    plan: SlotPlan | None = None,
 ) -> tuple[list[int], list[int]]:
     """One clock cycle of the keyed circuit; returns (output, next-state) literals.
 
     Any satisfying assignment makes the returned literals equal to
     step(camo, decode(key), state, input).  Camouflaged gates are encoded by
     guarding each candidate's definition with that candidate's key value.
-    `plan` defaults to `camo.plan`; a caller may pass it with its cell
-    indices renumbered to index `key`'s cells (a reduced circuit keyed by
-    its full circuit's key vector).  Raises ValueError unless there is one
-    state literal per flop and one input literal per input, and, through
-    `camo.plan`, for a gate the plan cannot take.
+    The frame walks `camo.plan`, whose cell indices index `key`'s cells: a
+    reduced circuit from `observable_cone` is keyed by its full circuit's
+    key vector.  Raises ValueError unless there is one state literal per
+    flop and one input literal per input, and, through `camo.plan`, for a
+    gate the plan cannot take.
     """
     if len(state_lits) != camo.num_flops or len(input_lits) != camo.num_inputs:
         raise ValueError(
             f"{len(state_lits)} state and {len(input_lits)} input literals for "
             f"{camo.num_flops} flops and {camo.num_inputs} inputs"
         )
-    if plan is None:
-        plan = camo.plan
+    plan = camo.plan
     clauses = bld.clauses
     off_lits = key.off_lits
     vals = [*input_lits, *state_lits]
@@ -167,26 +153,20 @@ def _const_bits(mask: int, width: int) -> list[int]:
     return [TRUE if (mask >> i) & 1 else FALSE for i in range(width)]
 
 
-def emit_consistency(
-    bld: CnfBuilder, camo: CamoCircuit, key: KeyVector, qs: QuerySet,
-    plan: SlotPlan | None = None,
-) -> None:
+def emit_consistency(bld: CnfBuilder, camo: CamoCircuit, key: KeyVector, qs: QuerySet) -> None:
     """Constrain `key` to completions reproducing every recorded query.
 
     Each record chains keyed frames from reset over its input steps, as
     constants, and pins every frame's outputs to the recorded ones.  Raises
-    ValueError when a record's output and input lengths differ.  `plan` is
-    as for `emit_keyed_frame`.
+    ValueError when a record's output and input lengths differ.
     """
-    if plan is None:
-        plan = camo.plan
     for seq, out in qs:
         if len(out) != len(seq):
             raise ValueError(f"output has {len(out)} steps for {len(seq)} input steps")
         state = _const_bits(camo.reset_state, camo.num_flops)
         for step, want in zip(seq.steps, out.steps):
             ins = _const_bits(step, camo.num_inputs)
-            outs, state = emit_keyed_frame(bld, camo, key, state, ins, plan)
+            outs, state = emit_keyed_frame(bld, camo, key, state, ins)
             for i, ol in enumerate(outs):
                 bld.add(ol if (want >> i) & 1 else -ol)
 
@@ -289,7 +269,8 @@ class AttackInstance:
     by a selector, an assumption literal, so a single incremental solver
     context answers all of them.  BMC, CE and UC assume the key vectors
     distinct (`_emit_keys_equal`).  The key vectors cover every cell of
-    `camo`; every frame is one of the reduced circuit `cone[0]`.
+    `camo`; every frame is one of the reduced circuit `cone[0]`, which keeps
+    every cell, so its plan indexes the key vectors directly.
     """
 
     def __init__(self, camo: CamoCircuit):
@@ -337,18 +318,10 @@ class AttackInstance:
         return self._ctx.solve(assumptions, time_budget=budget)
 
     @cached_property
-    def _plan(self) -> SlotPlan:
-        """The plan of the reduced circuit `cone[0]`, its cells renumbered
-        through `cone[1]` to index the full key vectors: for every frame."""
-        reduced, kept = self.cone
-        plan = reduced.plan
-        gates = tuple((kept[ci] if ci >= 0 else -1, fns, ins) for ci, fns, ins in plan.gates)
-        return SlotPlan(gates, plan.outputs, plan.nexts, plan.sources)
-
-    @cached_property
     def cone(self) -> tuple[CamoCircuit, tuple[int, ...]]:
         """The outputs' cone of influence of `camo` (`observable_cone`): the
-        reduced circuit and the indices of the kept cells, computed once."""
+        reduced circuit, which keeps every cell, and the indices of the
+        cells inside the cone, computed once."""
         return observable_cone(self.camo)
 
     @property
@@ -360,13 +333,13 @@ class AttackInstance:
     # ------------------------------------------------------------- building
 
     def ensure_frames(self, bound: int) -> None:
-        bld, camo, plan = self.bld, self.cone[0], self._plan
+        bld, camo = self.bld, self.cone[0]
         while len(self.frame_inputs) < bound:
             f = len(self.frame_inputs)
             ins = bld.new_vars(camo.num_inputs)
             bld.group(f"in{f}", ins)
-            o1, self._s1 = emit_keyed_frame(bld, camo, self.k1, self._s1, ins, plan)
-            o2, self._s2 = emit_keyed_frame(bld, camo, self.k2, self._s2, ins, plan)
+            o1, self._s1 = emit_keyed_frame(bld, camo, self.k1, self._s1, ins)
+            o2, self._s2 = emit_keyed_frame(bld, camo, self.k2, self._s2, ins)
             self.frame_inputs.append(ins)
             self._frame_flags.append(_emit_any_mismatch(bld, o1, o2))
 
@@ -383,14 +356,14 @@ class AttackInstance:
 
     def ce_selector(self) -> int:
         if self._ce_sel is None:
-            bld, camo, plan = self.bld, self.cone[0], self._plan
+            bld, camo = self.bld, self.cone[0]
             self._ce_sel = bld.new_var()
             state = bld.new_vars(camo.num_flops)
             inputs = bld.new_vars(camo.num_inputs)
             bld.group("ce_state", state)
             bld.group("ce_input", inputs)
-            o1, n1 = emit_keyed_frame(bld, camo, self.k1, state, inputs, plan)
-            o2, n2 = emit_keyed_frame(bld, camo, self.k2, state, inputs, plan)
+            o1, n1 = emit_keyed_frame(bld, camo, self.k1, state, inputs)
+            o2, n2 = emit_keyed_frame(bld, camo, self.k2, state, inputs)
             bld.add(-self._ce_sel, _emit_any_mismatch(bld, o1 + n1, o2 + n2))
         return self._ce_sel
 
@@ -406,7 +379,7 @@ class AttackInstance:
             return False
         reduced, qs = self.cone[0], QuerySet(((seq, out),))
         for key in (self.k1, self.k2):
-            emit_consistency(self.bld, reduced, key, qs, self._plan)
+            emit_consistency(self.bld, reduced, key, qs)
         self.qs = grown
         return True
 
@@ -443,34 +416,34 @@ class AttackInstance:
         self,
         cap: int,
         budget: float | None = None,
-        cells: Sequence[int] | None = None,
         stop: Callable[[list[Completion]], bool] | None = None,
     ) -> list[Completion] | None:
-        """The distinct consistent completions projected onto `cells` (cell
-        indices, all cells by default), in the order found; None once there
-        are more than `cap`.  A projection lists its cells' choices in the
-        order of `cells`.
+        """Consistent completions, one per consistent choice of the cells in
+        the outputs' cone (`cone[1]`), in the order found; None once there
+        are more than `cap`.  The cells outside the cone take whatever
+        choice the model gives them, which is consistent too.
 
         Each time the list reaches 2, 4, 8, ... (at most `cap`) completions,
         `stop(found)` is called with the list so far; True ends the listing
         there and returns the list, which may then be incomplete.
 
         Each model is found by a plain query of this instance and then
-        excluded by a blocking clause: the negated k1 key bits of `cells`,
-        guarded by a one-shot epoch literal that every model search of this
-        call assumes.  The blocking clauses enter the solver like every
-        other clause, through `bld` and `_sync`, so every model is verified
-        against every clause, blocking clauses included.  On every exit
-        (UNSAT, the cap, a timeout, a True from `stop` or an exception
-        raised inside it) the epoch is retired by the unit clause -epoch,
-        which satisfies the blocking clauses for good, so they do not
-        constrain later queries on this instance.  Raises SolverTimeoutError when one model search
-        exceeds `budget` seconds.  The counters of its solver calls are read
-        off `stats`, like those of every other query.
+        excluded by a blocking clause: the negated k1 key bits of the cells
+        in the cone, guarded by a one-shot epoch literal that every model
+        search of this call assumes.  The blocking clauses enter the solver
+        like every other clause, through `bld` and `_sync`, so every model
+        is verified against every clause, blocking clauses included.  On
+        every exit (UNSAT, the cap, a timeout, a True from `stop` or an
+        exception raised inside it) the epoch is retired by the unit clause
+        -epoch, which satisfies the blocking clauses for good, so they do
+        not constrain later queries on this instance.  Raises
+        SolverTimeoutError when one model search exceeds `budget` seconds.
+        The counters of its solver calls are read off `stats`, like those of
+        every other query.
         """
         epoch = self.bld.new_var()
         kv = self.k1
-        key = kv.all_vars() if cells is None else [v for c in cells for v in kv.cells[c]]
+        key = [v for c in self.cone[1] for v in kv.cells[c]]
         found: list[Completion] = []
         checkpoint = 2
         try:
@@ -480,7 +453,7 @@ class AttackInstance:
                     raise satmod.SolverTimeoutError("solver budget exhausted during enumeration")
                 if res.status == satmod.UNSAT:
                     return found
-                found.append(kv.decode(res, cells))
+                found.append(kv.decode(res))
                 if len(found) > cap:
                     return None
                 if len(found) == checkpoint:

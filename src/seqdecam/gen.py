@@ -9,6 +9,7 @@ from .netlist import (
     CamoCircuit,
     Circuit,
     Completion,
+    GATE_FUNCTIONS,
     Gate,
     UNARY_FUNCTIONS,
     build_circuit,
@@ -16,8 +17,6 @@ from .netlist import (
 )
 # perfbench/tracing.py patches this name here, so it stays importable
 from .netlist import parse_bench  # noqa: F401
-
-_TAGS = ("AND", "OR", "NAND", "NOR", "XOR", "XNOR", "NOT", "BUF")
 
 
 def random_circuit(
@@ -38,7 +37,7 @@ def random_circuit(
     avail = list(inputs + states)
     gates: list[Gate] = []
     for gi in range(ng):
-        tag = rng.choice(_TAGS)
+        tag = rng.choice(GATE_FUNCTIONS)
         arity = 1 if tag in UNARY_FUNCTIONS else rng.randint(2, min(3, len(avail) + 1))
         ins = tuple(rng.choice(avail) for _ in range(arity))
         out = f"g{gi}"

@@ -15,18 +15,27 @@ int and runs each gate as a bitwise fold.
 
 from __future__ import annotations
 
+import operator
 import re
 import warnings
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
 from typing import Iterable, Sequence
 
 import numpy as np
 
-# Function alphabet.  NOT/BUF are unary, everything else takes >= 2 inputs.
-# XOR/XNOR generalize to parity / inverted parity for arity > 2.
-GATE_FUNCTIONS = ("AND", "OR", "NAND", "NOR", "XOR", "XNOR", "NOT", "BUF")
-UNARY_FUNCTIONS = ("NOT", "BUF")
+# The function alphabet, the one place each function is defined: its fold
+# over the inputs (AND, OR, XOR, or BUF for the one input of NOT and BUF;
+# every other function takes >= 2 inputs) and whether the output is
+# inverted.  XOR/XNOR are parity / inverted parity for arity > 2.
+GATES = {
+    "AND": ("AND", False), "OR": ("OR", False),
+    "NAND": ("AND", True), "NOR": ("OR", True),
+    "XOR": ("XOR", False), "XNOR": ("XOR", True),
+    "NOT": ("BUF", True), "BUF": ("BUF", False),
+}
+GATE_FUNCTIONS = tuple(GATES)
+UNARY_FUNCTIONS = tuple(fn for fn, (fold, _) in GATES.items() if fold == "BUF")
 
 CAMO_TAG = "CAMO"  # placeholder tag after the original identity is erased
 
@@ -188,7 +197,8 @@ class SlotPlan:
                 if j:  # the previous step's value first
                     part = [self.sources + len(steps) - 1, *part]
                 last = j == len(parts) - 1
-                tabs = tuple(_truth_table(fn if last else _BASE.get(fn, fn), len(part))
+                # a chain folds with the gate's fold and inverts at its end
+                tabs = tuple(_truth_table(GATES[fn][0], last and GATES[fn][1], len(part))
                              for fn in fns)
                 if ci >= 0 and tabs.count(tabs[0]) < len(tabs):
                     cells.append((len(steps), ci, tabs))
@@ -228,7 +238,9 @@ class CamoCircuit:
     ``base`` carries ``CAMO_TAG`` at every camouflaged gate; the original
     function tags are erased and are not recoverable from this object.
     ``reset_state`` is an integer bit mask, bit i = initial value of the
-    i-th declared flip-flop.
+    i-th declared flip-flop.  A cell may name no gate of ``base``: the
+    reduced circuits of `observable_cone` keep every cell of the full one,
+    so both number the cells, and their completions, alike.
     """
 
     base: Circuit
@@ -303,15 +315,17 @@ class CamoCircuit:
 
 
 def observable_cone(camo: CamoCircuit) -> tuple[CamoCircuit, tuple[int, ...]]:
-    """The outputs' sequential cone of influence: (reduced circuit, kept cells).
+    """The outputs' sequential cone of influence: (reduced circuit, cells in it).
 
     Walks back from the outputs through gate inputs and flip-flop data nets.
-    The reduced circuit keeps every input and output, the flops, gates and
-    cells the walk reaches (flops and gates in their order, reset bits
-    remapped); the second item holds the indices of the kept cells.  Nothing
-    outside the cone can reach an output at any time, so the reduced circuit
-    under a completion's kept choices gives the same outputs as the full one
-    on every sequence.  Returns `camo` itself when nothing is outside.
+    The reduced circuit keeps every input and output, the flops and gates
+    the walk reaches (in their order, reset bits remapped) and every cell of
+    `camo`, so a completion of `camo` is one of the reduced circuit too; a
+    cell outside the cone just has no gate there.  The second item holds the
+    indices of the cells inside the cone.  Nothing outside the cone can
+    reach an output at any time, so the reduced circuit under a completion
+    gives the same outputs as the full one on every sequence.  Returns
+    `camo` itself when nothing is outside.
     """
     base = camo.base
     data = dict(base.flops)
@@ -329,12 +343,12 @@ def observable_cone(camo: CamoCircuit) -> tuple[CamoCircuit, tuple[int, ...]]:
             todo.extend(by_out[net].ins)
     flops = [(i, f) for i, f in enumerate(base.flops) if f[0] in live]
     gates = tuple(g for g in base.gates if g.out in live)
-    if len(flops) == base.num_flops and len(gates) == len(base.gates):
-        return camo, tuple(range(camo.k))
     kept = tuple(i for i, c in enumerate(camo.cells) if c.gate_out in live)
+    if len(flops) == base.num_flops and len(gates) == len(base.gates):
+        return camo, kept
     reset = sum(((camo.reset_state >> i) & 1) << j for j, (i, _) in enumerate(flops))
     reduced = Circuit(base.name, base.inputs, base.outputs, tuple(f for _, f in flops), gates)
-    return CamoCircuit(reduced, tuple(camo.cells[i] for i in kept), reset), kept
+    return CamoCircuit(reduced, camo.cells, reset), kept
 
 
 @dataclass(frozen=True)
@@ -679,49 +693,28 @@ def parse_completion_file(text: str, camo: CamoCircuit) -> Completion:
 
 # -------------------------------------------------------------- simulation
 
-_OPS = {
-    "AND": lambda vals, mask: _fold_and(vals),
-    "OR": lambda vals, mask: _fold_or(vals),
-    "NAND": lambda vals, mask: _fold_and(vals) ^ mask,
-    "NOR": lambda vals, mask: _fold_or(vals) ^ mask,
-    "XOR": lambda vals, mask: _fold_xor(vals),
-    "XNOR": lambda vals, mask: _fold_xor(vals) ^ mask,
-    "NOT": lambda vals, mask: vals[0] ^ mask,
-    "BUF": lambda vals, mask: vals[0],
-}
+# the bitwise op each fold applies between two inputs; BUF has one input
+_FOLDS = {"AND": operator.and_, "OR": operator.or_, "XOR": operator.xor, "BUF": operator.and_}
 
 
-def _fold_and(vals):
-    r = vals[0]
-    for v in vals[1:]:
-        r &= v
-    return r
+def _bit_op(fn: str):
+    """`fn` on bit-parallel values: op(vals, mask), `mask` all ones."""
+    fold, inverted = GATES[fn]
+    f = _FOLDS[fold]
+    if inverted:
+        return lambda vals, mask: reduce(f, vals) ^ mask
+    return lambda vals, mask: reduce(f, vals)
 
 
-def _fold_or(vals):
-    r = vals[0]
-    for v in vals[1:]:
-        r |= v
-    return r
-
-
-def _fold_xor(vals):
-    r = vals[0]
-    for v in vals[1:]:
-        r ^= v
-    return r
-
-
-# the function a wide gate's chain folds with before its last step inverts
-_BASE = {"NAND": "AND", "NOR": "OR", "XNOR": "XOR", "NOT": "BUF"}
+_OPS = {fn: _bit_op(fn) for fn in GATES}
 
 
 @cache
-def _truth_table(fn: str, arity: int) -> tuple[int, ...]:
-    """`fn` over the low `arity` bits of a 3-bit index (bit j = input j);
-    the higher bits are ignored.  One table per (function, arity)."""
-    op = _OPS[fn]
-    return tuple(op([(i >> j) & 1 for j in range(arity)], 1) for i in range(8))
+def _truth_table(fold: str, inverted: bool, arity: int) -> tuple[int, ...]:
+    """A fold over the low `arity` bits of a 3-bit index (bit j = input j),
+    inverted or not; the higher bits are ignored.  One table per key."""
+    f = _FOLDS[fold]
+    return tuple(reduce(f, [(i >> j) & 1 for j in range(arity)]) ^ inverted for i in range(8))
 
 
 def _walk(steps, vals: list[int]) -> None:

@@ -132,13 +132,17 @@ class PipeOracle:
     Each query waits at most ``timeout`` seconds for its answer line; past
     that the process is killed and the query raises OracleTimeoutError.  A
     daemon thread reads the process's stdout into a queue, so a hung or
-    half-written answer cannot block the caller.
+    half-written answer cannot block the caller.  A command that is empty
+    or does not split (an unclosed quote) raises ValueError, and one that
+    cannot be started OSError.
     """
 
     def __init__(self, argv: list[str] | str, num_inputs: int, num_outputs: int,
                  timeout: float = QUERY_TIMEOUT_S):
         if isinstance(argv, str):
             argv = shlex.split(argv)
+        if not argv:
+            raise ValueError("empty oracle command")
         self.num_inputs = num_inputs
         self.num_outputs = num_outputs
         self.timeout = timeout

@@ -247,13 +247,13 @@ def test_umc_finds_an_inequivalent_survivor_past_the_second(monkeypatch):
     assert run_sequence(camo, comps[0], w) != run_sequence(camo, comps[2], w)
     asked = []
 
-    def enumerate_consistent(self, cap, budget=None, cells=None, stop=None):
-        asked.append(tuple(cells))
+    def enumerate_consistent(self, cap, budget=None, stop=None):
+        asked.append((cap, budget))
         return comps
 
     monkeypatch.setattr(AttackInstance, "enumerate_consistent", enumerate_consistent)
     assert atk.check_umc(AttackInstance(camo), atk.AttackConfig()) is False
-    assert asked == [(0, 1)]
+    assert asked == [(atk.AttackConfig().umc_enum_cap, None)]
 
 
 def test_umc_walks_each_projection_once_in_listing_batches(monkeypatch):
@@ -266,7 +266,7 @@ def test_umc_walks_each_projection_once_in_listing_batches(monkeypatch):
     camo = camouflage(parse_bench(src, "unread_flop2"), ["g", "y"], ["AND", "OR"])
     comps = [Completion((0, 0)), Completion((1, 0)), Completion((0, 1))]
 
-    def enumerate_consistent(self, cap, budget=None, cells=None, stop=None):
+    def enumerate_consistent(self, cap, budget=None, stop=None):
         return comps[:2] if stop(comps[:2]) else comps
 
     walks = []
@@ -285,8 +285,8 @@ def test_umc_walks_each_projection_once_in_listing_batches(monkeypatch):
 def test_umc_counts_only_observable_cells_against_the_cap():
     # seeded circuit: cells g7 and g0 reach the output, g1 does not; after
     # the attack's query set its observable cells have one consistent
-    # projection, which the cap of 1 admits, while the two choices of g1
-    # made the full completions exceed it
+    # choice, so the listing holds one completion, which the cap of 1
+    # admits, while the two choices of g1 make two consistent completions
     from seqdecam.netlist import observable_cone
 
     rng = random.Random(9)
@@ -294,9 +294,11 @@ def test_umc_counts_only_observable_cells_against_the_cap():
     rep = atk.run_attack(camo, BlackBox(camo, secret), atk.AttackConfig(bmc_inc=1, max_bound=4))
     _, kept = observable_cone(camo)
     assert kept == (0, 1) and rep.unobservable == ("g1",)
+    assert len([x for x in camo.all_completions() if atk.consistent(camo, x, rep.disc_set)]) == 2
     inst = AttackInstance.from_queries(camo, rep.disc_set)
-    assert len(inst.enumerate_consistent(4)) == 2
-    assert inst.enumerate_consistent(4, None, kept) == [Completion(secret.choices[:2])]
+    (found,) = inst.enumerate_consistent(4)
+    assert found.choices[:2] == secret.choices[:2]
+    assert atk.consistent(camo, found, rep.disc_set)
     assert atk.check_umc(inst, atk.AttackConfig(umc_enum_cap=1)) is True
     assert atk.brute_force_disc(camo, rep.disc_set) is True
 
@@ -316,10 +318,14 @@ def test_umc_certifies_with_every_cell_unobservable():
 
     camo = camouflage(parse_bench(DEAD_FLOP, "dead_flop"), ["g"], ["AND", "OR"])
     reduced, kept = observable_cone(camo)
-    assert kept == () and reduced.cells == () and reduced.num_flops == 0
+    assert kept == () and reduced.num_flops == 0
+    # the reduced circuit keeps the cell, which names no gate there
+    assert reduced.cells == camo.cells and "g" not in reduced.base.gate_by_out
     inst = AttackInstance(camo)
-    assert inst.enumerate_consistent(1, None, kept) == [Completion(())]
-    assert inst.enumerate_consistent(1) is None  # both choices of g
+    # one completion for the empty choice of observable cells, though both
+    # choices of g are consistent
+    (found,) = inst.enumerate_consistent(1)
+    assert found in (Completion((0,)), Completion((1,)))
     assert atk.check_umc(inst, atk.AttackConfig(umc_enum_cap=1)) is True
 
 
@@ -561,7 +567,7 @@ def test_enumeration_calls_stop_at_each_doubling_up_to_the_cap():
     inst = AttackInstance(_twin_chain())
     for cap, checkpoints, listed in ((32, [2, 4, 8, 16, 32], 32), (20, [2, 4, 8, 16], None)):
         seen = []
-        got = inst.enumerate_consistent(cap, None, None, lambda found: seen.append(len(found)))
+        got = inst.enumerate_consistent(cap, None, lambda found: seen.append(len(found)))
         assert seen == checkpoints
         assert (got if got is None else len(got)) == listed
 
@@ -579,8 +585,7 @@ def test_a_certifying_check_lists_as_without_walks(monkeypatch, s27_camo):
         walked = list(calls)
         calls.clear()
         inst = make()
-        assert len(inst.enumerate_consistent(atk.AttackConfig().umc_enum_cap, None,
-                                             inst.cone[1])) == n
+        assert len(inst.enumerate_consistent(atk.AttackConfig().umc_enum_cap)) == n
         assert calls == walked and walked[-1][0] == sm.UNSAT
 
 
@@ -961,24 +966,6 @@ def _s344_shaped(circuit_seed, k):
     return random_camo(rng, c, k=k)
 
 
-def test_enumeration_is_pinned():
-    # the model listing of explicit UMC on an s344-shaped circuit
-    # (perfbench's S344_SHAPE, circuit 3, k=10) after the attack's first
-    # query: one plain solver call per model, each from level 0, with a
-    # blocking clause added after it; values recorded with the record frames
-    # emitted over the outputs' cone of influence
-    camo, secret = _s344_shaped(3, 10)
-    inst = AttackInstance(camo)
-    _, _, seq = atk.find_distinguishing(inst, 1)
-    inst.add_record(seq, BlackBox(camo, secret).query(seq))
-    before = inst.stats
-    found = inst.enumerate_consistent(cap=4096)
-    after = inst.stats
-    assert len(set(found)) == len(found) == 256 and secret in found
-    assert (after.decisions - before.decisions, after.propagations - before.propagations) == (
-        5503, 15599)
-
-
 def _umc_1_k32():
     """umc344's umc_1_k32 (s344-shaped circuit 1, k=32, one bounded-search
     frame): its config and an instance holding its 4 bounded-search records."""
@@ -989,13 +976,31 @@ def _umc_1_k32():
     return cfg, AttackInstance.from_queries(camo, rep.disc_set)
 
 
+def test_enumeration_is_pinned():
+    # the whole listing of umc_1_k32's observable cells after its 4
+    # records: one plain solver call per consistent choice of the 17 cells
+    # in the cone, each from level 0, with a blocking clause on those cells
+    # added after it; every listed completion is distinct there and
+    # re-simulates consistent on the full circuit
+    cfg, inst = _umc_1_k32()
+    kept = inst.cone[1]
+    before = inst.stats
+    found = inst.enumerate_consistent(cfg.umc_enum_cap)
+    after = inst.stats
+    assert len(kept) == 17
+    assert len({tuple(x.choices[c] for c in kept) for x in found}) == len(found) == 64
+    assert all(atk.consistent(inst.camo, x, inst.qs) for x in found)
+    assert (after.decisions - before.decisions, after.propagations - before.propagations) == (
+        2578, 8907)
+
+
 def test_umc_stops_listing_at_the_first_batch_that_refutes(monkeypatch):
     cfg, inst = _umc_1_k32()
     calls = _solver_calls(monkeypatch)
     assert atk.check_umc(inst, cfg) is False
     assert 2 <= len(calls) <= 4 and {c[0] for c in calls} == {sm.SAT}
     # the whole listing is 16 times longer
-    assert len(inst.enumerate_consistent(512, None, inst.cone[1])) == 64
+    assert len(inst.enumerate_consistent(512)) == 64
 
 
 def test_every_clause_reaches_the_solver_through_the_builder():

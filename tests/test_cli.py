@@ -398,6 +398,60 @@ def test_report_over_a_malformed_run_record_is_usage_error(tmp_path, capsys, tex
     assert capsys.readouterr().err.startswith("error: ")
 
 
+_GOOD_RECORDS = (
+    {"benchmark": "x", "k": 2, "seed": 0, "disc_size": 3, "max_steps": 4, "time_s": 1.5,
+     "termination": "UC", "gates_fixed": 2, "success": True},
+    {"benchmark": "x", "k": 2, "seed": 1, "disc_size": 2, "max_steps": 1, "time_s": 0.5,
+     "termination": "EXHAUSTED", "gates_fixed": 1, "success": False},
+)
+
+
+@pytest.mark.parametrize("index, key, value", [
+    (0, "benchmark", ["s27"]), (0, "termination", 3), (0, "success", "yes"), (0, "success", 1),
+    (0, "disc_size", "two"), (0, "max_steps", 2.5), (0, "disc_size", True),
+    (1, "gates_fixed", [1]), (1, "gates_fixed", False), (0, "time_s", "1.5"),
+    (0, "time_s", True), (0, "time_s", None),
+])
+def test_report_over_a_run_record_of_the_wrong_type_is_usage_error(tmp_path, capsys,
+                                                                  index, key, value):
+    # checked before any line of the table is printed
+    for i, rec in enumerate(_GOOD_RECORDS):
+        rec = {**rec, key: value} if i == index else rec
+        (tmp_path / f"r{i}.runrecord.json").write_text(json.dumps(rec))
+    assert run_cli("report", tmp_path) == 2
+    out = capsys.readouterr()
+    assert out.err.startswith(f"error: {tmp_path / f'r{index}.runrecord.json'} has {key} ")
+    assert out.err.count("\n") == 1 and out.out == ""
+
+
+def test_report_takes_an_int_time(tmp_path, capsys):
+    for i, rec in enumerate(_GOOD_RECORDS):
+        (tmp_path / f"r{i}.runrecord.json").write_text(json.dumps({**rec, "time_s": 2}))
+    assert run_cli("report", tmp_path) == 0
+    assert "1/0/0" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("cmd", [" ", "'unterminated", None, "/nonexistent/oracle"],
+                         ids=["blank", "unclosed-quote", "not-executable", "missing"])
+def test_an_oracle_command_that_cannot_start_is_usage_error(workdir, tmp_path, capsys,
+                                                            monkeypatch, cmd):
+    def no_attack(*args):
+        raise AssertionError("the attack ran without an oracle process")
+
+    monkeypatch.setattr(atk, "run_attack", no_attack)
+    if cmd is None:
+        script = tmp_path / "oracle.sh"
+        script.write_text("#!/bin/sh\n")
+        script.chmod(0o644)
+        cmd = str(script)
+    rc = run_cli("attack", "--bench", S27, "--sidecar", _sidecar(workdir),
+                 "--oracle-cmd", cmd, "--out", tmp_path / "out")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot start --oracle-cmd") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_attack_over_a_sidecar_directory_takes_no_oracle_source(workdir, capsys):
     # the directory's own .secret files are the oracles; a --secret or
     # --oracle-cmd next to it used to be ignored without a word

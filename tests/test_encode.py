@@ -332,8 +332,7 @@ def _brute_force_verdicts(camo, qs, bound=2):
         return memo[state, depth]
 
     runs = {tree(x, camo.reset_state, bound, {}) for x in comps}
-    reduced, kept = observable_cone(camo)
-    frames = _step_tables(reduced, {Completion(tuple(x.choices[c] for c in kept)) for x in comps})
+    frames = _step_tables(observable_cone(camo)[0], comps)
     verdict = lambda differ: sm.SAT if differ else sm.UNSAT
     return verdict(len(runs) > 1), verdict(len(comps) > 1), verdict(len(frames) > 1)
 
@@ -419,8 +418,27 @@ def test_cone_frames_keep_every_verdict():
             assert inst.solve_bmc(b).status == bmc
         assert inst.solve_uc().status == uc
         assert inst.solve_ce().status == ce
+        kept = inst.cone[1]
+        want = {tuple(x[c] for c in kept) for x in _consistent_set_by_simulation(camo, qs)}
         found = inst.enumerate_consistent(cap=64)
-        assert {x.choices for x in found} == _consistent_set_by_simulation(camo, qs)
+        assert sorted(tuple(x.choices[c] for c in kept) for x in found) == sorted(want)
+
+
+def test_listing_holds_one_consistent_completion_per_cone_choice():
+    # brute force: each consistent choice of the cells in the outputs' cone
+    # is listed exactly once, in a completion that re-simulates consistent
+    # on the full circuit, dead cells and all
+    with_dead_cells = 0
+    for camo, _, qs in _circuits_with_dead_logic(71, 100):
+        inst = AttackInstance.from_queries(camo, qs)
+        kept = inst.cone[1]
+        consistent_set = _consistent_set_by_simulation(camo, qs)
+        want = sorted({tuple(x[c] for c in kept) for x in consistent_set})
+        found = inst.enumerate_consistent(cap=64)
+        assert sorted(tuple(x.choices[c] for c in kept) for x in found) == want
+        assert all(x.choices in consistent_set for x in found)
+        with_dead_cells += len(kept) < camo.k
+    assert with_dead_cells > 10
 
 
 def test_cone_ce_certifies_only_discriminating_sets():
@@ -551,8 +569,13 @@ def _enumeration_cases(s27_camo):
 
 
 def test_enumeration_matches_brute_force_sweep(s27_camo):
+    # one consistent completion per consistent choice of the cells in the
+    # outputs' cone
     for camo, qs in _enumeration_cases(s27_camo):
-        want = {x.choices for x in camo.all_completions() if consistent(camo, x, qs)}
+        kept = observable_cone(camo)[1]
+        cone_choices = lambda comps: sorted(tuple(x.choices[c] for c in kept) for x in comps)
+        want = sorted({tuple(x.choices[c] for c in kept)
+                       for x in camo.all_completions() if consistent(camo, x, qs)})
         n = len(want)
         inst = _instance_of(camo, qs)
         for cap in (n - 1, n, n + 1):
@@ -561,9 +584,10 @@ def test_enumeration_matches_brute_force_sweep(s27_camo):
             if cap < n:
                 assert got is None
                 continue
-            assert len(got) == n and {x.choices for x in got} == want
+            assert cone_choices(got) == want
+            assert all(consistent(camo, x, qs) for x in got)
             again = AttackInstance.from_queries(camo, qs).enumerate_consistent(cap)
-            assert len(again) == n and {x.choices for x in again} == want
+            assert cone_choices(again) == want
         # two fresh instances list the same completions in the same order
         first = _instance_of(camo, qs).enumerate_consistent(n)
         assert _instance_of(camo, qs).enumerate_consistent(n) == first
@@ -621,13 +645,13 @@ def test_enumeration_leaves_level_0_on_every_exit(monkeypatch, s27_camo):
     assert len(syncs) == 4  # the failed one, then the one that retires the epoch
     monkeypatch.undo()
     # `stop` ends the listing at its first checkpoint, or raises there
-    assert len(listing(10, None, None, lambda found: True)) == 2
+    assert len(listing(10, None, lambda found: True)) == 2
 
     def cap_hit(found):
         raise ProductCapError("product state cap 1 exceeded")
 
     with pytest.raises(ProductCapError):
-        listing(10, None, None, cap_hit)
+        listing(10, None, cap_hit)
     # later queries answer as on a fresh instance
     fresh = AttackInstance(s27_camo)
     for bound in (1, 2, 3):

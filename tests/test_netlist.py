@@ -483,14 +483,31 @@ def test_observable_cone_gives_the_same_outputs(seed):
     rng = random.Random(seed)
     camo = _random_camo_with_reset(rng)
     hypothesis.assume(camo is not None)
-    reduced, kept = nl.observable_cone(camo)
-    assert reduced.cells == tuple(camo.cells[i] for i in kept)
+    reduced, _ = nl.observable_cone(camo)
+    assert reduced.cells == camo.cells  # one numbering: every completion runs on both
     m = camo.num_inputs
     for _ in range(8):
         x = nl.Completion(tuple(rng.randrange(c.t) for c in camo.cells))
         seq = nl.BitSeq(m, tuple(rng.randrange(1 << m) for _ in range(rng.randint(1, 8))))
-        projected = nl.Completion(tuple(x.choices[i] for i in kept))
-        assert nl.run_sequence(reduced, projected, seq) == nl.run_sequence(camo, x, seq)
+        assert nl.run_sequence(reduced, x, seq) == nl.run_sequence(camo, x, seq)
+
+
+def test_observable_cone_keeps_every_cell_under_its_own_index():
+    # a cell index in the reduced circuit's plan names the gate it names in
+    # the full circuit, with the same candidates, and every cell in the
+    # cone has its one gate there
+    rng = random.Random(29)
+    for _ in range(200):
+        camo = _random_camo_with_reset(rng)
+        if camo is None:
+            continue
+        reduced, kept = nl.observable_cone(camo)
+        placed = []
+        for g, (ci, fns, _) in zip(reduced.base.gates, reduced.plan.gates):
+            if ci >= 0:
+                assert camo.cells[ci].gate_out == g.out and fns == camo.cells[ci].candidates
+                placed.append(ci)
+        assert sorted(placed) == list(kept)
 
 
 def _reaches_an_output(circuit):

@@ -6,6 +6,10 @@ attack per (benchmark, seed), run records collected and summarized.
 
     python scripts/run_attack_table.py --bench s344 s349 --k 32 --seeds 10 \
         --out results/ --jobs 4
+
+A benchmark stops at its first step that fails, and the script goes on to
+the next one and exits with the first such code; attacks that end without
+success (exit 1) are results, and their benchmark is still reported.
 """
 
 import argparse
@@ -35,21 +39,32 @@ def main() -> int:
         bench = BENCH_DIR / f"{name}.bench"
         if not bench.exists():
             print(f"{name}: missing {bench}; run scripts/fetch_benchmarks.py first")
-            rc = 1
+            rc = rc or 1
             continue
-        indir = out / name / "in"
-        for seed in range(args.seeds):
-            cli([
-                "camouflage", "--bench", str(bench), "--k", str(args.k),
-                "--seed", str(seed), "--out", str(indir),
-            ])
-        rc |= cli([
-            "attack", "--bench", str(bench), "--sidecar", str(indir),
-            "--bmc-inc", str(args.bmc_inc), "--max-bound", str(args.max_bound),
-            "--jobs", str(args.jobs), "--out", str(out / name / "runs"),
-        ])
-        cli(["report", str(out / name / "runs"), "--csv", str(out / name / "table.csv")])
+        step = _table(bench, out / name, args)
+        rc = rc or step
     return rc
+
+
+def _table(bench: Path, out: Path, args) -> int:
+    """Camouflage, attack and report one benchmark: the exit code of the
+    first step that fails, else the attack's."""
+    indir = out / "in"
+    for seed in range(args.seeds):
+        step = cli([
+            "camouflage", "--bench", str(bench), "--k", str(args.k),
+            "--seed", str(seed), "--out", str(indir),
+        ])
+        if step:
+            return step
+    attacked = cli([
+        "attack", "--bench", str(bench), "--sidecar", str(indir),
+        "--bmc-inc", str(args.bmc_inc), "--max-bound", str(args.max_bound),
+        "--jobs", str(args.jobs), "--out", str(out / "runs"),
+    ])
+    if attacked not in (0, 1):
+        return attacked
+    return cli(["report", str(out / "runs"), "--csv", str(out / "table.csv")]) or attacked
 
 
 if __name__ == "__main__":

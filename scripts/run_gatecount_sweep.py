@@ -4,6 +4,9 @@ discriminating-set growth (s1196 with k = 32..256 in the reference
 experiment).
 
     python scripts/run_gatecount_sweep.py --bench s1196 --ks 32 64 128 256
+
+Stops at the first step that fails and exits with its code; an attack that
+ends without success (exit 1) is a result, and the sweep goes on.
 """
 
 import argparse
@@ -32,19 +35,26 @@ def main() -> int:
     rc = 0
     for k in args.ks:
         indir = out / f"k{k}" / "in"
-        cli([
+        step = cli([
             "camouflage", "--bench", str(bench), "--k", str(k),
             "--seed", str(args.seed), "--out", str(indir),
         ])
-        sidecar = next(indir.glob("*.sidecar"))
-        rc |= cli([
+        if step:
+            return step
+        sidecar = indir / f"{bench.stem}.k{k}.s{args.seed}.sidecar"  # the name camouflage gives
+        step = cli([
             "attack", "--bench", str(bench), "--sidecar", str(sidecar),
             "--secret", str(sidecar.with_suffix(".secret")),
             "--out", str(out / f"k{k}" / "runs"),
         ])
+        if step not in (0, 1):
+            return step
+        rc = rc or step
     print("\naggregate:")
     for k in args.ks:
-        cli(["report", str(out / f"k{k}" / "runs")])
+        step = cli(["report", str(out / f"k{k}" / "runs")])
+        if step:
+            return step
     return rc
 
 

@@ -24,9 +24,8 @@ walks the completions while it lists them, in batches of doubling size,
 and stops listing at the first batch that holds one inequivalent to the
 first: one such completion refutes.  A bound that
 closes at the product diameter 2^(2l) certifies on its own.  The
-lock-step walk runs the survivors as the lanes of one bit-parallel pass,
-each lane one completion over the same (state, input) scenarios, as
-parallel fault simulation runs faulty machines.  Every check
+lock-step walk runs each survivor in its own bit-parallel pass over the
+same (state, input) scenarios as the first.  Every check
 takes the attack's one incremental `AttackInstance`, which holds the
 records (`inst.qs`) and answers every solver question about them over
 frames of the reduced circuit, which gives the full one's outputs; so a
@@ -56,7 +55,7 @@ from . import sat as satmod
 from .encode import AttackInstance
 # perfbench/tracing.py patches these four names here, so they stay importable
 from .encode import encode_bmc_disagreement, encode_ce, encode_consistency, encode_uc  # noqa: F401
-from .netlist import BitSeq, CamoCircuit, Completion, Evaluator, run_sequence, tile
+from .netlist import BitSeq, CamoCircuit, Completion, Evaluator, run_sequence
 from .oracle import QuerySet
 from .sat import SolverTimeoutError
 
@@ -65,7 +64,7 @@ EXHAUSTED, TIMEOUT_TAG = "EXHAUSTED", "TIMEOUT"
 # caps of the explicit product search in check_umc, read when the check runs
 PRODUCT_STATE_CAP = 1 << 26
 PRODUCT_EXPAND_CAP = 1 << 26
-# widest wire, in scenarios times lanes, that a product search evaluates
+# widest wire, in scenarios, that a product search evaluates
 WIRE_BITS = 1 << 17
 
 
@@ -351,9 +350,8 @@ def _first_inequivalent(
     Equivalence is transitive, so each completion is checked against the
     reference comps[0] alone.  One breadth-first search walks the states the
     reference reaches from reset and evaluates every completion still in
-    lock-step on the same (state, input) scenarios, each in one lane of a
-    bit-parallel pass (`Evaluator` over several completions): one pass per
-    chunk of the frontier and batch of lanes, with no wire wider than
+    lock-step on the same (state, input) scenarios: one bit-parallel pass
+    per completion and chunk of the frontier, with no wire wider than
     `WIRE_BITS` unless one state's 2^m inputs alone are wider.  A
     completion that matches the reference's outputs and next states on all
     of them visits exactly the reference's states, so it is equivalent; the
@@ -368,16 +366,14 @@ def _first_inequivalent(
         raise ProductCapError(f"2^{m} inputs per state exceeds the expansion cap")
     ref = comps[0]
     ev_ref = Evaluator(camo, ref)
-    lanes = max(1, WIRE_BITS // p)  # completions per pass
-    lockstep = list(comps[1:])
-    batches = _lane_batches(camo, lockstep, lanes)
+    lockstep = [(x, Evaluator(camo, x)) for x in comps[1:]]
     visited = {camo.reset_state}
     frontier = [camo.reset_state]
     expansions = 0
+    chunk_states = max(1, WIRE_BITS // p)
     input_patterns = [_input_pattern(i, m) for i in range(m)]
     while frontier:
         nxt_frontier: list[int] = []
-        chunk_states = max(1, WIRE_BITS // (p * min(lanes, len(lockstep))))
         for c0 in range(0, len(frontier), chunk_states):
             chunk = frontier[c0 : c0 + chunk_states]
             w = len(chunk) * p
@@ -386,17 +382,17 @@ def _first_inequivalent(
                 raise ProductCapError(f"product expansion cap {expand_cap} exceeded")
             ins, st = _pack_chunk(chunk, l, input_patterns)
             want = ev_ref.eval(st, ins, w)
-            left = [x for ev in batches for x in _out_of_lockstep(ev, ev.eval(st, ins, w), want, w)]
-            if left:
-                for x in left:
-                    witness = product_equiv(camo, ref, x, state_cap, expand_cap)
-                    if witness is not None:
-                        return witness
-                gone = set(left)
-                lockstep = [x for x in lockstep if x not in gone]
-                if not lockstep:
-                    return None
-                batches = _lane_batches(camo, lockstep, lanes)
+            still = []
+            for x, ev in lockstep:
+                if ev.eval(st, ins, w) == want:
+                    still.append((x, ev))
+                    continue
+                witness = product_equiv(camo, ref, x, state_cap, expand_cap)
+                if witness is not None:
+                    return witness
+            lockstep = still
+            if not lockstep:
+                return None
             for key in _distinct(_scenario_keys(want[1], w)).tolist():
                 if key not in visited:
                     visited.add(key)
@@ -405,26 +401,6 @@ def _first_inequivalent(
                         raise ProductCapError(f"product state cap {state_cap} exceeded")
         frontier = nxt_frontier
     return None
-
-
-def _lane_batches(camo: CamoCircuit, comps: Sequence[Completion], lanes: int) -> list[Evaluator]:
-    """One evaluator per run of at most `lanes` completions, in order."""
-    return [Evaluator(camo, *comps[i : i + lanes]) for i in range(0, len(comps), lanes)]
-
-
-def _out_of_lockstep(
-    ev: Evaluator, got: tuple[list[int], list[int]], want: tuple[list[int], list[int]], width: int
-) -> list[Completion]:
-    """The completions of `ev`'s lanes whose outputs or next states in `got`
-    differ somewhere from the single lane `want`, in lane order."""
-    lanes = ev.lanes
-    diff = 0
-    for a, b in zip(got[0] + got[1], want[0] + want[1]):
-        diff |= a ^ tile(b, width, lanes)
-    if not diff:
-        return []
-    differs = _bits_array(diff, lanes * width).reshape(lanes, width).any(axis=1)
-    return [x for x, d in zip(ev.completions, differs.tolist()) if d]
 
 
 # -------------------------------------------------------- unbounded check

@@ -5,12 +5,12 @@ with D flip-flops acting as cut points between clock cycles.  Camouflaging
 replaces the function tag of selected gates with an opaque cell carrying a
 list of candidate functions; a completion picks one candidate per cell.
 
-Simulation takes one of two paths, chosen by the call.  One completion run
-one scenario per cycle (`Evaluator.step`, `Evaluator.run`, `step`,
-`run_sequence`) walks the circuit's truth tables (`SlotPlan.walk`): one
-table lookup per gate on 0/1 values.  Many scenarios or completions at once
-go through `Evaluator.eval`, which packs one scenario per bit of a Python
-int and runs each gate as a bitwise fold.
+Simulation runs one completion at a time and takes one of two paths, chosen
+by the call.  One scenario per cycle (`Evaluator.step`, `Evaluator.run`,
+`step`, `run_sequence`) walks the circuit's truth tables (`SlotPlan.walk`):
+one table lookup per gate on 0/1 values.  Many scenarios at once go through
+`Evaluator.eval`, which packs one scenario per bit of a Python int and runs
+each gate as a bitwise fold.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ import warnings
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
 from typing import Iterable, Sequence
-
-import numpy as np
 
 # The function alphabet, the one place each function is defined: its fold
 # over the inputs (AND, OR, XOR, or BUF for the one input of NOT and BUF;
@@ -175,7 +173,7 @@ class SlotPlan:
 
     @cached_property
     def walk(self) -> "TableWalk":
-        """The plan as a table walk for one-lane simulation, built on first use.
+        """The plan as a table walk for one-scenario simulation, built on first use.
 
         A gate of up to three inputs is one step; a wider one is a chain of
         steps, the first over three inputs and each later one over the
@@ -586,6 +584,9 @@ def camouflage(
     for c in cands:
         if c not in GATE_FUNCTIONS:
             raise CamouflageError(f"unknown candidate function {c!r}")
+    repeated = sorted({c for c in cands if cands.count(c) > 1})
+    if repeated:
+        raise CamouflageError(f"repeated candidate function(s): {', '.join(repeated)}")
     by_out = circuit.gate_by_out
     ids = set(gate_ids)
     for gid in gate_ids:
@@ -725,136 +726,56 @@ def _walk(steps, vals: list[int]) -> None:
         append(tab[vals[a] | vals[b] << 1 | vals[c] << 2])
 
 
-def tile(x: int, width: int, lanes: int) -> int:
-    """`x` (at most `width` bits) repeated in each of `lanes` lanes of
-    `width` bits: lane i is bits [i*width, (i+1)*width)."""
-    out, filled, block, size = 0, 0, x, 1  # block holds `size` copies
-    while True:
-        if lanes & 1:
-            out |= block << (filled * width)
-            filled += size
-        lanes >>= 1
-        if not lanes:
-            return out
-        block |= block << (size * width)
-        size *= 2
-
-
-def _lane_mask(picks: Sequence[bool], width: int) -> int:
-    """All ones in lane i when picks[i], zeros elsewhere."""
-    bits = np.repeat(np.array(picks, dtype=np.uint8), width)
-    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
-
-
-def _lane_select(first, rest: Sequence[tuple[object, int]]):
-    """A gate op that runs `first` over every lane, then each op of `rest`,
-    whose result replaces it in the lanes of that op's mask."""
-
-    def op(vals, mask):
-        r = first(vals, mask)
-        for fn, lane_mask in rest:
-            r ^= (r ^ fn(vals, mask)) & lane_mask
-        return r
-
-    return op
-
-
 class Evaluator:
-    """Evaluator of a CamoCircuit under one or more completions.
+    """Evaluator of a CamoCircuit under one completion.
 
-    A one-lane evaluator (one completion) runs clock cycles one scenario at
-    a time (`step`, `run`) along the circuit's table walk
-    (`SlotPlan.walk`), its cells' tables picked once per evaluator.
+    A clock cycle of one scenario (`step`, `run`) walks the circuit's truth
+    tables (`SlotPlan.walk`), with the cells' tables picked once per
+    evaluator.
 
     `eval` is bit-parallel: wire values are Python ints holding one
     scenario per bit, kept in a list indexed by the slots of
     `CamoCircuit.plan`, so a single pass evaluates arbitrarily many (state,
-    input) scenarios at once.  With L completions a value holds L lanes of
-    the same scenarios, lane i for completions[i] (parallel fault
-    simulation, with completions in place of faulty machines).  A plain
-    gate runs once over all lanes.  A camouflaged cell runs each candidate
-    that some lane picks once over all lanes, and lane masks built from the
-    completions' choices put each result in the lanes that pick it; a cell
-    on which every lane agrees is a plain gate.  Its op list is built on
-    the first `eval` call.
+    input) scenarios at once.  Its op list is built on the first `eval`
+    call.
     """
 
-    def __init__(self, camo: CamoCircuit, *completions: Completion):
-        if not completions:
-            raise ValueError("an evaluator needs at least one completion")
-        for x in completions:
-            x.check(camo)
+    def __init__(self, camo: CamoCircuit, completion: Completion):
+        completion.check(camo)
         self.camo = camo
-        self.completions = completions
-        self.lanes = len(completions)
+        self._choices = completion.choices
         self._plan = camo.plan  # raises for a gate the plan cannot take
         # read once: eval and step run once per cycle
         self._num_inputs = camo.num_inputs
         self._num_flops = camo.num_flops
         self._ops: list | None = None
-        self._split_cells: list = []
-        self._masked: tuple[int, list] | None = None  # (width, ops with lane masks)
         self._steps: list | None = None  # the table walk's steps, cells resolved
 
     def _build_ops(self) -> list:
-        plan = self._plan
-        lead = self.completions[0].choices
-        picks = list(zip(*(x.choices for x in self.completions)))  # per cell, per lane
-        ops = []
-        # split cells: op index, then (candidate op, lanes that pick it)
-        # for every candidate some lane picks in place of lane 0's
-        cells = []
-        for ci, fns, ins in plan.gates:
-            if ci < 0:
-                ops.append((_OPS[fns[0]], ins))
-                continue
-            v0 = lead[ci]
-            picked = picks[ci]
-            if picked.count(v0) < len(picked):
-                cells.append((len(ops), [(_OPS[fns[v]], [p == v for p in picked])
-                                         for v in sorted(set(picked) - {v0})]))
-            ops.append((_OPS[fns[v0]], ins))
-        self._ops = ops
-        self._split_cells = cells
-        return ops
-
-    def _masked_ops(self, width: int) -> list:
-        """The ops, with every split cell's lane masks built for `width`."""
-        if self._masked is None or self._masked[0] != width:
-            ops = list(self._ops)
-            for i, choices in self._split_cells:
-                first, ins = ops[i]
-                masks = [(fn, _lane_mask(picks, width)) for fn, picks in choices]
-                ops[i] = (_lane_select(first, masks), ins)
-            self._masked = (width, ops)
-        return self._masked[1]
+        choices = self._choices
+        self._ops = [(_OPS[fns[choices[ci]] if ci >= 0 else fns[0]], ins)
+                     for ci, fns, ins in self._plan.gates]
+        return self._ops
 
     def eval(
         self, state_bits: Sequence[int], input_bits: Sequence[int], width: int
     ) -> tuple[list[int], list[int]]:
-        """One combinational pass over `width` scenarios in every lane.
+        """One combinational pass over `width` scenarios.
 
         ``state_bits[i]`` / ``input_bits[i]`` carry the value of state/input
-        wire i across the `width` scenarios; every lane sees the same ones.
-        Returns (output_bits, next_state_bits), each `lanes * width` bits
-        wide with lane i in bits [i*width, (i+1)*width).  Raises ValueError
-        unless there is one state wire per flop and one input wire per input.
+        wire i across the scenarios.  Returns (output_bits,
+        next_state_bits), each `width` bits wide.  Raises ValueError unless
+        there is one state wire per flop and one input wire per input.
         """
         if len(state_bits) != self._num_flops or len(input_bits) != self._num_inputs:
             raise ValueError(
                 f"{len(state_bits)} state and {len(input_bits)} input wires for "
                 f"{self._num_flops} flops and {self._num_inputs} inputs"
             )
-        lanes = self.lanes
         mask = (1 << width) - 1
         vals = [v & mask for v in input_bits]
         vals += [v & mask for v in state_bits]
         ops = self._ops if self._ops is not None else self._build_ops()
-        if lanes > 1:
-            vals = [tile(v, width, lanes) for v in vals]
-            mask = (1 << (width * lanes)) - 1
-            if self._split_cells:
-                ops = self._masked_ops(width)
         append = vals.append
         for op, ins in ops:
             append(op([vals[s] for s in ins], mask))
@@ -864,10 +785,8 @@ class Evaluator:
     def _walk_steps(self) -> list:
         """The table walk's steps with this evaluator's cell choices in place."""
         if self._steps is None:
-            if self.lanes != 1:
-                raise ValueError(f"a cycle runs on one lane, not {self.lanes}")
             walk = self._plan.walk
-            choices = self.completions[0].choices
+            choices = self._choices
             steps = list(walk.steps)
             for i, ci, tabs in walk.cells:
                 _, a, b, c = steps[i]
@@ -876,8 +795,8 @@ class Evaluator:
         return self._steps
 
     def step(self, state: int, inp: int) -> tuple[int, int]:
-        """One clock cycle of a one-lane evaluator on bit masks (bit i =
-        wire i): returns (output mask, next-state mask)."""
+        """One clock cycle on bit masks (bit i = wire i): returns (output
+        mask, next-state mask)."""
         steps = self._walk_steps()
         walk = self._plan.walk
         vals = [(inp >> i) & 1 for i in range(self._num_inputs)]
@@ -887,8 +806,8 @@ class Evaluator:
                 sum(vals[s] << i for i, s in enumerate(walk.nexts)))
 
     def run(self, seq: BitSeq) -> BitSeq:
-        """Apply an input sequence from reset under the one completion of a
-        one-lane evaluator; one output step per input step."""
+        """Apply an input sequence from reset; one output step per input
+        step."""
         camo = self.camo
         if seq.width != self._num_inputs:
             raise ValueError(f"sequence width {seq.width} != {self._num_inputs} inputs")

@@ -30,6 +30,9 @@ class OracleProtocolError(RuntimeError):
 
 
 QUERY_TIMEOUT_S = 60.0
+# how long `PipeOracle.close` waits for the process to exit after EOF
+# before it kills it
+CLOSE_GRACE_S = 10.0
 
 
 def _seal(circuit: CamoCircuit, secret: Completion) -> Callable[[BitSeq], BitSeq]:
@@ -195,12 +198,20 @@ class PipeOracle:
         return BitSeq(self.num_outputs, steps)
 
     def close(self) -> None:
-        """End the process's input and wait for it; a dead process is fine."""
+        """End the process's input and wait for it; a dead process is fine.
+
+        A process still running `CLOSE_GRACE_S` seconds after its input
+        ended is killed, so closing never raises for a slow exit.
+        """
         try:
             self._proc.stdin.close()
         except BrokenPipeError:  # unsent request bytes of a process that has exited
             pass
-        self._proc.wait(timeout=10)
+        try:
+            self._proc.wait(timeout=CLOSE_GRACE_S)
+        except subprocess.TimeoutExpired:
+            self._proc.kill()
+            self._proc.wait()
 
     def __enter__(self):
         return self

@@ -442,10 +442,10 @@ def test_first_inequivalent_agrees_with_pairwise_search():
 
 
 # 9 inputs give 512 scenarios per state, so one pass holds at most 256
-# completions and larger pools run in several lane batches.  d0-d7 drive
-# nothing (their completions stay in lock-step), the flop of g is read by
-# nothing (AND/OR leave lock-step yet stay equivalent), y is an output, and
-# the flops u and v widen the frontier to several states per level.
+# frontier states.  d0-d7 drive nothing (their completions stay in
+# lock-step), the flop of g is read by nothing (AND/OR leave lock-step yet
+# stay equivalent), y is an output, and the flops u and v widen the
+# frontier to several states per level.
 WIDE = (
     "".join(f"INPUT(x{i})\n" for i in range(9))
     + "OUTPUT(y)\ns = DFF(n)\nt = DFF(g)\nu = DFF(x3)\nv = DFF(x4)\n"
@@ -454,18 +454,17 @@ WIDE = (
 )
 
 
-def test_first_inequivalent_agrees_with_pairwise_search_over_lane_batches(monkeypatch):
+def test_first_inequivalent_agrees_with_pairwise_search_on_a_wide_circuit(monkeypatch):
     from seqdecam.netlist import Evaluator, camouflage, parse_bench
 
     camo = camouflage(
         parse_bench(WIDE, "wide"), [*(f"d{i}" for i in range(8)), "g", "y"], ["AND", "OR"]
     )
-    lanes = atk.WIRE_BITS >> camo.num_inputs
     widest = []
     orig_eval = Evaluator.eval
 
     def measured(self, state_bits, input_bits, width):
-        widest.append(self.lanes * width)
+        widest.append(width)
         return orig_eval(self, state_bits, input_bits, width)
 
     calls = []
@@ -481,13 +480,12 @@ def test_first_inequivalent_agrees_with_pairwise_search_over_lane_batches(monkey
     everything = list(camo.all_completions())
     same_y = [x for x in everything if x.choices[-1] == 0]
     rng.shuffle(same_y)
-    assert len(same_y) - 1 > lanes
     assert atk._first_inequivalent(camo, same_y, 1 << 26, 1 << 26) is None
     assert all(orig_product(camo, same_y[0], x) is None for x in same_y[1:])
     # exactly the survivors whose g differs from the reference's left
     # lock-step, and their product searches ran in pool order
     assert calls == [x for x in same_y[1:] if x.choices[8] != same_y[0].choices[8]]
-    # the one inequivalent survivor last, in the second lane batch
+    # the one inequivalent survivor last
     odd = Completion(same_y[0].choices[:-1] + (1,))
     rng.shuffle(everything)
     for pool in (same_y + [odd], everything):
@@ -497,6 +495,61 @@ def test_first_inequivalent_agrees_with_pairwise_search_over_lane_batches(monkey
         ref = run_sequence(camo, pool[0], w)
         assert any(run_sequence(camo, x, w) != ref for x in pool[1:])
     assert max(widest) <= atk.WIRE_BITS
+
+
+# The flop z starts at 0 and feeds back through an AND, so it stays 0: the
+# cells d0-d7 lie in the cone but never reach y, and every choice for them
+# is in lock-step with every other.  The cell h reaches y at once.
+STUCK = (
+    "".join(f"INPUT(x{i})\n" for i in range(9))
+    + "OUTPUT(y)\nz = DFF(nz)\nnz = AND(z, x0)\n"
+    + "".join(f"d{i} = AND(x{i}, x{i + 1})\n" for i in range(8))
+    + f"o = OR({', '.join(f'd{i}' for i in range(8))})\n"
+    + "m = AND(z, o)\nh = AND(x0, x1)\ny = OR(m, h)\n"
+)
+
+
+def test_umc_certifies_hundreds_of_survivors_in_lock_step(monkeypatch):
+    from seqdecam.netlist import camouflage, observable_cone, parse_bench
+
+    camo = camouflage(
+        parse_bench(STUCK, "stuck"), [*(f"d{i}" for i in range(8)), "h"], ["AND", "OR"]
+    )
+    assert observable_cone(camo) == (camo, tuple(range(9)))
+    inst = AttackInstance(camo)
+    seq = BitSeq(9, (0b01,))  # x0 = 1, x1 = 0: h's AND and OR differ
+    inst.add_record(seq, run_sequence(camo, Completion((0,) * 9), seq))
+    listed, walked, products = [], [], []
+    orig_list = AttackInstance.enumerate_consistent
+    orig_walk = atk._first_inequivalent
+    orig_product = atk.product_equiv
+
+    def listing(self, *args, **kwargs):
+        comps = orig_list(self, *args, **kwargs)
+        listed.append(comps)
+        return comps
+
+    def walk(camo, comps, *args):
+        walked.extend(comps[1:])
+        return orig_walk(camo, comps, *args)
+
+    def product(camo, x1, x2, *args):
+        products.append(x2)
+        return orig_product(camo, x1, x2, *args)
+
+    monkeypatch.setattr(AttackInstance, "enumerate_consistent", listing)
+    monkeypatch.setattr(atk, "_first_inequivalent", walk)
+    monkeypatch.setattr(atk, "product_equiv", product)
+    assert atk.check_umc(inst, atk.AttackConfig()) is True
+    (pool,) = listed
+    assert len(pool) == 256 and {x.choices[8] for x in pool} == {0}
+    assert sorted(walked, key=lambda x: x.choices) == sorted(pool[1:], key=lambda x: x.choices)
+    assert products == []
+    # the same pool with one survivor whose h differs, listed last
+    odd = Completion(pool[0].choices[:8] + (1,))
+    monkeypatch.setattr(AttackInstance, "enumerate_consistent", lambda self, *a, **k: pool + [odd])
+    assert atk.check_umc(inst, atk.AttackConfig()) is False
+    assert products == [odd]
 
 
 def test_umc_product_cap_is_inconclusive(monkeypatch, s27_camo):

@@ -1,5 +1,6 @@
 import functools
 import json
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -11,7 +12,7 @@ from seqdecam import cli, oracle
 from seqdecam import netlist as nl
 from seqdecam.cli import main
 
-from conftest import bench_path, cone_only_cases
+from conftest import ROOT, bench_path, cone_only_cases
 
 S27 = str(bench_path("s27"))
 
@@ -57,6 +58,23 @@ def test_camouflage_k_exceeds_eligible(tmp_path):
         rc = run_cli("camouflage", "--bench", S27, "--k", k, "--out", tmp_path)
         assert rc == 2
     assert not list(tmp_path.iterdir())
+
+
+def test_a_repeated_candidate_is_usage_error(workdir, tmp_path, capsys):
+    rc = run_cli("camouflage", "--bench", S27, "--k", "2", "--candidates", "NAND,NAND",
+                 "--out", tmp_path / "twice")
+    assert rc == 2 and "repeated candidate function(s): NAND" in capsys.readouterr().err
+    assert not (tmp_path / "twice").exists()
+    # a sidecar that repeats one, read by attack, verify and serve-oracle
+    sidecar = workdir / "repeated.sidecar.txt"
+    sidecar.write_text(_sidecar(workdir).read_text().replace("NAND NOR", "NAND NAND"))
+    common = ("--bench", S27, "--sidecar", sidecar, "--secret", _secret(workdir))
+    for argv in (("attack", *common, "--out", tmp_path / "out"),
+                 ("verify", *common, "--completion", _secret(workdir)),
+                 ("serve-oracle", *common)):
+        assert run_cli(*argv) == 2
+        assert "repeated candidate function(s): NAND" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_camouflage_secret_matches_original_functions(workdir, s27):
@@ -214,6 +232,35 @@ def test_attack_against_pipe_oracle(workdir, tmp_path):
     assert rc == 0
     rec = json.loads(next((tmp_path / "pipe").glob("*.runrecord.json")).read_text())
     assert rec["success"]
+
+
+def test_attack_against_an_oracle_that_outlives_its_input(workdir, tmp_path, monkeypatch):
+    # the oracle answers every query, then ignores the end of its input: the
+    # finished attack still writes its run files, and the process is killed
+    monkeypatch.setattr(oracle, "CLOSE_GRACE_S", 0.5)
+    serve = ["serve-oracle", "--bench", S27, "--sidecar", str(_sidecar(workdir)),
+             "--secret", str(_secret(workdir))]
+    script = f"import time\nfrom seqdecam.cli import main\nmain({serve!r})\ntime.sleep(60)"
+    closed = []
+    real_close = oracle.PipeOracle.close
+
+    def close(self):
+        real_close(self)
+        closed.append(self._proc.returncode)
+
+    monkeypatch.setattr(oracle.PipeOracle, "close", close)
+    t0 = time.monotonic()
+    rc = run_cli(
+        "attack", "--bench", S27, "--sidecar", _sidecar(workdir),
+        "--oracle-cmd", f'{sys.executable} -c "{script}"', "--bmc-inc", "2",
+        "--max-bound", "16", "--out", tmp_path / "lingering",
+    )
+    assert rc == 0
+    assert time.monotonic() - t0 < 10
+    assert len(closed) == 1 and closed[0] is not None
+    stem = _sidecar(workdir).stem
+    for name in (f"{stem}.runrecord.json", f"{stem}.report.json", f"{stem}.completion"):
+        assert (tmp_path / "lingering" / name).exists()
 
 
 def test_attack_detects_corrupted_oracle(tmp_path, capsys):
@@ -551,3 +598,30 @@ def test_verify_inconclusive_exit_code(workdir, monkeypatch):
         "--secret", _secret(workdir), "--completion", _secret(workdir),
     )
     assert rc == 3
+
+
+def _script(name, *argv):
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *map(str, argv)],
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_gatecount_sweep_stops_at_a_failed_step(tmp_path):
+    # s27 has 5 gates a NAND/NOR cell can hide, so k=50 cannot be camouflaged
+    run = _script("run_gatecount_sweep.py", "--bench", "s27", "--ks", "2", "50",
+                  "--out", tmp_path)
+    assert run.returncode == 2
+    assert "k=50 but only 5 gates" in run.stderr and "Traceback" not in run.stderr
+    assert list((tmp_path / "k2" / "runs").glob("*.runrecord.json"))
+    assert not (tmp_path / "k50" / "runs").exists()
+
+
+def test_attack_table_stops_a_benchmark_at_a_failed_step(tmp_path):
+    run = _script("run_attack_table.py", "--bench", "s27", "--k", "2", "--seeds", "2",
+                  "--out", tmp_path / "ok")
+    assert run.returncode == 0
+    assert len((tmp_path / "ok" / "s27" / "table.csv").read_text().splitlines()) == 2
+    run = _script("run_attack_table.py", "--bench", "s27", "--k", "50", "--seeds", "1",
+                  "--out", tmp_path / "bad")
+    assert run.returncode == 2
+    assert run.stderr.strip() == "error: k=50 but only 5 gates implement one of ['NAND', 'NOR']"
+    assert not (tmp_path / "bad" / "s27" / "runs").exists()

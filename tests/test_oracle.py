@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from seqdecam import oracle as oracle_mod
 from seqdecam.netlist import BitSeq, Completion, run_sequence
 from seqdecam.gen import random_camo, random_circuit
 from seqdecam.oracle import (
@@ -120,3 +121,22 @@ def test_pipe_oracle_times_out_on_a_hung_process():
     assert time.monotonic() - t0 < 5
     oracle.close()
     assert oracle._proc.returncode is not None  # the hung process was killed
+
+
+# answers every query with all-zero outputs, then outlives the end of its input
+LINGERING_ORACLE = [
+    sys.executable, "-c",
+    "import sys, time\n"
+    "for line in sys.stdin: print('A' + ' 0' * int(line.split()[1]), flush=True)\n"
+    "time.sleep(60)",
+]
+
+
+def test_pipe_oracle_close_kills_a_process_that_outlives_its_input(monkeypatch):
+    monkeypatch.setattr(oracle_mod, "CLOSE_GRACE_S", 0.5)
+    oracle = PipeOracle(LINGERING_ORACLE, 4, 1)
+    assert oracle.query(BitSeq(4, (1, 2))) == BitSeq(1, (0, 0))
+    t0 = time.monotonic()
+    oracle.close()
+    assert time.monotonic() - t0 < 5
+    assert oracle._proc.returncode is not None

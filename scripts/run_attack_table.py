@@ -7,9 +7,12 @@ attack per (benchmark, seed), run records collected and summarized.
     python scripts/run_attack_table.py --bench s344 s349 --k 32 --seeds 10 \
         --out results/ --jobs 4
 
-A benchmark stops at its first step that fails, and the script goes on to
-the next one and exits with the first such code; attacks that end without
-success (exit 1) are results, and their benchmark is still reported.
+Each table lives in <out>/<bench>/k<k>/ (sidecars in in/, run records in
+runs/, and table.csv), so tables of another k under the same --out stay
+apart.  A benchmark stops at its first step that fails, and the script goes
+on to the next one and exits with the first such code; attacks that end
+without success (exit 1) are results, and their benchmark is still
+reported.
 """
 
 import argparse
@@ -41,7 +44,7 @@ def main() -> int:
             print(f"{name}: missing {bench}; run scripts/fetch_benchmarks.py first")
             rc = rc or 1
             continue
-        step = _table(bench, out / name, args)
+        step = _table(bench, out / name / f"k{args.k}", args)
         rc = rc or step
     return rc
 

@@ -16,25 +16,21 @@ SAT by construction, is not asked next to one; a partial completion calls
 such a cell ambiguous without pinning it; and UMC lists one surviving
 completion per consistent choice of the observable cells, one plain solver
 call each with a blocking clause on those cells after it, and checks each
-one for sequential equivalence with the first on the reduced circuit
-(which keeps every cell, so a completion runs on it as it is), in
-lock-step over the states the first reaches from reset and by explicit
-product-machine reachability for any survivor that leaves lock-step.  It
-walks the completions while it lists them, in batches of doubling size,
-and stops listing at the first batch that holds one inequivalent to the
-first: one such completion refutes.  A bound that
-closes at the product diameter 2^(2l) certifies on its own.  The
-lock-step walk runs each survivor in its own bit-parallel pass over the
-same (state, input) scenarios as the first.  Every check
-takes the attack's one incremental `AttackInstance`, which holds the
-records (`inst.qs`) and answers every solver question about them over
-frames of the reduced circuit, which gives the full one's outputs; so a
-dead cell that feeds a dead flop cannot make CE SAT.  Each check the loop
-runs becomes one `IterationRecord`: its solver work is the change in the
+one, as soon as it is listed, for sequential equivalence with the first on
+the reduced circuit (which keeps every cell, so a completion runs on it as
+it is) by one explicit product-machine search; the first one inequivalent
+to the first ends the listing and refutes.  A bound that closes at the
+product diameter 2^(2l) certifies on its own.  Every check takes the
+attack's one incremental `AttackInstance`, which holds the records
+(`inst.qs`) and answers every solver question about them over frames of
+the reduced circuit, which gives the full one's outputs; so a dead cell
+that feeds a dead flop cannot make CE SAT.  Each check the loop runs
+becomes one `IterationRecord`: its solver work is the change in the
 instance's running `stats` and its wall time spans the whole check
-(encoding, oracle round trip and re-simulation included).  A certified attack returns the bounded-search witness that
-survived the last record, which has been re-simulated against every record;
-only without one is a completion solved for.  When no cell lies in the cone
+(encoding, oracle round trip and re-simulation included).  A certified
+attack returns the bounded-search witness that survived the last record,
+which has been re-simulated against every record; only without one is a
+completion solved for.  When no cell lies in the cone
 at all, every completion is sequentially equivalent to every other, so the
 attack certifies UMC before any frame, solver call or oracle query and
 returns the all-zeros completion.  The report names the cells outside the
@@ -265,11 +261,12 @@ def product_equiv(
 
 def _input_pattern(bit: int, m: int) -> int:
     """Bit mask over the 2^m input enumeration where input wire `bit` is 1."""
-    p = 1 << m
-    pat = 0
-    for v in range(p):
-        if (v >> bit) & 1:
-            pat |= 1 << v
+    half = 1 << bit
+    pat = ((1 << half) - 1) << half  # one period: 2^bit zeros, then 2^bit ones
+    width = 2 * half
+    while width < 1 << m:
+        pat |= pat << width
+        width *= 2
     return pat
 
 
@@ -314,93 +311,18 @@ def _scenario_keys(wires: Sequence[int], width: int) -> np.ndarray:
     return keys
 
 
-# np.unique would do for `_unique_first` and `_distinct`, but its first call
-# in a process imports numpy.ma, and without return_index it is several
-# times slower than a sort on the wide key arrays of a walk
+def _unique_first(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys in ascending order and the index of each one's first
+    occurrence, as `np.unique(keys, return_index=True)` gives them.
 
-def _first_of_run(ordered: np.ndarray) -> np.ndarray:
-    """Mask of the entries of a sorted array that differ from the one before."""
+    np.unique would do, but its first call in a process imports numpy.ma.
+    """
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
     first = np.empty(len(ordered), dtype=bool)
     first[:1] = True
     np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    return first
-
-
-def _unique_first(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct keys in ascending order and the index of each one's first
-    occurrence, as `np.unique(keys, return_index=True)` gives them."""
-    order = np.argsort(keys, kind="stable")
-    ordered = keys[order]
-    first = _first_of_run(ordered)
     return ordered[first], order[first]
-
-
-def _distinct(keys: np.ndarray) -> np.ndarray:
-    """The distinct keys in ascending order, as `np.unique(keys)` gives them."""
-    ordered = np.sort(keys)
-    return ordered[_first_of_run(ordered)]
-
-
-def _first_inequivalent(
-    camo: CamoCircuit, comps: Sequence[Completion], state_cap: int, expand_cap: int
-) -> BitSeq | None:
-    """A sequence on which some completion disagrees with comps[0] from reset,
-    or None when every completion is sequentially equivalent to it.
-
-    Equivalence is transitive, so each completion is checked against the
-    reference comps[0] alone.  One breadth-first search walks the states the
-    reference reaches from reset and evaluates every completion still in
-    lock-step on the same (state, input) scenarios: one bit-parallel pass
-    per completion and chunk of the frontier, with no wire wider than
-    `WIRE_BITS` unless one state's 2^m inputs alone are wider.  A
-    completion that matches the reference's outputs and next states on all
-    of them visits exactly the reference's states, so it is equivalent; the
-    ones that leave lock-step get the exact product search of
-    `product_equiv`, in `comps` order.  Raises ProductCapError at the caps.
-    """
-    if len(comps) < 2:
-        return None
-    m, l = camo.num_inputs, camo.num_flops
-    p = 1 << m
-    if p > expand_cap:
-        raise ProductCapError(f"2^{m} inputs per state exceeds the expansion cap")
-    ref = comps[0]
-    ev_ref = Evaluator(camo, ref)
-    lockstep = [(x, Evaluator(camo, x)) for x in comps[1:]]
-    visited = {camo.reset_state}
-    frontier = [camo.reset_state]
-    expansions = 0
-    chunk_states = max(1, WIRE_BITS // p)
-    input_patterns = [_input_pattern(i, m) for i in range(m)]
-    while frontier:
-        nxt_frontier: list[int] = []
-        for c0 in range(0, len(frontier), chunk_states):
-            chunk = frontier[c0 : c0 + chunk_states]
-            w = len(chunk) * p
-            expansions += w
-            if expansions > expand_cap:
-                raise ProductCapError(f"product expansion cap {expand_cap} exceeded")
-            ins, st = _pack_chunk(chunk, l, input_patterns)
-            want = ev_ref.eval(st, ins, w)
-            still = []
-            for x, ev in lockstep:
-                if ev.eval(st, ins, w) == want:
-                    still.append((x, ev))
-                    continue
-                witness = product_equiv(camo, ref, x, state_cap, expand_cap)
-                if witness is not None:
-                    return witness
-            lockstep = still
-            if not lockstep:
-                return None
-            for key in _distinct(_scenario_keys(want[1], w)).tolist():
-                if key not in visited:
-                    visited.add(key)
-                    nxt_frontier.append(key)
-                    if len(visited) > state_cap:
-                        raise ProductCapError(f"product state cap {state_cap} exceeded")
-        frontier = nxt_frontier
-    return None
 
 
 # -------------------------------------------------------- unbounded check
@@ -411,43 +333,38 @@ def check_umc(inst: AttackInstance, cfg: AttackConfig | None = None) -> bool:
     Asked on the outputs' cone of influence (`observable_cone`): it lists
     one consistent completion per consistent choice of the observable
     cells, one solver query each (see `AttackInstance.enumerate_consistent`),
-    and checks each one for sequential equivalence with the first on the
-    reduced circuit (see `_first_inequivalent`), which keeps every cell and
-    ignores those outside the cone.  This is exact: the consistent
-    completions are the listed choices of the observable cells times every
-    choice of the other cells, and two completions are equivalent exactly
-    when they are equivalent on the reduced circuit.  The completions are
-    walked while they are listed: each time the list reaches 2, 4, 8, ...
-    completions, the ones listed since the last walk are walked with the
-    first, and one inequivalent to the first ends the listing and refutes
-    the check; whatever a complete listing leaves unwalked is walked at its
-    end.  So every completion is walked once, a refuted check lists only up
-    to the batch that refutes it, and a check that certifies lists exactly
-    as without the walks.  More than `cfg.umc_enum_cap` completions (unless
-    the first `cfg.umc_enum_cap` or fewer have already refuted), a solver
-    call over its budget or a product cap (ProductCapError) leaves the
-    check inconclusive, with the reason in the error.  Every solver call is
-    a query of `inst`, so the work of the check is the change in
-    `inst.stats`.
+    and checks each one, as soon as it is listed, for sequential
+    equivalence with the first by one `product_equiv` search on the reduced
+    circuit, which keeps every cell and ignores those outside the cone.
+    Equivalence is transitive, so this is exact: the consistent completions
+    are the listed choices of the observable cells times every choice of
+    the other cells, and two completions are equivalent exactly when they
+    are equivalent on the reduced circuit.  The first completion
+    inequivalent to the first ends the listing and refutes the check, and
+    a check that certifies lists exactly as a plain listing does.  More
+    than `cfg.umc_enum_cap` completions (every one of the first
+    `cfg.umc_enum_cap` equivalent to the first), a solver call over its
+    budget or a product cap (ProductCapError, at the `PRODUCT_*_CAP` values
+    when the check runs) leaves the check inconclusive, with the reason in
+    the error.  Every solver call is a query of `inst`, so the work of the
+    check is the change in `inst.stats`.
     """
     cfg = cfg or AttackConfig()
     if cfg.umc_mode == "skip":
         raise InconclusiveError("unbounded check disabled (umc_mode=skip)")
     reduced = inst.cone[0]
-    walked = 1  # completions walked so far; the first is the reference
     refuted = False
 
-    def walk(comps: list[Completion]) -> bool:
-        """Walk the completions listed since the last walk; True refutes."""
-        nonlocal walked, refuted
-        batch = [comps[0], *comps[walked:]]
-        walked = len(comps)
-        witness = _first_inequivalent(reduced, batch, PRODUCT_STATE_CAP, PRODUCT_EXPAND_CAP)
-        refuted = witness is not None
+    def refutes(comps: list[Completion]) -> bool:
+        """Is the completion listed last inequivalent to the first?"""
+        nonlocal refuted
+        refuted = len(comps) > 1 and product_equiv(
+            reduced, comps[0], comps[-1], PRODUCT_STATE_CAP, PRODUCT_EXPAND_CAP
+        ) is not None
         return refuted
 
     try:
-        comps = inst.enumerate_consistent(cfg.umc_enum_cap, cfg.solver_budget, walk)
+        comps = inst.enumerate_consistent(cfg.umc_enum_cap, cfg.solver_budget, refutes)
     except SolverTimeoutError as exc:
         raise InconclusiveError(str(exc)) from exc
     if refuted:
@@ -456,7 +373,7 @@ def check_umc(inst: AttackInstance, cfg: AttackConfig | None = None) -> bool:
         raise InconclusiveError(f"more than {cfg.umc_enum_cap} consistent completions")
     if not comps:
         raise OracleInconsistentError("no completion is consistent with the observations")
-    return not walk(comps)
+    return True
 
 
 def brute_force_disc(
@@ -478,7 +395,7 @@ def brute_force_disc(
     comps = [x for x in camo.all_completions() if consistent(camo, x, qs)]
     if not comps:
         raise OracleInconsistentError("no completion is consistent with the observations")
-    # plain pairwise on purpose: the independent reference for _first_inequivalent
+    # plain pairwise on purpose: the independent reference for check_umc
     for i in range(len(comps)):
         for j in range(i + 1, len(comps)):
             if product_equiv(camo, comps[i], comps[j], state_cap, expand_cap) is not None:

@@ -423,9 +423,9 @@ class AttackInstance:
         are more than `cap`.  The cells outside the cone take whatever
         choice the model gives them, which is consistent too.
 
-        Each time the list reaches 2, 4, 8, ... (at most `cap`) completions,
-        `stop(found)` is called with the list so far; True ends the listing
-        there and returns the list, which may then be incomplete.
+        After every model within the cap, `stop(found)` is called with the
+        list so far, that model last; True ends the listing there and
+        returns the list, which may then be incomplete.
 
         Each model is found by a plain query of this instance and then
         excluded by a blocking clause: the negated k1 key bits of the cells
@@ -445,7 +445,6 @@ class AttackInstance:
         kv = self.k1
         key = [v for c in self.cone[1] for v in kv.cells[c]]
         found: list[Completion] = []
-        checkpoint = 2
         try:
             while True:
                 res = self._solve([epoch], budget)
@@ -456,10 +455,8 @@ class AttackInstance:
                 found.append(kv.decode(res))
                 if len(found) > cap:
                     return None
-                if len(found) == checkpoint:
-                    checkpoint *= 2
-                    if stop is not None and stop(found):
-                        return found
+                if stop is not None and stop(found):
+                    return found
                 model = res.raw_model
                 self.bld.add(-epoch, *[-b if model[b] else b for b in key])
         finally:

@@ -7,8 +7,10 @@ provided so the oracle can also live in a separate process.
 
 from __future__ import annotations
 
+import os
 import queue
 import shlex
+import signal
 import subprocess
 import threading
 from dataclasses import dataclass
@@ -31,7 +33,7 @@ class OracleProtocolError(RuntimeError):
 
 QUERY_TIMEOUT_S = 60.0
 # how long `PipeOracle.close` waits for the process to exit after EOF
-# before it kills it
+# before it kills it, and then for its stdout to reach EOF
 CLOSE_GRACE_S = 10.0
 
 
@@ -132,9 +134,11 @@ def serve_pipe_oracle(box: BlackBox, infile: IO[str], outfile: IO[str]) -> None:
 class PipeOracle:
     """Client for an oracle process speaking the pipe protocol on stdio.
 
-    Each query waits at most ``timeout`` seconds for its answer line; past
-    that the process is killed and the query raises OracleTimeoutError.  A
-    daemon thread reads the process's stdout into a queue, so a hung or
+    The command runs in a process group of its own, and killing the oracle
+    kills that whole group, so a shell's children go with it.  Each query
+    waits at most ``timeout`` seconds for its answer line; past that the
+    oracle is killed and the query raises OracleTimeoutError.  A daemon
+    thread reads the process's stdout into a queue, so a hung or
     half-written answer cannot block the caller.  A command that is empty
     or does not split (an unclosed quote) raises ValueError, and one that
     cannot be started OSError.
@@ -153,15 +157,24 @@ class PipeOracle:
         self.step_count = 0
         self._lock = threading.Lock()
         self._proc = subprocess.Popen(
-            argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, bufsize=1
+            argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, bufsize=1,
+            start_new_session=True,
         )
         self._lines: queue.Queue[str] = queue.Queue()
-        threading.Thread(target=self._read_lines, daemon=True).start()
+        self._reader = threading.Thread(target=self._read_lines, daemon=True)
+        self._reader.start()
 
     def _read_lines(self) -> None:
         for line in self._proc.stdout:
             self._lines.put(line)
         self._lines.put("")  # EOF
+
+    def _kill(self) -> None:
+        """Kill every process left in the oracle's process group."""
+        try:
+            os.killpg(self._proc.pid, signal.SIGKILL)
+        except ProcessLookupError:  # the whole group has exited
+            pass
 
     def query(self, seq: BitSeq) -> BitSeq:
         if seq.width != self.num_inputs:
@@ -178,7 +191,7 @@ class PipeOracle:
             try:
                 resp = self._lines.get(timeout=self.timeout)
             except queue.Empty:
-                self._proc.kill()
+                self._kill()
                 raise OracleTimeoutError(
                     f"oracle process gave no answer within {self.timeout:g} s"
                 ) from None
@@ -198,10 +211,14 @@ class PipeOracle:
         return BitSeq(self.num_outputs, steps)
 
     def close(self) -> None:
-        """End the process's input and wait for it; a dead process is fine.
+        """End the process's input, wait for it, then release its stdout; a
+        dead process is fine.
 
         A process still running `CLOSE_GRACE_S` seconds after its input
-        ended is killed, so closing never raises for a slow exit.
+        ended is killed, so closing never raises for a slow exit, and so is
+        every process left in its group, such as a shell's children.  The
+        stdout pipe is closed once the reader thread has seen its EOF, which
+        comes when no process holds it any more.
         """
         try:
             self._proc.stdin.close()
@@ -210,8 +227,12 @@ class PipeOracle:
         try:
             self._proc.wait(timeout=CLOSE_GRACE_S)
         except subprocess.TimeoutExpired:
-            self._proc.kill()
-            self._proc.wait()
+            pass
+        self._kill()
+        self._proc.wait()
+        self._reader.join(CLOSE_GRACE_S)
+        if not self._reader.is_alive():  # else a process outside the group holds the pipe
+            self._proc.stdout.close()
 
     def __enter__(self):
         return self

@@ -222,14 +222,51 @@ def test_umc_product_search_only_for_survivors_out_of_lockstep(monkeypatch):
     assert len(calls) == 1
 
 
-def test_umc_lockstep_survivors_need_no_product_search(monkeypatch, identical_candidates_camo):
-    camo, _ = identical_candidates_camo
+def _listing(comps):
+    """A stand-in for `AttackInstance.enumerate_consistent` that lists
+    `comps` in order and, like it, calls `stop` after every model."""
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("product search ran for survivors in lock-step")
+    def enumerate_consistent(self, cap, budget=None, stop=None):
+        for n in range(1, len(comps) + 1):
+            if stop(comps[:n]):
+                return comps[:n]
+        return comps
 
-    monkeypatch.setattr(atk, "product_equiv", refuse)
-    assert atk.check_umc(AttackInstance(camo), atk.AttackConfig()) is True
+    return enumerate_consistent
+
+
+def _product_calls(monkeypatch):
+    """A list that collects the arguments of every `product_equiv` call from
+    now on, the circuit left out."""
+    calls = []
+    real = atk.product_equiv
+
+    def spy(camo, *args):
+        calls.append(args)
+        return real(camo, *args)
+
+    monkeypatch.setattr(atk, "product_equiv", spy)
+    return calls
+
+
+def test_umc_runs_one_product_search_per_survivor_after_the_first(monkeypatch):
+    # 32 equivalent survivors: each one after the first is compared with the
+    # first, in listing order, under the caps the check reads when it runs
+    listed = []
+    real = AttackInstance.enumerate_consistent
+
+    def listing(self, *args, **kwargs):
+        listed.append(real(self, *args, **kwargs))
+        return listed[-1]
+
+    monkeypatch.setattr(AttackInstance, "enumerate_consistent", listing)
+    monkeypatch.setattr(atk, "PRODUCT_STATE_CAP", 1 << 20)
+    monkeypatch.setattr(atk, "PRODUCT_EXPAND_CAP", 1 << 21)
+    calls = _product_calls(monkeypatch)
+    assert atk.check_umc(AttackInstance(_twin_chain())) is True
+    (comps,) = listed
+    assert len(comps) == 32
+    assert calls == [(comps[0], x, 1 << 20, 1 << 21) for x in comps[1:]]
 
 
 def test_umc_finds_an_inequivalent_survivor_past_the_second(monkeypatch):
@@ -242,44 +279,34 @@ def test_umc_finds_an_inequivalent_survivor_past_the_second(monkeypatch):
     # both cells are observable, so the projections are the completions
     assert observable_cone(camo) == (camo, (0, 1))
     comps = [Completion((0, 0)), Completion((1, 0)), Completion((0, 1))]
-    w = atk._first_inequivalent(camo, comps, 1 << 10, 1 << 10)
+    assert atk.product_equiv(camo, comps[0], comps[1]) is None
+    w = atk.product_equiv(camo, comps[0], comps[2])
     assert w is not None
     assert run_sequence(camo, comps[0], w) != run_sequence(camo, comps[2], w)
     asked = []
+    listing = _listing(comps)
 
     def enumerate_consistent(self, cap, budget=None, stop=None):
         asked.append((cap, budget))
-        return comps
+        return listing(self, cap, budget, stop)
 
     monkeypatch.setattr(AttackInstance, "enumerate_consistent", enumerate_consistent)
     assert atk.check_umc(AttackInstance(camo), atk.AttackConfig()) is False
     assert asked == [(atk.AttackConfig().umc_enum_cap, None)]
 
 
-def test_umc_walks_each_projection_once_in_listing_batches(monkeypatch):
-    # the circuit of the test above; a listing of three projections, the
-    # last one inequivalent, is walked at the checkpoint of 2 and then once
-    # more for the one listed after it
+def test_umc_stops_listing_at_the_first_inequivalent_survivor(monkeypatch):
+    # the circuit of the test above; of four listed projections the third is
+    # the first inequivalent one, so the fourth is never searched
     from seqdecam.netlist import camouflage, parse_bench
 
     src = UNREAD_FLOP.replace("y = OR(a, zero)", "INPUT(b)\nt = OR(a, zero)\ny = AND(t, b)")
     camo = camouflage(parse_bench(src, "unread_flop2"), ["g", "y"], ["AND", "OR"])
-    comps = [Completion((0, 0)), Completion((1, 0)), Completion((0, 1))]
-
-    def enumerate_consistent(self, cap, budget=None, stop=None):
-        return comps[:2] if stop(comps[:2]) else comps
-
-    walks = []
-    real = atk._first_inequivalent
-
-    def spy(camo, batch, *caps):
-        walks.append(list(batch))
-        return real(camo, batch, *caps)
-
-    monkeypatch.setattr(AttackInstance, "enumerate_consistent", enumerate_consistent)
-    monkeypatch.setattr(atk, "_first_inequivalent", spy)
+    comps = [Completion((0, 0)), Completion((1, 0)), Completion((0, 1)), Completion((1, 1))]
+    monkeypatch.setattr(AttackInstance, "enumerate_consistent", _listing(comps))
+    calls = _product_calls(monkeypatch)
     assert atk.check_umc(AttackInstance(camo), atk.AttackConfig()) is False
-    assert walks == [comps[:2], [comps[0], comps[2]]]
+    assert [c[:2] for c in calls] == [(comps[0], comps[1]), (comps[0], comps[2])]
 
 
 def test_umc_counts_only_observable_cells_against_the_cap():
@@ -412,7 +439,7 @@ def test_uc_is_not_asked_next_to_an_unobservable_cell():
     assert [i.event for i in rep.iterations] == ["sequence", "uc"]
 
 
-def test_first_inequivalent_agrees_with_pairwise_search():
+def test_umc_agrees_with_pairwise_search():
     rng = random.Random(5150)
     verdicts = set()
     circuits = 0
@@ -424,42 +451,37 @@ def test_first_inequivalent_agrees_with_pairwise_search():
             continue
         m = camo.num_inputs
         seq = BitSeq(m, tuple(rng.randrange(1 << m) for _ in range(rng.randint(1, 3))))
-        qs = record(QuerySet(), seq, run_sequence(camo, secret, seq))
-        for pool in (list(camo.all_completions()), [x for x in camo.all_completions()
-                                                    if atk.consistent(camo, x, qs)]):
-            rng.shuffle(pool)
-            pairwise = all(
-                atk.product_equiv(camo, a, b) is None for a, b in itertools.combinations(pool, 2)
-            )
-            w = atk._first_inequivalent(camo, pool, 1 << 26, 1 << 26)
-            assert (w is None) == pairwise
-            if w is not None:
-                ref = run_sequence(camo, pool[0], w)
-                assert any(run_sequence(camo, x, w) != ref for x in pool[1:])
+        # no record, so every completion survives, then one record
+        for inst in (AttackInstance(camo), _observe(camo, secret, [seq.steps])):
+            pairwise = atk.brute_force_disc(camo, inst.qs)
+            assert atk.check_umc(inst) == pairwise
             verdicts.add(pairwise)
         circuits += 1
     assert verdicts == {True, False}
 
 
 # 9 inputs give 512 scenarios per state, so one pass holds at most 256
-# frontier states.  d0-d7 drive nothing (their completions stay in
-# lock-step), the flop of g is read by nothing (AND/OR leave lock-step yet
-# stay equivalent), y is an output, and the flops u and v widen the
-# frontier to several states per level.
+# frontier states.  y reads ys and, through zero = AND(t, NOT(t), ...),
+# which is 0, the flop t of g, the flops u0-u6 and the cells d0-d7: so d0-d7
+# and g lie in the outputs' cone yet every choice for them is equivalent to
+# every other, while ys decides y.  The flops u0-u6 latch inputs, which
+# widens the frontier past one pass.
 WIDE = (
     "".join(f"INPUT(x{i})\n" for i in range(9))
-    + "OUTPUT(y)\ns = DFF(n)\nt = DFF(g)\nu = DFF(x3)\nv = DFF(x4)\n"
-    + "n = XOR(x0, s)\ny = AND(x1, s)\ng = AND(x2, t)\n"
+    + "OUTPUT(y)\ns = DFF(n)\nt = DFF(g)\n"
+    + "".join(f"u{i} = DFF(x{i + 2})\n" for i in range(7))
+    + "n = XOR(x0, s)\nys = AND(x1, s)\ng = AND(x2, t)\n"
     + "".join(f"d{i} = AND(x{i}, x{i + 1})\n" for i in range(8))
+    + f"o = OR({', '.join(f'd{i}' for i in range(8))})\nnt = NOT(t)\n"
+    + f"zero = AND(t, nt, o, {', '.join(f'u{i}' for i in range(7))})\ny = OR(ys, zero)\n"
 )
 
 
-def test_first_inequivalent_agrees_with_pairwise_search_on_a_wide_circuit(monkeypatch):
-    from seqdecam.netlist import Evaluator, camouflage, parse_bench
+def test_umc_agrees_with_pairwise_search_on_a_wide_circuit(monkeypatch):
+    from seqdecam.netlist import Evaluator, camouflage, observable_cone, parse_bench
 
-    camo = camouflage(
-        parse_bench(WIDE, "wide"), [*(f"d{i}" for i in range(8)), "g", "y"], ["AND", "OR"]
-    )
+    camo = camouflage(parse_bench(WIDE, "wide"), ["d0", "g", "ys"], ["AND", "OR"])
+    assert observable_cone(camo)[1] == (0, 1, 2)
     widest = []
     orig_eval = Evaluator.eval
 
@@ -467,39 +489,26 @@ def test_first_inequivalent_agrees_with_pairwise_search_on_a_wide_circuit(monkey
         widest.append(width)
         return orig_eval(self, state_bits, input_bits, width)
 
-    calls = []
-    orig_product = atk.product_equiv
-
-    def spy(camo, x1, x2, *args):
-        calls.append(x2)
-        return orig_product(camo, x1, x2, *args)
-
     monkeypatch.setattr(Evaluator, "eval", measured)
-    monkeypatch.setattr(atk, "product_equiv", spy)
-    rng = random.Random(15)
-    everything = list(camo.all_completions())
-    same_y = [x for x in everything if x.choices[-1] == 0]
-    rng.shuffle(same_y)
-    assert atk._first_inequivalent(camo, same_y, 1 << 26, 1 << 26) is None
-    assert all(orig_product(camo, same_y[0], x) is None for x in same_y[1:])
-    # exactly the survivors whose g differs from the reference's left
-    # lock-step, and their product searches ran in pool order
-    assert calls == [x for x in same_y[1:] if x.choices[8] != same_y[0].choices[8]]
-    # the one inequivalent survivor last
-    odd = Completion(same_y[0].choices[:-1] + (1,))
-    rng.shuffle(everything)
-    for pool in (same_y + [odd], everything):
-        w = atk._first_inequivalent(camo, pool, 1 << 26, 1 << 26)
-        assert w is not None
-        assert not all(orig_product(camo, pool[0], x) is None for x in pool[1:])
-        ref = run_sequence(camo, pool[0], w)
-        assert any(run_sequence(camo, x, w) != ref for x in pool[1:])
-    assert max(widest) <= atk.WIRE_BITS
+    calls = _product_calls(monkeypatch)
+    secret = Completion((0, 0, 0))
+    # no record; then x1 = 1 at reset, which pins ys and leaves four
+    # equivalent survivors; then one more sequence
+    for steps, verdict in (([], False), ([(0b10,)], True),
+                           ([(0b10,), (0b11101, 0b1010, 0b10110)], True)):
+        inst = _observe(camo, secret, steps)
+        calls.clear()
+        assert atk.check_umc(inst) is verdict
+        if verdict:
+            assert len(calls) == 3
+        assert atk.brute_force_disc(camo, inst.qs) is verdict
+    # the frontier of 512 state pairs took more than one pass
+    assert atk.WIRE_BITS // 2 < max(widest) <= atk.WIRE_BITS
 
 
 # The flop z starts at 0 and feeds back through an AND, so it stays 0: the
 # cells d0-d7 lie in the cone but never reach y, and every choice for them
-# is in lock-step with every other.  The cell h reaches y at once.
+# is equivalent to every other.  The cell h reaches y at once.
 STUCK = (
     "".join(f"INPUT(x{i})\n" for i in range(9))
     + "OUTPUT(y)\nz = DFF(nz)\nnz = AND(z, x0)\n"
@@ -509,7 +518,7 @@ STUCK = (
 )
 
 
-def test_umc_certifies_hundreds_of_survivors_in_lock_step(monkeypatch):
+def test_umc_certifies_hundreds_of_equivalent_survivors(monkeypatch):
     from seqdecam.netlist import camouflage, observable_cone, parse_bench
 
     camo = camouflage(
@@ -519,37 +528,26 @@ def test_umc_certifies_hundreds_of_survivors_in_lock_step(monkeypatch):
     inst = AttackInstance(camo)
     seq = BitSeq(9, (0b01,))  # x0 = 1, x1 = 0: h's AND and OR differ
     inst.add_record(seq, run_sequence(camo, Completion((0,) * 9), seq))
-    listed, walked, products = [], [], []
+    listed = []
     orig_list = AttackInstance.enumerate_consistent
-    orig_walk = atk._first_inequivalent
-    orig_product = atk.product_equiv
 
     def listing(self, *args, **kwargs):
         comps = orig_list(self, *args, **kwargs)
         listed.append(comps)
         return comps
 
-    def walk(camo, comps, *args):
-        walked.extend(comps[1:])
-        return orig_walk(camo, comps, *args)
-
-    def product(camo, x1, x2, *args):
-        products.append(x2)
-        return orig_product(camo, x1, x2, *args)
-
     monkeypatch.setattr(AttackInstance, "enumerate_consistent", listing)
-    monkeypatch.setattr(atk, "_first_inequivalent", walk)
-    monkeypatch.setattr(atk, "product_equiv", product)
+    calls = _product_calls(monkeypatch)
     assert atk.check_umc(inst, atk.AttackConfig()) is True
     (pool,) = listed
     assert len(pool) == 256 and {x.choices[8] for x in pool} == {0}
-    assert sorted(walked, key=lambda x: x.choices) == sorted(pool[1:], key=lambda x: x.choices)
-    assert products == []
+    assert [c[:2] for c in calls] == [(pool[0], x) for x in pool[1:]]
     # the same pool with one survivor whose h differs, listed last
     odd = Completion(pool[0].choices[:8] + (1,))
-    monkeypatch.setattr(AttackInstance, "enumerate_consistent", lambda self, *a, **k: pool + [odd])
+    monkeypatch.setattr(AttackInstance, "enumerate_consistent", _listing(pool + [odd]))
+    calls.clear()
     assert atk.check_umc(inst, atk.AttackConfig()) is False
-    assert products == [odd]
+    assert [c[1] for c in calls] == pool[1:] + [odd]
 
 
 def test_umc_product_cap_is_inconclusive(monkeypatch, s27_camo):
@@ -616,39 +614,41 @@ def _solver_calls(monkeypatch):
     return calls
 
 
-def test_enumeration_calls_stop_at_each_doubling_up_to_the_cap():
+def test_enumeration_calls_stop_after_each_model_up_to_the_cap():
     inst = AttackInstance(_twin_chain())
-    for cap, checkpoints, listed in ((32, [2, 4, 8, 16, 32], 32), (20, [2, 4, 8, 16], None)):
+    for cap, listed in ((32, 32), (20, None)):
         seen = []
-        got = inst.enumerate_consistent(cap, None, lambda found: seen.append(len(found)))
-        assert seen == checkpoints
+        got = inst.enumerate_consistent(cap, None, lambda found: seen.append(list(found)))
+        assert [len(found) for found in seen] == list(range(1, min(cap, 32) + 1))
+        assert all(found == seen[-1][: len(found)] for found in seen)
         assert (got if got is None else len(got)) == listed
+    # True ends the listing after the model it was called with
+    assert len(inst.enumerate_consistent(32, None, lambda found: len(found) == 5)) == 5
 
 
 def test_a_certifying_check_lists_as_without_walks(monkeypatch, s27_camo):
-    # the walks between checkpoints touch no solver state: a check that
-    # certifies makes the solver calls, with the same decisions, of the
-    # plain listing it walks
+    # the product searches between models touch no solver state: a check
+    # that certifies makes the solver calls, with the same decisions, of
+    # the plain listing it searches
     calls = _solver_calls(monkeypatch)
     twin = _twin_chain()
     for make, n in ((lambda: _observe(s27_camo, S27_SECRET, S27_DISC), 1),
                     (lambda: AttackInstance(twin), 32)):
         calls.clear()
         assert atk.check_umc(make()) is True
-        walked = list(calls)
+        checked = list(calls)
         calls.clear()
         inst = make()
         assert len(inst.enumerate_consistent(atk.AttackConfig().umc_enum_cap)) == n
-        assert calls == walked and walked[-1][0] == sm.UNSAT
+        assert calls == checked and checked[-1][0] == sm.UNSAT
 
 
 @hypothesis.seed(21)
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 10**9))
 def test_umc_agrees_with_brute_force_on_four_to_six_cells(seed):
-    # enough consistent projections to cross several checkpoints of the
-    # listing, so a survivor that leaves the reference is often listed only
-    # after the first walk
+    # enough consistent projections that a survivor inequivalent to the
+    # first is often listed well after it
     rng = random.Random(seed)
     while True:
         try:
@@ -671,8 +671,15 @@ def test_sort_based_unique_is_np_unique():
             keys = rng.integers(0, high, size=n, dtype=np.uint64)
             uniq, first = atk._unique_first(keys)
             want_uniq, want_first = np.unique(keys, return_index=True)
-            assert uniq.tolist() == want_uniq.tolist() == atk._distinct(keys).tolist()
+            assert uniq.tolist() == want_uniq.tolist()
             assert first.tolist() == want_first.tolist()
+
+
+def test_input_pattern_is_the_per_value_mask():
+    for m in range(1, 13):
+        for bit in range(m):
+            want = sum(1 << v for v in range(1 << m) if (v >> bit) & 1)
+            assert atk._input_pattern(bit, m) == want, (bit, m)
 
 
 def test_brute_force_examples(s27_camo, identical_candidates_camo):
@@ -1068,9 +1075,9 @@ def test_every_clause_reaches_the_solver_through_the_builder():
 
 def test_umc_refutes_within_the_cap_and_is_inconclusive_past_it():
     cfg, inst = _umc_1_k32()
-    # 64 projections exceed a cap of 8, but the walk of the first 4 refutes
+    # 64 projections exceed a cap of 8, but one of the first 8 refutes
     assert atk.check_umc(inst, dataclasses.replace(cfg, umc_enum_cap=8)) is False
-    # a cap of 1 reaches no checkpoint, so nothing is walked
+    # a cap of 1 lists one completion, which is compared with nothing
     with pytest.raises(atk.InconclusiveError, match="^more than 1 consistent completions$"):
         atk.check_umc(inst, dataclasses.replace(cfg, umc_enum_cap=1))
 

@@ -616,12 +616,15 @@ def test_gatecount_sweep_stops_at_a_failed_step(tmp_path):
 
 
 def test_attack_table_stops_a_benchmark_at_a_failed_step(tmp_path):
-    run = _script("run_attack_table.py", "--bench", "s27", "--k", "2", "--seeds", "2",
-                  "--out", tmp_path / "ok")
-    assert run.returncode == 0
-    assert len((tmp_path / "ok" / "s27" / "table.csv").read_text().splitlines()) == 2
+    # tables of two k under one --out keep their own sidecars and runs
+    for k in (2, 3):
+        run = _script("run_attack_table.py", "--bench", "s27", "--k", k, "--seeds", "1",
+                      "--out", tmp_path / "ok")
+        assert run.returncode == 0
+        header, row = (tmp_path / "ok" / "s27" / f"k{k}" / "table.csv").read_text().splitlines()
+        assert dict(zip(header.split(","), row.split(",")))["runs"] == "1"
     run = _script("run_attack_table.py", "--bench", "s27", "--k", "50", "--seeds", "1",
                   "--out", tmp_path / "bad")
     assert run.returncode == 2
     assert run.stderr.strip() == "error: k=50 but only 5 gates implement one of ['NAND', 'NOR']"
-    assert not (tmp_path / "bad" / "s27" / "runs").exists()
+    assert not (tmp_path / "bad" / "s27" / "k50" / "runs").exists()

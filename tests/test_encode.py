@@ -644,8 +644,9 @@ def test_enumeration_leaves_level_0_on_every_exit(monkeypatch, s27_camo):
         listing(cap=10)
     assert len(syncs) == 4  # the failed one, then the one that retires the epoch
     monkeypatch.undo()
-    # `stop` ends the listing at its first checkpoint, or raises there
-    assert len(listing(10, None, lambda found: True)) == 2
+    # `stop` ends the listing after any model, or raises there
+    assert len(listing(10, None, lambda found: True)) == 1
+    assert len(listing(10, None, lambda found: len(found) == 3)) == 3
 
     def cap_hit(found):
         raise ProductCapError("product state cap 1 exceeded")

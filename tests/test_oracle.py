@@ -1,8 +1,12 @@
+import gc
 import io
 import random
+import shlex
 import sys
 import threading
 import time
+import warnings
+from pathlib import Path
 
 import pytest
 
@@ -140,3 +144,51 @@ def test_pipe_oracle_close_kills_a_process_that_outlives_its_input(monkeypatch):
     oracle.close()
     assert time.monotonic() - t0 < 5
     assert oracle._proc.returncode is not None
+
+
+def _running(pid):
+    """Is process pid alive, a zombie not counted?"""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+def test_pipe_oracle_close_ends_every_process_of_the_command(monkeypatch, tmp_path):
+    # a shell runs the lingering oracle, which writes its pid first, as its
+    # child and would sleep after it; close ends both, not just the shell
+    monkeypatch.setattr(oracle_mod, "CLOSE_GRACE_S", 0.5)
+    pidfile = tmp_path / "oracle.pid"
+    code = f"import os\nopen({str(pidfile)!r}, 'w').write(str(os.getpid()))\n" + LINGERING_ORACLE[2]
+    oracle = PipeOracle(["sh", "-c", shlex.join([sys.executable, "-c", code]) + "; sleep 30"], 4, 1)
+    assert oracle.query(BitSeq(4, (1, 2))) == BitSeq(1, (0, 0))
+    child = int(pidfile.read_text())
+    assert _running(child)
+    oracle.close()
+    deadline = time.monotonic() + 5
+    while _running(child) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not _running(child)
+    assert oracle._proc.returncode is not None
+
+
+def test_pipe_oracle_close_releases_its_pipes(monkeypatch):
+    # after a clean exit, a kill at close and a kill at a query's timeout,
+    # close leaves no pipe open for the garbage collector to warn about
+    monkeypatch.setattr(oracle_mod, "CLOSE_GRACE_S", 0.5)
+    answering = [*LINGERING_ORACLE[:2], LINGERING_ORACLE[2].replace("time.sleep(60)", "")]
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always", ResourceWarning)
+        for argv in (answering, LINGERING_ORACLE, SLEEPING_ORACLE):
+            oracle = PipeOracle(argv, 4, 1, timeout=0.5)
+            try:
+                oracle.query(BitSeq(4, (1, 2)))
+            except OracleTimeoutError:
+                assert argv is SLEEPING_ORACLE
+            oracle.close()
+            assert oracle._proc.stdin.closed and oracle._proc.stdout.closed
+            del oracle
+            gc.collect()
+    assert [w.message for w in seen if issubclass(w.category, ResourceWarning)] == []

@@ -2,23 +2,24 @@
 
 An embedded CDCL solver (watched literals, first-UIP learning, VSIDS, phase
 saving, Luby restarts, solve-under-assumptions) behind `SatContext`, which
-verifies every SAT answer against the clause database and the assumptions
-before it is returned.  Every call starts and ends with the trail at
-level 0, and clauses enter by one path, `SatContext.add_clauses`: models
-are listed by plain calls, each followed by a clause that excludes its
-model.
+verifies every SAT answer against every clause it was given and the
+assumptions before it is returned, in plain Python: a table of literal
+truths, one `operator.itemgetter` gather per stored batch of clauses and a
+byte search for a clause with no true literal.  Every call starts and ends
+with the trail at level 0, and clauses enter by one path,
+`SatContext.add_clauses`: models are listed by plain calls, each followed
+by a clause that excludes its model.
 """
 
 from __future__ import annotations
 
+import re
 import time
-from array import array
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from itertools import accumulate
+from operator import itemgetter
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .cnf import CnfInstance
 
@@ -29,9 +30,17 @@ TIMEOUT = "TIMEOUT"
 _VAR_DECAY = 0.95
 _RESTART_BASE = 100
 _CLAUSE_DECAY = 0.999
-# bytes.translate table from a variable's value code (0 undef, 1 true,
-# 2 false) to its model byte (1 true, else 0)
+# bytes.translate tables: _TRUE_BYTE maps a variable's value code (0 undef,
+# 1 true, 2 false) to its model byte (1 true, else 0); on model bytes it
+# gives the truth of each positive literal and _ZERO_BYTE that of each
+# negative one; _FIRST_BYTE maps a clause's first literal's truth to 2
+# (false) or 3 (true)
 _TRUE_BYTE = bytes(1 if i == 1 else 0 for i in range(256))
+_ZERO_BYTE = bytes(1 if i == 0 else 0 for i in range(256))
+_FIRST_BYTE = bytes((2, 3)) + bytes(254)
+# in a batch's gathered truths with the zeros deleted: a clause whose first
+# literal is false and no other literal true
+_FALSE_CLAUSE = re.compile(b"\x02(?!\x01)")
 
 
 @dataclass
@@ -681,20 +690,24 @@ class SatContext:
     Supports repeated solve calls under assumptions, with clause additions
     in between; previously derived UNSAT-under-assumption answers stay valid
     because clauses are only ever added.  The clauses every model is checked
-    against are held flat, with no object per clause: encoded literals (2v,
-    or 2v+1 when negated) back to back in one int32 array and each clause's
-    first offset in another, both grown geometrically by ``array``.
+    against are held in batches, each one tuple of encoded literals (2v, or
+    2v+1 when negated) with each clause's first literal e stored as ~e, an
+    empty clause as ~0 = -1 and a 0 at the end, next to an
+    `operator.itemgetter` of that tuple, which gathers the truth of each of
+    its entries from a table (`_first_false_clause`).  A new batch is
+    merged into the last one while that one is at most twice its size, so
+    each batch is more than twice the size of the next and one check makes
+    O(log clauses) gathers.
 
     Each batch of clauses is encoded once (`encode_clauses`): that list is
-    both what the verification array stores and what `Cdcl.add_encoded`
+    both what the verification store keeps and what `Cdcl.add_encoded`
     loads.  Literal 0 and variables past the int32 code range are refused
     before anything is stored, so a refused batch leaves the context as it
     was.
     """
 
     def __init__(self, inst: CnfInstance):
-        self._lits = array("i")
-        self._starts = array("i")
+        self._batches: list[tuple[tuple[int, ...], itemgetter]] = []
         self._nempty = 0  # empty clauses, which no model satisfies
         self._num_vars = 0
         self._cdcl = Cdcl()
@@ -702,14 +715,38 @@ class SatContext:
 
     def _store(self, lits: list[int], lens: list[int]) -> None:
         """Keep encoded clauses for verification."""
-        if lens:
-            self._starts.fromlist(list(accumulate(lens[:-1], initial=len(self._lits))))
-            self._lits.fromlist(lits)
-            self._nempty += lens.count(0)
+        if not lens:
+            return
+        if 0 in lens:
+            flat, i = [], 0
+            for n in lens:
+                flat += [~lits[i], *lits[i + 1 : i + n]] if n else [-1]
+                i += n
+        else:
+            flat = lits[:]
+            for start in accumulate(lens[:-1], initial=0):
+                flat[start] = ~flat[start]
+        # the final 0 reads a truth of 0: the getter of two or more entries
+        # returns a tuple
+        flat.append(0)
+        keys = tuple(flat)
+        batches = self._batches
+        while batches and len(batches[-1][0]) <= 2 * len(keys):
+            keys = batches.pop()[0][:-1] + keys
+        batches.append((keys, itemgetter(*keys)))
+        self._nempty += lens.count(0)
 
-    def _clause(self, i: int) -> tuple[int, ...]:
-        end = self._starts[i + 1] if i + 1 < len(self._starts) else len(self._lits)
-        return tuple(-(e >> 1) if e & 1 else e >> 1 for e in self._lits[self._starts[i] : end])
+    def stored_clauses(self) -> list[tuple[int, ...]]:
+        """Every clause models are checked against, in the order they were
+        added, as tuples of signed literals."""
+        codes: list[list[int]] = []
+        for keys, _ in self._batches:
+            for e in keys:
+                if e < 0:
+                    codes.append([~e] if e != -1 else [])
+                elif e:
+                    codes[-1].append(e)
+        return [tuple(-(e >> 1) if e & 1 else e >> 1 for e in c) for c in codes]
 
     @property
     def num_vars(self) -> int:
@@ -774,25 +811,35 @@ class SatContext:
             raise ModelVerificationError("model does not satisfy clause ()")
         bad = self._first_false_clause(raw)
         if bad is not None:
-            raise ModelVerificationError(f"model does not satisfy clause {self._clause(bad)}")
+            raise ModelVerificationError(
+                f"model does not satisfy clause {self.stored_clauses()[bad]}"
+            )
         for l in assumptions:
             if not (raw[l] if l > 0 else not raw[-l]):
                 raise ModelVerificationError(f"model violates assumption {l}")
 
     def _first_false_clause(self, raw: bytes) -> int | None:
-        """Index of the first clause that raw falsifies, in one NumPy pass.
+        """Index of the first stored clause that raw falsifies.
 
-        Needs every clause non-empty: reduceat would read an empty clause
-        as the first literal of the next one.
+        The lower half of one table holds the truth (0 or 1) of every
+        encoded literal e, and its upper half, in reverse, so that index ~e
+        reads it, 3 or 2 for a first literal that is true or false (code 0,
+        which pads batches and marks empty clauses, reads 0 and 2).  With
+        the zeros deleted, a batch's gathered truths hold each clause as
+        its first literal's 3 or 2 and a 1 for each other true literal.
         """
-        if not self._starts:
-            return None
-        # truth of encoded literal e = 2v + sign, for every variable
-        lit_true = np.frombuffer(raw, np.uint8).repeat(2)
-        lit_true[1::2] ^= 1
-        # the views are gone when this returns, so the arrays can grow again
-        sat = np.bitwise_or.reduceat(
-            lit_true.take(np.frombuffer(self._lits, np.int32)),
-            np.frombuffer(self._starts, np.int32),
-        )
-        return None if sat.all() else int(np.argmin(sat))
+        n = 2 * len(raw)
+        truth = bytearray(2 * n)
+        truth[0:n:2] = raw.translate(_TRUE_BYTE)
+        truth[1:n:2] = raw.translate(_ZERO_BYTE)
+        truth[0] = 0
+        truth[n:] = truth[n - 1 :: -1].translate(_FIRST_BYTE)
+        first = 0  # index of the batch's first clause
+        for _, gather in self._batches:
+            seen = bytes(gather(truth)).translate(None, b"\x00")
+            false = _FALSE_CLAUSE.search(seen)
+            if false:
+                at = false.start()
+                return first + at - seen.count(1, 0, at)
+            first += len(seen) - seen.count(1)
+        return None

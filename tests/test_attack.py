@@ -4,7 +4,6 @@ import random
 import re
 
 import hypothesis
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -205,7 +204,7 @@ y = OR(a, zero)
 """
 
 
-def test_umc_product_search_only_for_survivors_out_of_lockstep(monkeypatch):
+def test_umc_two_equivalent_survivors_need_one_product_search(monkeypatch):
     from seqdecam.netlist import camouflage, observable_cone, parse_bench
 
     camo = camouflage(parse_bench(UNREAD_FLOP, "unread_flop"), ["g"], ["AND", "OR"])
@@ -664,15 +663,52 @@ def test_umc_agrees_with_brute_force_on_four_to_six_cells(seed):
     assert atk.check_umc(inst) == atk.brute_force_disc(camo, inst.qs)
 
 
-def test_sort_based_unique_is_np_unique():
-    rng = np.random.default_rng(7)
-    for n in (1, 2, 5, 64, 1000):
-        for high in (2, 50, 1 << 63):
-            keys = rng.integers(0, high, size=n, dtype=np.uint64)
-            uniq, first = atk._unique_first(keys)
-            want_uniq, want_first = np.unique(keys, return_index=True)
-            assert uniq.tolist() == want_uniq.tolist()
-            assert first.tolist() == want_first.tolist()
+def _keys_bit_by_bit(wires, width):
+    """Reference for `_distinct_keys`: every scenario's key built one bit at
+    a time, then the distinct ones in ascending order with their first
+    scenario."""
+    first = {}
+    for j in range(width):
+        key = 0
+        for i, wire in enumerate(wires):
+            key |= ((wire >> j) & 1) << i
+        first.setdefault(key, j)
+    keys = sorted(first)
+    return keys, [first[k] for k in keys]
+
+
+def _wires_of(keys, nwires):
+    """The wires whose scenario j has key keys[j]."""
+    return [sum(((k >> i) & 1) << j for j, k in enumerate(keys)) for i in range(nwires)]
+
+
+def test_distinct_keys_match_a_bit_by_bit_reference():
+    rng = random.Random(7)
+    paths = set()
+    for width in (1, 5, 8, 100, 4096):
+        for nwires in (1, 2, 7, 8, 9, 30, 64):
+            for distinct in (1, 3, 40, None):  # None: every bit drawn at random
+                if distinct is None:
+                    wires = [rng.getrandbits(width) for _ in range(nwires)]
+                else:
+                    pool = [rng.getrandbits(nwires) for _ in range(distinct)]
+                    wires = _wires_of([rng.choice(pool) for _ in range(width)], nwires)
+                want = _keys_bit_by_bit(wires, width)
+                assert atk._distinct_keys(wires, width) == want, (width, nwires, distinct)
+                assert atk._transposed_keys(wires, width) == want, (width, nwires, distinct)
+                refined = atk._refined_keys(wires, width)
+                assert refined in (None, want), (width, nwires, distinct)
+                paths.add(refined is None)
+    assert paths == {True, False}  # both the refinement and its fallback ran
+    # every scenario its own key, in reverse order: refinement gives up
+    width, nwires = 4096, 13
+    keys = list(range(width - 1, -1, -1))
+    wires = _wires_of(keys, nwires)
+    assert atk._refined_keys(wires, width) is None
+    want = (list(range(width)), keys)
+    assert atk._distinct_keys(wires, width) == want == _keys_bit_by_bit(wires, width)
+    with pytest.raises(atk.ProductCapError, match="65 state bits"):
+        atk._distinct_keys([0] * 65, 8)
 
 
 def test_input_pattern_is_the_per_value_mask():
@@ -1054,11 +1090,11 @@ def test_enumeration_is_pinned():
         2578, 8907)
 
 
-def test_umc_stops_listing_at_the_first_batch_that_refutes(monkeypatch):
+def test_umc_refutes_umc_1_k32_at_its_third_listed_survivor(monkeypatch):
     cfg, inst = _umc_1_k32()
     calls = _solver_calls(monkeypatch)
     assert atk.check_umc(inst, cfg) is False
-    assert 2 <= len(calls) <= 4 and {c[0] for c in calls} == {sm.SAT}
+    assert [c[0] for c in calls] == [sm.SAT] * 3
     # the whole listing is 16 times longer
     assert len(inst.enumerate_consistent(512)) == 64
 
@@ -1070,7 +1106,7 @@ def test_every_clause_reaches_the_solver_through_the_builder():
     cfg, inst = _umc_1_k32()
     assert atk.check_umc(inst, cfg) is False
     assert inst.solve_consistent().status == sm.SAT
-    assert list(inst._ctx._lits) == sm.encode_clauses(inst.bld.clauses)[0]
+    assert inst._ctx.stored_clauses() == [tuple(c) for c in inst.bld.clauses]
 
 
 def test_umc_refutes_within_the_cap_and_is_inconclusive_past_it():

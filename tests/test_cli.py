@@ -628,3 +628,12 @@ def test_attack_table_stops_a_benchmark_at_a_failed_step(tmp_path):
     assert run.returncode == 2
     assert run.stderr.strip() == "error: k=50 but only 5 gates implement one of ['NAND', 'NOR']"
     assert not (tmp_path / "bad" / "s27" / "k50" / "runs").exists()
+
+
+def test_importing_the_package_loads_no_numpy():
+    # the package depends on the standard library alone; a fresh interpreter
+    # (conftest puts src on its PYTHONPATH) imports it and its command line
+    probe = "import sys, seqdecam, seqdecam.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         timeout=60, check=True)
+    assert out.stdout.strip() == "False"

@@ -67,15 +67,14 @@ def test_out_of_range_variable_is_refused_before_anything_is_stored():
     # 1 << 30 is refused before any per-variable array grows; a variable just
     # below it would make ensure_vars allocate arrays of 2^30 entries
     ctx = sm.SatContext(_inst(2, [(1, 2)]))
-    lits, starts = list(ctx._lits), list(ctx._starts)
     with pytest.raises(sm.MalformedInstanceError, match="int32"):
         ctx.add_clauses([(1, 1 << 30)])
-    assert (list(ctx._lits), list(ctx._starts), ctx.num_vars) == (lits, starts, 2)
+    assert (ctx.stored_clauses(), ctx.num_vars) == ([(1, 2)], 2)
     assert ctx.solve([-1]).status == sm.SAT
 
 
 def _state(ctx):
-    return (ctx._cdcl.ok, ctx.num_vars, list(ctx._lits), list(ctx._starts), ctx._nempty,
+    return (ctx._cdcl.ok, ctx.num_vars, ctx.stored_clauses(), ctx._nempty,
             ctx._cdcl.nvars, ctx._cdcl.num_clauses, list(ctx._cdcl.trail), ctx.stats)
 
 
@@ -116,6 +115,40 @@ def test_batched_sync_equals_clause_by_clause(seed):
     assert (a.status, a.raw_model) == (b.status, b.raw_model)
     assert (a.stats.conflicts, a.stats.decisions, a.stats.propagations) == (
         b.stats.conflicts, b.stats.decisions, b.stats.propagations)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**9))
+def test_first_false_clause_is_the_first_a_scan_finds(seed):
+    # batches of empty, unit and long clauses over variables past 255, added
+    # one call at a time so that the store merges them; most clauses hold
+    # under a hidden model, which is checked with a few variables flipped
+    rng = random.Random(seed)
+    nv = rng.choice([3, 40, 300, 700])
+    hidden = [0] + [rng.randint(0, 1) for _ in range(nv)]
+    batches = []
+    for _ in range(rng.randint(1, 12)):
+        batch = []
+        for _ in range(rng.choice([0, 1, 3, 20, 90])):
+            n = 0 if rng.random() < 0.01 else rng.choice([1, 1, 2, 3, 3, 8, 40])
+            c = [rng.choice([1, -1]) * rng.randint(1, nv) for _ in range(n)]
+            if c and rng.random() < 0.97:
+                v = rng.randint(1, nv)
+                c[rng.randrange(n)] = v if hidden[v] else -v
+            batch.append(tuple(c))
+        batches.append(batch)
+    ctx = sm.SatContext(_inst(nv, batches[0]))
+    for batch in batches[1:]:
+        ctx.add_clauses(batch)
+    clauses = [c for batch in batches for c in batch]
+    assert ctx.stored_clauses() == clauses
+    for flips in (0, 1, 3, nv):
+        model = list(hidden)
+        for v in rng.sample(range(1, nv + 1), flips):
+            model[v] ^= 1
+        want = next((i for i, c in enumerate(clauses)
+                     if not any(model[l] if l > 0 else not model[-l] for l in c)), None)
+        assert ctx._first_false_clause(bytes(model)) == want
 
 
 def test_pick_falls_back_to_the_lowest_open_variable():
@@ -342,4 +375,14 @@ def test_verifier_refuses_bad_models(monkeypatch):
     ctx = sm.SatContext(_inst(3, [(1, 2)]))
     ctx._cdcl.model = b"\x00\x01"
     with pytest.raises(sm.ModelVerificationError, match="assigns 1 of 3"):
+        ctx.solve()
+
+
+def test_verifier_refuses_a_model_one_variable_short(monkeypatch):
+    # variable 3 is declared but in no clause, so only the length check sees
+    # that the model leaves it out
+    monkeypatch.setattr(sm.Cdcl, "solve", lambda self, *a, **k: sm.SAT)
+    ctx = sm.SatContext(_inst(3, [(1, 2)]))
+    ctx._cdcl.model = b"\x00\x01\x00"
+    with pytest.raises(sm.ModelVerificationError, match="assigns 2 of 3"):
         ctx.solve()

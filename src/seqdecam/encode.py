@@ -2,8 +2,11 @@
 
 Camouflaged gates become key-controlled cells: each cell gets ceil(log2 t)
 key variables selecting among its t candidate functions (indices >= t are
-blocked), and time-unrolled circuit copies are keyed by such vectors.  The
-queries encoded here:
+blocked), and time-unrolled circuit copies are keyed by such vectors.  A
+cell whose candidates all give the same literal in a frame (equal constants,
+say NAND(1, 1) = NOR(1, 1) = 0, or one hash-shared gate) is that literal
+there, with no key guard, so a constant from reset or from a record's inputs
+propagates through it.  The queries encoded here:
 
 * consistency -- a key vector reproduces every recorded query exactly;
 * BMC disagreement -- two consistency-constrained copies share b frames of
@@ -111,8 +114,11 @@ def emit_keyed_frame(
     """One clock cycle of the keyed circuit; returns (output, next-state) literals.
 
     Any satisfying assignment makes the returned literals equal to
-    step(camo, decode(key), state, input).  Camouflaged gates are encoded by
-    guarding each candidate's definition with that candidate's key value.
+    step(camo, decode(key), state, input).  Each candidate's gate is emitted
+    with `bld`'s constant folding and hashing.  A cell whose candidates all
+    give the same literal is that literal, since every valid key selects
+    it; otherwise the cell gets an output variable, and each candidate's
+    definition of it is guarded by that candidate's key value.
     The frame walks `camo.plan`, whose cell indices index `key`'s cells: a
     reduced circuit from `observable_cone` is keyed by its full circuit's
     key vector.  Raises ValueError unless there is one state literal per
@@ -133,11 +139,15 @@ def emit_keyed_frame(
         if ci < 0:
             vals.append(_emit_gate(bld, fns[0], ins))
             continue
+        cands = [_emit_gate(bld, fn, ins) for fn in fns]
+        if len(set(cands)) == 1:
+            # every candidate gives the same literal, so every valid key does
+            vals.append(cands[0])
+            continue
         out = bld.new_var(implied=True)
-        for off, fn in zip(off_lits[ci], fns):
+        for off, v in zip(off_lits[ci], cands):
             # (cell selects this candidate) -> (out <-> its output); key bits
-            # and out are never constants, so nothing folds but the output
-            v = _emit_gate(bld, fn, ins)
+            # and out are never constants, so only the candidate's output folds
             if v == TRUE:
                 clauses.append((*off, out))
             elif v == FALSE:
@@ -212,7 +222,7 @@ def _emit_any_mismatch(bld: CnfBuilder, a: Sequence[int], b: Sequence[int]) -> i
     ms = []
     for x, y in zip(a, b):
         m = bld.emit_mismatch(x, y)
-        if m is TRUE:
+        if m == TRUE:
             return TRUE
         if m is not None:
             ms.append(m)

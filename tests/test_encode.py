@@ -1,11 +1,14 @@
 import random
 
+import hypothesis
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from seqdecam import sat as sm
-from seqdecam.cnf import CnfBuilder
+from seqdecam.cnf import FALSE, TRUE, CnfBuilder
 from seqdecam.encode import (
     AttackInstance,
+    _emit_any_mismatch,
     emit_keyed_frame,
     encode_bmc_disagreement,
     encode_ce,
@@ -17,7 +20,7 @@ from seqdecam.encode import (
 from seqdecam.gen import random_camo, random_circuit
 from seqdecam.netlist import (
     CAMO_TAG, BitSeq, CamoCell, CamoCircuit, Circuit, Completion, Evaluator, Gate,
-    observable_cone, run_sequence, step,
+    camouflage, observable_cone, parse_bench, run_sequence, step,
 )
 from seqdecam.oracle import OracleConflictError, QuerySet, record
 from seqdecam.attack import ProductCapError, brute_force_disc, consistent
@@ -163,6 +166,86 @@ def test_keyed_frame_s27_matches_brute_force_table(s27_camo):
             assert res.status == sm.SAT
             got = res.word(inst.groups["output"])
             assert got == step(s27_camo, x, 0, inp)[0]
+
+
+def test_keyed_frame_folds_a_cell_whose_candidates_agree():
+    # NAND(1, 1) = NOR(1, 1) = 0 and NAND(a, a) = NOR(a, a) = -a: every key
+    # gives the cell that literal, so it gets no variable and no guard
+    gates = (Gate("y", CAMO_TAG, ("a", "b")),)
+    camo = CamoCircuit(Circuit("hand", ("a", "b"), ("y",), (), gates),
+                       (CamoCell("y", ("NAND", "NOR")),))
+    bld = CnfBuilder()
+    key = new_key_vector(bld, camo, "key")
+    a = bld.new_var()
+    for ins, want in (([TRUE, TRUE], FALSE), ([FALSE, FALSE], TRUE), ([a, a], -a)):
+        num_vars, num_clauses = bld.num_vars, len(bld.clauses)
+        assert emit_keyed_frame(bld, camo, key, [], ins) == ([want], [])
+        assert (bld.num_vars, len(bld.clauses)) == (num_vars, num_clauses)
+    # NAND(1, 0) = 1 but NOR(1, 0) = 0: the key decides, by two guarded units
+    outs, _ = emit_keyed_frame(bld, camo, key, [], [TRUE, FALSE])
+    assert outs == [num_vars + 1] and bld.num_vars == num_vars + 1
+    (k,) = key.cells[0]
+    assert bld.clauses[num_clauses:] == [(k, outs[0]), (-k, -outs[0])]
+
+
+# candidate sets whose members agree on equal inputs (NAND/NOR, AND/OR) or
+# on no inputs at all
+_FOLD_CANDIDATES = (("NAND", "NOR"), ("AND", "OR"), ("NAND", "NOR", "AND", "XOR"))
+
+
+@hypothesis.seed(33)
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**9), st.sampled_from(_FOLD_CANDIDATES), st.data())
+def test_keyed_frame_matches_step_on_constant_and_repeated_literals(seed, candidates, data):
+    # the fold fires only where a cell's inputs are constants or one
+    # literal, so each state and input literal is drawn from the constants
+    # and two free variables, either sign; every completion, pinned by its
+    # key bits, must give step's outputs and next state
+    rng = random.Random(seed)
+    try:
+        camo, _ = random_camo(rng, random_circuit(rng), candidates=candidates)
+    except ValueError:  # no gate takes two inputs
+        hypothesis.assume(False)
+    m, l = camo.num_inputs, camo.num_flops
+    bld = CnfBuilder()
+    key = new_key_vector(bld, camo, "key")
+    free = bld.new_vars(2)
+    lit = st.sampled_from((TRUE, FALSE, *free, *(-v for v in free)))
+    state_lits = data.draw(st.lists(lit, min_size=l, max_size=l))
+    input_lits = data.draw(st.lists(lit, min_size=m, max_size=m))
+    values = data.draw(st.lists(st.booleans(), min_size=2, max_size=2))
+    outs, nxt = emit_keyed_frame(bld, camo, key, state_lits, input_lits)
+    bit = {TRUE: 1, FALSE: 0}
+    for v, b in zip(free, values):
+        bit[v], bit[-v] = int(b), int(not b)
+    state = sum(bit[x] << i for i, x in enumerate(state_lits))
+    inp = sum(bit[x] << i for i, x in enumerate(input_lits))
+    ctx = sm.SatContext(bld.build())
+    for x in camo.all_completions():
+        res = ctx.solve(_pin(key.all_vars(), _key_bits(camo, x)) + _pin(free, values))
+        assert res.status == sm.SAT
+        assert (res.word(outs), res.word(nxt)) == step(camo, x, state, inp)
+
+
+def test_frame_whose_copies_fold_alike_adds_no_mismatch_literal():
+    # from reset q1 = q2 = 0, and NAND(0, 0) = NOR(0, 0) = 1 in both
+    # copies: the first frame's output is TRUE in both, so its mismatch is
+    # FALSE, with no variable, and the bound-1 search is UNSAT at once
+    c = parse_bench("INPUT(a)\nOUTPUT(y)\nq1 = DFF(a)\nq2 = DFF(y)\ny = NAND(q1, q2)\n")
+    inst = AttackInstance(camouflage(c, ["y"], ["NAND", "NOR"]))
+    num_vars = inst.bld.num_vars
+    inst.ensure_frames(1)
+    assert inst.bld.num_vars == num_vars + 1  # the frame's input alone
+    assert inst._frame_flags == [FALSE]
+    assert inst.solve_bmc(1).status == sm.UNSAT
+    # then q1 = a and q2 = 1, where NAND(0, 1) = 1 but NOR(0, 1) = 0
+    assert inst.solve_bmc(2).status == sm.SAT
+    # constants of the two vectors compare without a variable either way
+    bld = CnfBuilder()
+    v = bld.new_var()
+    assert _emit_any_mismatch(bld, [TRUE, v], [TRUE, v]) == FALSE
+    assert _emit_any_mismatch(bld, [v, TRUE], [v, FALSE]) == TRUE
+    assert (bld.num_vars, len(bld.clauses)) == (v, 1)
 
 
 # ------------------------------------------------------------- consistency

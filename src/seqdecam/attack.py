@@ -34,7 +34,9 @@ completion solved for.  When no cell lies in the cone
 at all, every completion is sequentially equivalent to every other, so the
 attack certifies UMC before any frame, solver call or oracle query and
 returns the all-zeros completion.  The report names the cells outside the
-cone as unobservable.
+cone as unobservable.  UC and CE answer UNSAT with no solver call once the
+solver's level 0 fixes the key bits of every cell they compare: every
+cell for UC, the cells in the cone for CE.
 Small-instance ground truth comes from an exhaustive pairwise-equivalence
 procedure over the whole completion space.
 """

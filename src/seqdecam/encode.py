@@ -18,6 +18,8 @@ propagates through it.  The queries encoded here:
 
 Every query is built and solved on one incremental `AttackInstance`, BMC,
 UC and CE with the two key vectors assumed distinct (`_emit_keys_equal`).
+UC and CE are UNSAT with no solver call once the solver's level 0 fixes
+the key bits of every cell they compare (`AttackInstance._settled`).
 `encode_bmc_disagreement` and `encode_ce` return its clause database with
 the query's selector asserted, `encode_uc` with the keys asserted distinct;
 `encode_consistency` and `encode_keyed_frame` are standalone single-key
@@ -40,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .cnf import FALSE, TRUE, CnfBuilder, CnfInstance
 from .netlist import GATES, BitSeq, CamoCircuit, Completion, observable_cone
@@ -242,8 +244,10 @@ def _emit_keys_equal(bld: CnfBuilder, k1: KeyVector, k2: KeyVector) -> int:
     >= t are blocked), so UC is its negation assumed alone.  BMC and CE
     assume it false too: that loses them no model, since equal completions
     give equal outputs and next states.  The solver knows from the start
-    that the keys differ, and once the surviving completion is unique,
-    keys_eq is true at level 0 and all three queries fail at once.
+    that the keys differ.  keys_eq spans every cell, so a level-0 value for
+    it needs every cell settled, unobservable ones included; the level-0
+    key bits of the compared cells alone certify UC and CE
+    (`AttackInstance._settled`).
     """
     eqs = [-bld.emit_xor([a, b]) for a, b in zip(k1.all_vars(), k2.all_vars())]
     return bld.emit_and(eqs)
@@ -404,7 +408,32 @@ class AttackInstance:
         steps = tuple(result.word(self.frame_inputs[f]) for f in range(bound))
         return x1, x2, BitSeq(self.camo.num_inputs, steps)
 
+    def _settled(self, cells: Iterable[int]) -> bool:
+        """Whether level 0 of the synced solver fixes every k1 key bit of
+        each of `cells` that has two or more candidates.
+
+        Then all consistent completions select the same candidate in each
+        of those cells.  Exact: every clause not guarded by an assumption is
+        a key encoding, a record's consistency constraint, or a definition
+        that any pair of consistent completions extends (frames,
+        one-directional mismatches, selector- and epoch-guarded clauses,
+        the keys_eq definition), and learnt clauses follow from these.  So
+        each consistent completion, as k1 and k2 alike, extends to a model,
+        and a level-0 value of a k1 bit is its value in every one of them.
+        """
+        self._sync()
+        fixed, key = self._ctx.fixed_value, self.k1
+        return all(fixed(b) is not None for c in cells if key.ts[c] > 1 for b in key.cells[c])
+
     def solve_uc(self, budget: float | None = None) -> "satmod.SolveResult":
+        """UNSAT iff at most one completion is consistent.
+
+        UNSAT with no solver call once level 0 settles every cell
+        (`_settled`): a single cell left open, observable or not, can keep
+        two consistent completions apart.
+        """
+        if self._settled(range(self.camo.k)):
+            return satmod.SolveResult(satmod.UNSAT)
         return self._solve([-self._keys_eq], budget)
 
     def solve_ce(self, budget: float | None = None) -> "satmod.SolveResult":
@@ -413,7 +442,12 @@ class AttackInstance:
 
         Sound for termination (UNSAT implies `qs` is discriminating) but
         conservative: disagreement confined to unreachable states is SAT.
+        UNSAT with no solver call and no CE frame once level 0 settles every
+        cell in the cone (`_settled`): all consistent completions then run
+        the same reduced circuit, which has no gate for the other cells.
         """
+        if self._settled(self.cone[1]):
+            return satmod.SolveResult(satmod.UNSAT)
         return self._solve([self.ce_selector(), -self._keys_eq], budget)
 
     def solve_consistent(

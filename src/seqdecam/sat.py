@@ -6,9 +6,9 @@ verifies every SAT answer against every clause it was given and the
 assumptions before it is returned, in plain Python: a table of literal
 truths, one `operator.itemgetter` gather per stored batch of clauses and a
 byte search for a clause with no true literal.  Every call starts and ends
-with the trail at level 0, and clauses enter by one path,
-`SatContext.add_clauses`: models are listed by plain calls, each followed
-by a clause that excludes its model.
+with the trail at level 0, whose values `SatContext.fixed_value` reads,
+and clauses enter by one path, `SatContext.add_clauses`: models are listed
+by plain calls, each followed by a clause that excludes its model.
 """
 
 from __future__ import annotations
@@ -761,6 +761,16 @@ class SatContext:
         """
         s = self._cdcl.stats
         return SolveStats(s.conflicts, s.decisions, s.propagations)
+
+    def fixed_value(self, var: int) -> bool | None:
+        """The value of `var` at decision level 0, or None while it is open.
+
+        Between calls the solver's trail holds level 0 only: the units of
+        the clauses added so far and of the clauses it learnt from them, and
+        their propagation.  A value fixed there holds in every model.
+        """
+        w = self._cdcl.val[var << 1]
+        return w == 1 if w else None
 
     def add_clauses(
         self,

@@ -2,6 +2,8 @@ import dataclasses
 import itertools
 import random
 import re
+import subprocess
+import sys
 
 import hypothesis
 import pytest
@@ -1018,38 +1020,56 @@ def test_run_attack_reports_are_reproducible(s27_camo):
     ]
 
 
-# The search pinned: every record's (bound, event, status, conflicts,
-# decisions) and the query set of two fixed attacks.  A change to the
-# solver or the encoding that alters any decision shows up here; update the
-# values only with a change meant to alter the search.
+# The search pinned on two fixed attacks, apart from how the solver got
+# there: every record's (bound, event, status) and the query set.  A change
+# that alters a question the attack asks or an answer it gets shows up here;
+# update the values only with a change meant to alter them.
 _PINNED_S27 = (
-    [(2, "sequence", "SAT", 5, 12), (2, "uc", "SAT", 0, 12), (2, "ce", "SAT", 0, 18),
-     (2, "sequence", "SAT", 0, 14), (2, "uc", "UNSAT", 0, 0)],
+    [(2, "sequence", "SAT"), (2, "uc", "SAT"), (2, "ce", "SAT"), (2, "sequence", "SAT"),
+     (2, "uc", "UNSAT")],
     [((4, 9), (1, 0)), ((0, 9), (1, 1))],
 )
 _PINNED_RANDOM = (
-    [(2, "sequence", "SAT", 0, 12), (2, "uc", "SAT", 1, 12), (2, "ce", "SAT", 0, 18),
-     (2, "sequence", "SAT", 0, 18), (2, "uc", "SAT", 0, 16), (2, "ce", "SAT", 0, 15),
-     (2, "bound", "UNSAT", 8, 19), (2, "umc", "refuted", 0, 33), (4, "sequence", "SAT", 0, 23),
-     (4, "uc", "SAT", 6, 36), (4, "ce", "SAT", 0, 19), (4, "sequence", "SAT", 8, 43),
-     (4, "uc", "UNSAT", 0, 0)],
+    [(2, "sequence", "SAT"), (2, "uc", "SAT"), (2, "ce", "SAT"), (2, "sequence", "SAT"),
+     (2, "uc", "SAT"), (2, "ce", "SAT"), (2, "bound", "UNSAT"), (2, "umc", "refuted"),
+     (4, "sequence", "SAT"), (4, "uc", "SAT"), (4, "ce", "SAT"), (4, "sequence", "SAT"),
+     (4, "uc", "UNSAT")],
     [((0, 4), (0, 1)), ((0, 0), (0, 1)), ((3, 3, 0), (1, 0, 1)), ((3, 7, 5, 3), (1, 1, 0, 1))],
 )
+# The solver counters of the same attacks: every record's (conflicts,
+# decisions).  A change to the solver or to the CNF it is given moves them
+# even when every question and answer above stays; re-record them then.
+_PINNED_S27_COUNTERS = [(5, 12), (0, 12), (0, 18), (0, 14), (0, 0)]
+_PINNED_RANDOM_COUNTERS = [(0, 12), (1, 12), (0, 18), (0, 18), (0, 16), (0, 15), (8, 19),
+                           (0, 33), (0, 23), (6, 36), (0, 19), (8, 43), (0, 0)]
 
 
-def test_search_is_pinned(s27_camo):
+def _pinned_attacks(s27_camo):
+    """The reports of the two pinned attacks, paired with their pins."""
     rng = random.Random(2)
     small = random_camo(rng, random_circuit(rng, num_inputs=3, num_flops=3, num_gates=18), k=4)
-    for camo, secret, cfg, pinned in (
-        (s27_camo, S27_SECRET, atk.AttackConfig(bmc_inc=2, max_bound=16), _PINNED_S27),
-        (*small, atk.AttackConfig(bmc_inc=2, max_bound=64), _PINNED_RANDOM),
+    for camo, secret, cfg, pinned, counters in (
+        (s27_camo, S27_SECRET, atk.AttackConfig(bmc_inc=2, max_bound=16), _PINNED_S27,
+         _PINNED_S27_COUNTERS),
+        (*small, atk.AttackConfig(bmc_inc=2, max_bound=64), _PINNED_RANDOM,
+         _PINNED_RANDOM_COUNTERS),
     ):
         rep = atk.run_attack(camo, BlackBox(camo, secret), cfg)
         assert rep.termination == atk.UC and rep.completions == (secret,)
-        records = [(i.bound, i.event, i.status, i.conflicts, i.decisions) for i in rep.iterations]
+        yield rep, pinned, counters
+
+
+def test_search_is_pinned(s27_camo):
+    for rep, pinned, _ in _pinned_attacks(s27_camo):
+        records = [(i.bound, i.event, i.status) for i in rep.iterations]
         queries = [(seq.steps, out.steps) for seq, out in rep.disc_set]
         assert (records, queries) == pinned
         assert rep.unobservable == ()  # every cell observable, so UC is asked
+
+
+def test_search_counters_are_pinned(s27_camo):
+    for rep, _, counters in _pinned_attacks(s27_camo):
+        assert [(i.conflicts, i.decisions) for i in rep.iterations] == counters
 
 
 # the s344-shaped circuits of perfbench/workloads.py, made the same way
@@ -1080,12 +1100,19 @@ def test_enumeration_is_pinned():
     # re-simulates consistent on the full circuit
     cfg, inst = _umc_1_k32()
     kept = inst.cone[1]
-    before = inst.stats
     found = inst.enumerate_consistent(cfg.umc_enum_cap)
-    after = inst.stats
     assert len(kept) == 17
     assert len({tuple(x.choices[c] for c in kept) for x in found}) == len(found) == 64
     assert all(atk.consistent(inst.camo, x, inst.qs) for x in found)
+
+
+def test_enumeration_counters_are_pinned():
+    # the solver's decisions and propagations over that listing; a change
+    # to the solver or to the CNF it is given moves them, not the listing
+    cfg, inst = _umc_1_k32()
+    before = inst.stats
+    inst.enumerate_consistent(cfg.umc_enum_cap)
+    after = inst.stats
     assert (after.decisions - before.decisions, after.propagations - before.propagations) == (
         2578, 8206)
 
@@ -1267,6 +1294,19 @@ def test_run_attack_at_table_scale_synthetic():
             assert not any(
                 i.event == "bound" and i.bound == rep.bound_reached for i in rep.iterations
             )
+
+
+def test_smallbatch_asks_the_pinned_questions():
+    # beside the table344/umc344 query sets above: the `queries` digest of
+    # smallbatch at seed 100 (every attack's termination, completions,
+    # discriminating set and query/step counts), so a change that moves any
+    # of its 2,000 attacks' questions shows up here; in a child process, as
+    # the script rebinds `attack.AttackInstance` while it runs
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "search_digest.py"), "smallbatch", "100"],
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert "queries f25a56c1c027c64f1175f7f8bee0cc66a96379918ef8f1bcbfd5ede1b1e7f493\n" in run.stdout
 
 
 def test_run_attack_events_carry_status(s27_camo, unreachable_divergence_camo):

@@ -22,8 +22,8 @@ from seqdecam.netlist import (
     CAMO_TAG, BitSeq, CamoCell, CamoCircuit, Circuit, Completion, Evaluator, Gate,
     camouflage, observable_cone, parse_bench, run_sequence, step,
 )
-from seqdecam.oracle import OracleConflictError, QuerySet, record
-from seqdecam.attack import ProductCapError, brute_force_disc, consistent
+from seqdecam.oracle import BlackBox, OracleConflictError, QuerySet, record
+from seqdecam.attack import AttackConfig, ProductCapError, brute_force_disc, consistent, run_attack
 
 from conftest import S27_SECRET
 
@@ -535,6 +535,71 @@ def test_cone_ce_certifies_only_discriminating_sets():
             comps = [x for x in camo.all_completions() if consistent(camo, x, qs)]
             beyond_full += len(_step_tables(camo, comps)) > 1
     assert beyond_full
+
+
+def test_settled_cells_certify_uc_and_ce_without_a_solver_call(monkeypatch, s27_camo):
+    calls = []
+    real = sm.SatContext.solve
+    monkeypatch.setattr(sm.SatContext, "solve",
+                        lambda self, *a, **kw: calls.append(1) or real(self, *a, **kw))
+    # no record: UC and CE go to the solver
+    inst = AttackInstance(s27_camo)
+    assert inst.solve_uc().status == sm.SAT and len(calls) == 1
+    assert inst.solve_ce().status == sm.SAT and len(calls) == 2
+    # two records fix both cells' key bits at level 0
+    inst = AttackInstance(s27_camo)
+    for steps in [(8, 9), (4, 8)]:
+        seq = BitSeq(s27_camo.num_inputs, steps)
+        inst.add_record(seq, run_sequence(s27_camo, S27_SECRET, seq))
+    calls.clear()
+    assert inst.solve_ce().status == sm.UNSAT
+    assert inst.solve_uc().status == sm.UNSAT
+    assert calls == [] and inst._ce_sel is None
+    # seeded circuit 9: cell g1 lies outside the cone and keeps its two
+    # candidates, so CE certifies while UC, over every cell, stays SAT
+    rng = random.Random(9)
+    camo, secret = random_camo(rng, random_circuit(rng, num_flops=2), k=3)
+    rep = run_attack(camo, BlackBox(camo, secret), AttackConfig(bmc_inc=1, max_bound=4))
+    inst = AttackInstance.from_queries(camo, rep.disc_set)
+    calls.clear()
+    assert [(c.gate_out, c.t) for i, c in enumerate(camo.cells) if i not in inst.cone[1]] == [
+        ("g1", 2)]
+    assert inst.solve_ce().status == sm.UNSAT
+    assert calls == [] and inst._ce_sel is None
+    assert inst.solve_uc().status == sm.SAT and len(calls) == 1
+
+
+@hypothesis.seed(34)
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**9))
+def test_level_0_certificate_matches_fresh_solves(seed):
+    # criterion 3's generator with 0-4 records added one at a time: before
+    # the first and after each, UC and CE answer as a fresh solve of
+    # encode_uc/encode_ce does, and a check answered without a solver call
+    # is UNSAT on a discriminating set
+    rng = random.Random(seed)
+    while True:
+        try:
+            camo, secret = random_camo(
+                rng, random_circuit(rng, num_flops=rng.randint(0, 3)), k=rng.randint(1, 3)
+            )
+            break
+        except ValueError:
+            continue
+    inst = AttackInstance(camo)
+    calls, real = [], inst._ctx.solve
+    inst._ctx.solve = lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs)
+    m = camo.num_inputs
+    for n in range(rng.randint(0, 4) + 1):
+        if n:
+            seq = BitSeq(m, tuple(rng.randrange(1 << m) for _ in range(rng.randint(1, 3))))
+            inst.add_record(seq, run_sequence(camo, secret, seq))
+        for ask, encode in ((inst.solve_uc, encode_uc), (inst.solve_ce, encode_ce)):
+            calls.clear()
+            status = ask().status
+            assert status == sm.SatContext(encode(camo, inst.qs)).solve().status
+            if not calls:
+                assert status == sm.UNSAT and brute_force_disc(camo, inst.qs)
 
 
 def test_cone_frames_drop_the_dead_logic():

@@ -7,34 +7,34 @@ arbitrates, and the loser is eliminated.  After every new record the two
 sufficient conditions are asked: unique completion (UC), then combinational
 equivalence (CE); either one ends the attack.  When no bounded
 distinguisher remains and neither holds, an unbounded check (UMC) runs
-before the bound grows.  Several answers come from the outputs' sequential
-cone of influence (`netlist.observable_cone`, held once as
-`AttackInstance.cone`): a cell outside it cannot reach an output, so every
-choice for it is equivalent to every other and consistent once any
-completion is.  So UC, which such a cell with two or more candidates makes
-SAT by construction, is not asked next to one; a partial completion calls
-such a cell ambiguous without pinning it; and UMC lists one surviving
-completion per consistent choice of the observable cells, one plain solver
-call each with a blocking clause on those cells after it, and checks each
-one, as soon as it is listed, for sequential equivalence with the first on
-the reduced circuit (which keeps every cell, so a completion runs on it as
-it is) by one explicit product-machine search; the first one inequivalent
-to the first ends the listing and refutes.  A bound that closes at the
-product diameter 2^(2l) certifies on its own.  Every check takes the
-attack's one incremental `AttackInstance`, which holds the records
-(`inst.qs`) and answers every solver question about them over frames of
-the reduced circuit, which gives the full one's outputs; so a dead cell
-that feeds a dead flop cannot make CE SAT.  Each check the loop runs
+before the bound grows.  The attack runs on the outputs' cone; only the
+oracle runs the full chip: `run_attack` takes the reduced circuit of
+`netlist.observable_cone` (`AttackInstance.camo`), which keeps every cell
+under its own index, for its frames, re-simulation, product searches and
+report.  A cell outside the cone (not in `AttackInstance.observable`)
+cannot reach an output, so every choice for it is equivalent to every
+other and consistent once any completion is.  So UC, which such a cell
+with two or more candidates makes SAT by construction, is not asked next
+to one; a partial completion calls such a cell ambiguous without pinning
+it; and UMC lists one surviving completion per consistent choice of the
+observable cells, one plain solver call each with a blocking clause on
+those cells after it, and checks each one, as soon as it is listed, for
+sequential equivalence with the first by one explicit product-machine
+search; the first one inequivalent to the first ends the listing and
+refutes.  A bound that closes at the product diameter 2^(2l), l flops in
+the cone, certifies on its own.  Every check takes the attack's one
+incremental `AttackInstance`, which holds the records (`inst.qs`) and
+answers every solver question about them.  Each check the loop runs
 becomes one `IterationRecord`: its solver work is the change in the
 instance's running `stats` and its wall time spans the whole check
 (encoding, oracle round trip and re-simulation included).  A certified
 attack returns the bounded-search witness that survived the last record,
 which has been re-simulated against every record; only without one is a
-completion solved for.  When no cell lies in the cone
-at all, every completion is sequentially equivalent to every other, so the
-attack certifies UMC before any frame, solver call or oracle query and
-returns the all-zeros completion.  The report names the cells outside the
-cone as unobservable.  UC and CE answer UNSAT with no solver call once the
+completion solved for.  When no cell lies in the cone at all, every
+completion is sequentially equivalent to every other, so the attack
+certifies UMC before any frame, solver call or oracle query and returns
+the all-zeros completion.  The report names the cells outside the cone as
+unobservable.  UC and CE answer UNSAT with no solver call once the
 solver's level 0 fixes the key bits of every cell they compare: every
 cell for UC, the cells in the cone for CE.
 Small-instance ground truth comes from an exhaustive pairwise-equivalence
@@ -212,20 +212,18 @@ def product_equiv(
     ev2 = Evaluator(camo, x2)
     s0 = camo.reset_state
     start = (s0 << l) | s0 if l else 0
-    visited = {start}
-    states: list[int] = [start]
-    parent = [-1]
-    via = [0]
-    frontier = [0]
+    # state key (s1 << l) | s2 -> (parent key, input taken from it)
+    parent: dict[int, tuple[int, int] | None] = {start: None}
+    frontier = [start]
     expansions = 0
     chunk_states = max(1, WIRE_BITS // p)
     input_patterns = [_input_pattern(i, m) for i in range(m)]
 
-    def witness(idx: int, last_input: int) -> BitSeq:
+    def witness(key: int, last_input: int) -> BitSeq:
         rev = [last_input]
-        while parent[idx] != -1:
-            rev.append(via[idx])
-            idx = parent[idx]
+        while (link := parent[key]) is not None:
+            key, v = link
+            rev.append(v)
         return BitSeq(m, tuple(reversed(rev)))
 
     while frontier:
@@ -236,7 +234,7 @@ def product_equiv(
             expansions += w
             if expansions > expand_cap:
                 raise ProductCapError(f"product expansion cap {expand_cap} exceeded")
-            ins, wires = _pack_chunk([states[idx] for idx in chunk], 2 * l, input_patterns)
+            ins, wires = _pack_chunk(chunk, 2 * l, input_patterns)
             st2, st1 = wires[:l], wires[l:]
             o1, n1 = ev1.eval(st1, ins, w)
             o2, n2 = ev2.eval(st2, ins, w)
@@ -246,14 +244,11 @@ def product_equiv(
             if mism:
                 j = (mism & -mism).bit_length() - 1
                 return witness(chunk[j // p], j % p)
-            for key, j in zip(*_distinct_keys([*n2, *n1], w)):  # key (s1 << l) | s2
-                if key not in visited:
-                    visited.add(key)
-                    states.append(key)
-                    parent.append(chunk[j // p])
-                    via.append(j % p)
-                    nxt_frontier.append(len(states) - 1)
-                    if len(states) > state_cap:
+            for key, j in zip(*_distinct_keys([*n2, *n1], w)):
+                if key not in parent:
+                    parent[key] = (chunk[j // p], j % p)
+                    nxt_frontier.append(key)
+                    if len(parent) > state_cap:
                         raise ProductCapError(f"product state cap {state_cap} exceeded")
         frontier = nxt_frontier
     return None
@@ -391,16 +386,15 @@ def _transposed_keys(wires: Sequence[int], width: int) -> tuple[list[int], list[
 def check_umc(inst: AttackInstance, cfg: AttackConfig | None = None) -> bool:
     """True iff `inst.qs` is discriminating; raises InconclusiveError at the caps.
 
-    Asked on the outputs' cone of influence (`observable_cone`): it lists
-    one consistent completion per consistent choice of the observable
-    cells, one solver query each (see `AttackInstance.enumerate_consistent`),
-    and checks each one, as soon as it is listed, for sequential
-    equivalence with the first by one `product_equiv` search on the reduced
-    circuit, which keeps every cell and ignores those outside the cone.
-    Equivalence is transitive, so this is exact: the consistent completions
-    are the listed choices of the observable cells times every choice of
-    the other cells, and two completions are equivalent exactly when they
-    are equivalent on the reduced circuit.  The first completion
+    The attack runs on the outputs' cone; only the oracle runs the full
+    chip.  The check lists one consistent completion per consistent choice
+    of the observable cells, one solver query each (see
+    `AttackInstance.enumerate_consistent`), and checks each one, as soon as
+    it is listed, for sequential equivalence with the first by one
+    `product_equiv` search on `inst.camo`, which has no gate for the cells
+    outside the cone.  Equivalence is transitive, so this is exact: the
+    consistent completions are the listed choices of the observable cells
+    times every choice of the other cells.  The first completion
     inequivalent to the first ends the listing and refutes the check, and
     a check that certifies lists exactly as a plain listing does.  More
     than `cfg.umc_enum_cap` completions (every one of the first
@@ -413,14 +407,13 @@ def check_umc(inst: AttackInstance, cfg: AttackConfig | None = None) -> bool:
     cfg = cfg or AttackConfig()
     if cfg.umc_mode == "skip":
         raise InconclusiveError("unbounded check disabled (umc_mode=skip)")
-    reduced = inst.cone[0]
     refuted = False
 
     def refutes(comps: list[Completion]) -> bool:
         """Is the completion listed last inequivalent to the first?"""
         nonlocal refuted
         refuted = len(comps) > 1 and product_equiv(
-            reduced, comps[0], comps[-1], PRODUCT_STATE_CAP, PRODUCT_EXPAND_CAP
+            inst.camo, comps[0], comps[-1], PRODUCT_STATE_CAP, PRODUCT_EXPAND_CAP
         ) is not None
         return refuted
 
@@ -492,8 +485,9 @@ def partial_completion(inst: AttackInstance, budget: float | None = None) -> dic
     ambiguous (or a sub-query timed out).
 
     One unpinned solve comes first: UNSAT raises OracleInconsistentError,
-    even when no cell is pinned after it.  A cell outside the outputs' cone
-    of influence (`inst.cone`) is never pinned: every choice for it is
+    even when no cell is pinned after it.  The attack runs on the outputs'
+    cone; only the oracle runs the full chip.  A cell outside the cone (not
+    in `inst.observable`) is never pinned: every choice for it is
     consistent once any completion is, so with two or more candidates it is
     ambiguous, and with one it is fixed at 0 once a solve has shown a
     consistent completion.  The other cells' candidates are pinned one at a
@@ -503,7 +497,7 @@ def partial_completion(inst: AttackInstance, budget: float | None = None) -> dic
     ambiguous.
     """
     cells = inst.camo.cells
-    kept = set(inst.cone[1])
+    kept = set(inst.observable)
     seen: list[set[int]] = [set() for _ in cells]
 
     def show(res: satmod.SolveResult, first: int) -> None:
@@ -550,7 +544,10 @@ def run_attack(camo: CamoCircuit, oracle, cfg: AttackConfig | None = None) -> At
     """The complete attack: grow a discriminating set, then read off a completion.
 
     `oracle` is anything with query(BitSeq) -> BitSeq plus query_count /
-    step_count attributes (BlackBox or PipeOracle).  UC is asked only while
+    step_count attributes (BlackBox or PipeOracle).  The attack runs on the
+    outputs' cone; only the oracle runs the full chip: from the instance on,
+    every step reads `inst.camo`, and the product diameter counts the
+    cone's flops.  UC is asked only while
     every cell with two or more candidates lies in the outputs' cone of
     influence: outside it, two completions that differ in that cell alone
     are both consistent, so UC is SAT by construction and CE is asked
@@ -567,7 +564,8 @@ def run_attack(camo: CamoCircuit, oracle, cfg: AttackConfig | None = None) -> At
     cfg = cfg or AttackConfig()
     t_start = time.monotonic()
     inst = AttackInstance(camo)
-    kept = set(inst.cone[1])
+    camo = inst.camo
+    kept = set(inst.observable)
     hidden = [i for i in range(camo.k) if i not in kept]
     ask_uc = all(camo.cells[i].t < 2 for i in hidden)  # else UC is SAT by construction
     iterations: list[IterationRecord] = []

@@ -25,17 +25,12 @@ the query's selector asserted, `encode_uc` with the keys asserted distinct;
 `encode_consistency` and `encode_keyed_frame` are standalone single-key
 encodings, the reference the CNF is checked against simulation with.  Every
 frame is emitted along the circuit's slot plan (`CamoCircuit.plan`), the
-walk the simulator takes too.  An `AttackInstance`'s frames cover only the
-outputs' cone of influence (`observable_cone`).  BMC and record frames read
-nothing but outputs, which the reduced circuit gives exactly as the full
-one does, and the dropped logic holds only definitions that any assignment
-to the rest extends, so those queries keep their models over keys and
-frame inputs.
-CE compares outputs and the kept flops' next states: UNSAT there makes all
-consistent completions run the reduced circuit in lock-step from reset, so
-they give the same outputs.  That certifies every query set CE over the
-full circuit would, and more: there a dead cell that feeds a dead flop
-makes CE SAT by construction.
+walk the simulator takes too.  The attack runs on the outputs' cone; only
+the oracle runs the full chip: an `AttackInstance` holds the reduced
+circuit of `observable_cone`, which keeps every cell under its own index
+and gives the full circuit's outputs, and every frame it emits is one of
+that circuit.  So CE compares the cone's flops' next states, and a dead
+cell that feeds a dead flop cannot make it SAT.
 """
 
 from __future__ import annotations
@@ -283,21 +278,22 @@ class AttackInstance:
     by a selector, an assumption literal, so a single incremental solver
     context answers all of them.  BMC, CE and UC assume the key vectors
     distinct (`_emit_keys_equal`).  The key vectors cover every cell of
-    `camo`; every frame is one of the reduced circuit `cone[0]`, which keeps
-    every cell, so its plan indexes the key vectors directly.
+    `camo`.  The attack runs on the outputs' cone; only the oracle runs the
+    full chip: `camo` is the reduced circuit of `observable_cone`, which
+    keeps every cell under its own index, and `observable` holds the indices
+    of the cells inside the cone.
     """
 
     def __init__(self, camo: CamoCircuit):
-        self.camo = camo
+        self.camo, self.observable = observable_cone(camo)
         self.qs = QuerySet()
         self.bld = CnfBuilder()
-        self.k1 = new_key_vector(self.bld, camo, "key1")
-        self.k2 = new_key_vector(self.bld, camo, "key2")
+        self.k1 = new_key_vector(self.bld, self.camo, "key1")
+        self.k2 = new_key_vector(self.bld, self.camo, "key2")
         self._keys_eq = _emit_keys_equal(self.bld, self.k1, self.k2)
         self.frame_inputs: list[list[int]] = []
         self._frame_flags: list[int] = []
-        reduced = self.cone[0]
-        self._s1 = _const_bits(reduced.reset_state, reduced.num_flops)
+        self._s1 = _const_bits(self.camo.reset_state, self.camo.num_flops)
         self._s2 = list(self._s1)
         self._bound_sel: dict[int, int] = {}
         self._ce_sel: int | None = None
@@ -331,13 +327,6 @@ class AttackInstance:
         self._sync()
         return self._ctx.solve(assumptions, time_budget=budget)
 
-    @cached_property
-    def cone(self) -> tuple[CamoCircuit, tuple[int, ...]]:
-        """The outputs' cone of influence of `camo` (`observable_cone`): the
-        reduced circuit, which keeps every cell, and the indices of the
-        cells inside the cone, computed once."""
-        return observable_cone(self.camo)
-
     @property
     def stats(self) -> "satmod.SolveStats":
         """Running counters of the one solver behind every query (see
@@ -347,7 +336,7 @@ class AttackInstance:
     # ------------------------------------------------------------- building
 
     def ensure_frames(self, bound: int) -> None:
-        bld, camo = self.bld, self.cone[0]
+        bld, camo = self.bld, self.camo
         while len(self.frame_inputs) < bound:
             f = len(self.frame_inputs)
             ins = bld.new_vars(camo.num_inputs)
@@ -370,7 +359,7 @@ class AttackInstance:
 
     def ce_selector(self) -> int:
         if self._ce_sel is None:
-            bld, camo = self.bld, self.cone[0]
+            bld, camo = self.bld, self.camo
             self._ce_sel = bld.new_var()
             state = bld.new_vars(camo.num_flops)
             inputs = bld.new_vars(camo.num_inputs)
@@ -391,9 +380,9 @@ class AttackInstance:
         grown = record(self.qs, seq, out)
         if len(grown) == len(self.qs):
             return False
-        reduced, qs = self.cone[0], QuerySet(((seq, out),))
+        qs = QuerySet(((seq, out),))
         for key in (self.k1, self.k2):
-            emit_consistency(self.bld, reduced, key, qs)
+            emit_consistency(self.bld, self.camo, key, qs)
         self.qs = grown
         return True
 
@@ -446,7 +435,7 @@ class AttackInstance:
         cell in the cone (`_settled`): all consistent completions then run
         the same reduced circuit, which has no gate for the other cells.
         """
-        if self._settled(self.cone[1]):
+        if self._settled(self.observable):
             return satmod.SolveResult(satmod.UNSAT)
         return self._solve([self.ce_selector(), -self._keys_eq], budget)
 
@@ -463,7 +452,7 @@ class AttackInstance:
         stop: Callable[[list[Completion]], bool] | None = None,
     ) -> list[Completion] | None:
         """Consistent completions, one per consistent choice of the cells in
-        the outputs' cone (`cone[1]`), in the order found; None once there
+        the outputs' cone (`observable`), in the order found; None once there
         are more than `cap`.  The cells outside the cone take whatever
         choice the model gives them, which is consistent too.
 
@@ -487,7 +476,7 @@ class AttackInstance:
         """
         epoch = self.bld.new_var()
         kv = self.k1
-        key = [v for c in self.cone[1] for v in kv.cells[c]]
+        key = [v for c in self.observable for v in kv.cells[c]]
         found: list[Completion] = []
         try:
             while True:

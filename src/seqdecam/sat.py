@@ -29,7 +29,6 @@ TIMEOUT = "TIMEOUT"
 
 _VAR_DECAY = 0.95
 _RESTART_BASE = 100
-_CLAUSE_DECAY = 0.999
 # bytes.translate tables: _TRUE_BYTE maps a variable's value code (0 undef,
 # 1 true, 2 false) to its model byte (1 true, else 0); on model bytes it
 # gives the truth of each positive literal and _ZERO_BYTE that of each
@@ -171,10 +170,7 @@ class Cdcl:
         self.in_heap = [0]  # 1 while v has an entry keyed by its current activity
         self.var_inc = 1.0
         self.num_clauses = 0  # problem clauses; long ones live in the watch lists
-        self.learnts: list[list[int]] = []
-        self.cla_act: dict[int, float] = {}
-        self.cla_lbd: dict[int, int] = {}
-        self.cla_inc = 1.0
+        self.learnts: list[tuple[int, list[int]]] = []  # (lbd, clause) pairs
         self.stats = SolveStats()
         self.model = b""  # byte v is 1 when variable v is true, else 0
 
@@ -380,19 +376,6 @@ class Cdcl:
         self.stats.propagations += qhead - start
         return None
 
-    def _bump_clause(self, c: list) -> None:
-        i = id(c)
-        act = self.cla_act.get(i)
-        if act is None:
-            return
-        act += self.cla_inc
-        self.cla_act[i] = act
-        if act > 1e20:
-            scale = 1e-20
-            for k in self.cla_act:
-                self.cla_act[k] *= scale
-            self.cla_inc *= scale
-
     def _analyze(self, confl) -> tuple[list[int], int, int]:
         """First-UIP learning; returns (learnt clause, backjump level, lbd)."""
         seen = self.seen
@@ -415,7 +398,6 @@ class Cdcl:
             if type(c) is int:
                 lits = (c,)  # binary reason: the other literal
             else:
-                self._bump_clause(c)
                 lits = c if p == -1 else c[1:]  # a reason's first literal is p
             for q in lits:
                 v = q >> 1
@@ -525,29 +507,23 @@ class Cdcl:
         else:
             self.watches[learnt[0]].append(learnt)
             self.watches[learnt[1]].append(learnt)
-            self.learnts.append(learnt)
-            self.cla_act[id(learnt)] = self.cla_inc
-            self.cla_lbd[id(learnt)] = lbd
+            self.learnts.append((lbd, learnt))
         self._assign(learnt[0], learnt if len(learnt) > 2 else learnt[1])
 
     def _reduce_db(self) -> None:
-        # drop the least useful half of the long learnt clauses
-        learnts = self.learnts
-        ranked = sorted(
-            learnts,
-            key=lambda c: (-self.cla_lbd[id(c)], self.cla_act[id(c)]),
-        )
+        # drop up to half of the long learnt clauses, highest LBD first (the
+        # sort is stable: older first among equal LBDs), keeping LBD <= 3 and
+        # every reason on the trail
+        ranked = sorted(self.learnts, key=lambda p: -p[0])
         reason = self.reason
         locked = {id(r) for e in self.trail if type(r := reason[e >> 1]) is list}
         drop = len(ranked) // 2
         kept = []
-        for i, c in enumerate(ranked):
-            if i < drop and self.cla_lbd[id(c)] > 3 and id(c) not in locked:
-                del self.cla_act[id(c)]
-                del self.cla_lbd[id(c)]
+        for i, (lbd, c) in enumerate(ranked):
+            if i < drop and lbd > 3 and id(c) not in locked:
                 c.clear()  # watch lists skip empty clauses lazily
             else:
-                kept.append(c)
+                kept.append((lbd, c))
         self.learnts = kept
 
     def _rebuild_heap(self) -> None:
@@ -638,7 +614,6 @@ class Cdcl:
                 self._cancel_until(bt)
                 self._record_learnt(learnt, lbd)
                 self.var_inc /= _VAR_DECAY
-                self.cla_inc /= _CLAUSE_DECAY
                 nconf = self.stats.conflicts - conflicts_at_start
                 if conflict_budget is not None and nconf >= conflict_budget:
                     self._cancel_until(0)

@@ -168,6 +168,18 @@ def test_product_equiv_keys_up_to_32_flops_per_copy():
 
 # ------------------------------------------------------------- unbounded
 
+# conftest's unreachable_divergence netlist plus a flop that no output reads
+DEAD_STATE_WITH_UNREAD_FLOP = """
+INPUT(a)
+OUTPUT(y)
+na = NOT(a)
+zero = AND(a, na)
+s = DFF(zero)
+d = DFF(a)
+y = XOR(s, a)
+"""
+
+
 def test_a_bound_closed_at_the_product_diameter_certifies(unreachable_divergence_camo):
     # one flop per copy: no shortest distinguisher is longer than the product
     # diameter 4, so a bound closed there certifies although CE fails and
@@ -184,6 +196,16 @@ def test_a_bound_closed_at_the_product_diameter_certifies(unreachable_divergence
             assert atk.product_equiv(camo, x, secret) is None
     # with umc_mode="skip" no unbounded check ran: the closed bound alone certified
     assert rep.completions and not [i for i in rep.iterations if i.event == "umc"]
+    # a flop that no output reads leaves the diameter at 4, that of the
+    # outputs' cone, where the full circuit's two flops would make it 16
+    from seqdecam.netlist import camouflage, parse_bench
+
+    camo = camouflage(parse_bench(DEAD_STATE_WITH_UNREAD_FLOP, "dead_state"), ["y"], ["XOR", "OR"])
+    assert camo.num_flops == 2
+    cfg = atk.AttackConfig(bmc_inc=2, max_bound=8, umc_mode="skip")
+    rep = atk.run_attack(camo, BlackBox(camo, secret), cfg)
+    assert (rep.termination, rep.bound_reached) == (atk.UMC, 4)
+    assert rep.completions and atk.product_equiv(camo, rep.completions[0], secret) is None
 
 
 def test_umc_skip_raises(s27_camo):
@@ -837,7 +859,7 @@ def test_partial_completion_pins_no_unobservable_cell(monkeypatch):
         except ValueError:  # too few gates of two or more inputs
             continue
         inst = AttackInstance(camo)
-        hidden = [i for i in range(camo.k) if i not in inst.cone[1]]
+        hidden = [i for i in range(camo.k) if i not in inst.observable]
         if not hidden:
             continue
         m = camo.num_inputs
@@ -1099,11 +1121,12 @@ def test_enumeration_is_pinned():
     # added after it; every listed completion is distinct there and
     # re-simulates consistent on the full circuit
     cfg, inst = _umc_1_k32()
-    kept = inst.cone[1]
+    camo, _ = _s344_shaped(1, 32)
+    kept = inst.observable
     found = inst.enumerate_consistent(cfg.umc_enum_cap)
     assert len(kept) == 17
     assert len({tuple(x.choices[c] for c in kept) for x in found}) == len(found) == 64
-    assert all(atk.consistent(inst.camo, x, inst.qs) for x in found)
+    assert all(atk.consistent(camo, x, inst.qs) for x in found)
 
 
 def test_enumeration_counters_are_pinned():

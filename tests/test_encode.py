@@ -501,7 +501,7 @@ def test_cone_frames_keep_every_verdict():
             assert inst.solve_bmc(b).status == bmc
         assert inst.solve_uc().status == uc
         assert inst.solve_ce().status == ce
-        kept = inst.cone[1]
+        kept = inst.observable
         want = {tuple(x[c] for c in kept) for x in _consistent_set_by_simulation(camo, qs)}
         found = inst.enumerate_consistent(cap=64)
         assert sorted(tuple(x.choices[c] for c in kept) for x in found) == sorted(want)
@@ -514,7 +514,7 @@ def test_listing_holds_one_consistent_completion_per_cone_choice():
     with_dead_cells = 0
     for camo, _, qs in _circuits_with_dead_logic(71, 100):
         inst = AttackInstance.from_queries(camo, qs)
-        kept = inst.cone[1]
+        kept = inst.observable
         consistent_set = _consistent_set_by_simulation(camo, qs)
         want = sorted({tuple(x[c] for c in kept) for x in consistent_set})
         found = inst.enumerate_consistent(cap=64)
@@ -562,7 +562,7 @@ def test_settled_cells_certify_uc_and_ce_without_a_solver_call(monkeypatch, s27_
     rep = run_attack(camo, BlackBox(camo, secret), AttackConfig(bmc_inc=1, max_bound=4))
     inst = AttackInstance.from_queries(camo, rep.disc_set)
     calls.clear()
-    assert [(c.gate_out, c.t) for i, c in enumerate(camo.cells) if i not in inst.cone[1]] == [
+    assert [(c.gate_out, c.t) for i, c in enumerate(camo.cells) if i not in inst.observable] == [
         ("g1", 2)]
     assert inst.solve_ce().status == sm.UNSAT
     assert calls == [] and inst._ce_sel is None

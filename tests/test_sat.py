@@ -182,6 +182,28 @@ def test_conflict_budget_reports_timeout():
     assert ctx.solve().status == sm.UNSAT
 
 
+def test_reduce_db_drops_the_highest_lbd_half_older_first():
+    # eight long learnt clauses, oldest first; the highest-LBD half ranks
+    # 2, 5, 7, 0 (0 before 3 among the LBD 5s), and clause 5 is the reason
+    # of a trail literal, so it is kept though it ranks in that half
+    s = sm.Cdcl()
+    s.ensure_vars(30)
+    lbds = [5, 2, 7, 5, 4, 7, 3, 6]
+    clauses = [[2 * (3 * i + j + 1) for j in range(3)] for i in range(8)]
+    s.learnts = list(zip(lbds, clauses))
+    s._assign(clauses[5][0], clauses[5])
+    s._reduce_db()
+    dropped = {2, 7, 0}
+    assert all((clauses[i] == []) == (i in dropped) for i in range(8))
+    assert sorted(id(c) for _, c in s.learnts) == sorted(id(clauses[i]) for i in range(8) if i not in dropped)
+    assert all(len(c) == 3 for _, c in s.learnts)
+    # a clause of LBD 3 or less is never dropped, even in the top half
+    low = [[2, 4, 6], [8, 10, 12], [14, 16, 18], [20, 22, 24]]
+    s.learnts = list(zip([3, 1, 2, 3], low))
+    s._reduce_db()
+    assert len(s.learnts) == 4 and all(len(c) == 3 for c in low)
+
+
 def test_branching_follows_activity_after_rescale():
     # a large starting increment pushes activities past the 1e100 rescale
     # threshold within a few conflicts; afterwards the next decision must
@@ -289,7 +311,7 @@ def test_learnt_clauses_are_entailed(seed):
     s.add_clauses(clauses)
     for _ in range(16):
         s.solve([rng.choice([1, -1]) * v for v in rng.sample(range(1, nv + 1), rng.randint(2, 5))])
-        learnt = [c for c in s.learnts if c]
+        learnt = [c for _, c in s.learnts if c]
         learnt += [[a, b] for a in range(2, len(s.bwatch)) for b in s.bwatch[a]]
         learnt += [[e] for e in s.trail]  # level-0 units
         for c in learnt:
